@@ -8,8 +8,7 @@ from .game import (Bounds, GameSpec, allocate, completion_reward, dsc_gap,
                    gradient_matrix, utility_range)
 from .dataset import IndexDataset, builtin_game1, load_dataset, select_subgame
 from .nash import NashSolution, epsilon_gap, solve_nash
-from .engine import (RegretLedger, RoundRecord, SeedResult, regret_slope,
-                     run_round, run_seed, time_averaged_profile, update_regret)
+from .engine import RoundRecord, SeedResult, regret_slope, run_round, run_seed
 from .campaign import (CampaignResult, ExperimentConfig, StrategyConfig,
                        make_bank, replica_streams, run_campaign, write_outputs)
 

@@ -21,50 +21,52 @@ import numpy as np
 
 from .engine import SeedResult, regret_slope, run_seed
 from .errors import ConfigurationError
-from .game import GameSpec, estimate_bounds, utility_range
+from .game import Bounds, GameSpec, estimate_bounds, utility_range
 from .nash import NashSolution, epsilon_gap, solve_nash
-from .strategies.baselines import BrBank, GpBank, RsBank, DEFAULT_ETA
-from .strategies.bgam import BgamBank, DEFAULT_BETA, DEFAULT_NU, DEFAULT_XI
-from .strategies.lbwi import (LbwiBank, DEFAULT_GAMMA, DEFAULT_INTERVALS,
-                              default_pulls_per_interval)
+from .strategies.baselines import BrBank, GpBank, RsBank
+from .strategies.bgam import BgamBank
+from .strategies.lbwi import LbwiBank
 from .strategies.llr import LlrBank
 
-STRATEGY_NAMES = ("bgam", "bgd", "lbwi", "lb", "llr", "gp", "br", "rs")
+# Parameter keys each strategy accepts; make_bank rejects any other key.
+STRATEGY_PARAMS = {
+    "bgam": ("xi", "beta", "nu"), "bgd": ("xi", "nu"),
+    "lbwi": ("N", "gamma", "pulls_per_interval"),
+    "lb": ("N", "gamma", "pulls_per_interval"),
+    "llr": (), "gp": ("eta",), "br": (), "rs": (),
+}
+STRATEGY_NAMES = tuple(STRATEGY_PARAMS)
 FMT = "{:.17g}"
 
 
-def make_bank(name: str, spec: GameSpec, T: int, rng, params=None, bounds=None):
-    """Instantiate the learner bank for a strategy name."""
-    params = dict(params or {})
+def make_bank(name: str, spec: GameSpec, T: int, rng, params: dict,
+              bounds: Bounds):
+    """Instantiate the learner bank for a strategy name. Raises
+    ConfigurationError for an unknown strategy or parameter key, and the
+    bank's own ConfigurationError for an out-of-range parameter value."""
+    if name not in STRATEGY_PARAMS:
+        raise ConfigurationError(f"unknown strategy {name!r}; "
+                                 f"supported: {', '.join(STRATEGY_NAMES)}")
+    unknown = sorted(set(params) - set(STRATEGY_PARAMS[name]))
+    if unknown:
+        raise ConfigurationError(
+            f"strategy {name!r} has no parameter {', '.join(map(repr, unknown))}; "
+            f"accepted: {', '.join(STRATEGY_PARAMS[name]) or 'none'}")
     if name in ("bgam", "bgd"):
-        if bounds is None:
-            bounds = estimate_bounds(spec, params.pop("bounds_grid", 100))
-        else:
-            params.pop("bounds_grid", None)
-        beta = 0.0 if name == "bgd" else params.pop("beta", DEFAULT_BETA)
-        return BgamBank(spec, T, bounds, rng, xi=params.pop("xi", DEFAULT_XI),
-                        beta=beta, nu=params.pop("nu", DEFAULT_NU))
+        if name == "bgd":
+            params = dict(params, beta=0.0)
+        return BgamBank(spec, T, bounds, rng, **params)
     if name in ("lbwi", "lb"):
-        N = params.pop("N", DEFAULT_INTERVALS)
-        if bounds is not None and N < 8.0 * bounds.H / bounds.L:
+        bank = LbwiBank(spec, T, rng, with_init=(name == "lbwi"), **params)
+        if bank.N < 8.0 * bounds.H / bounds.L:
             warnings.warn(
-                f"coarse interval count N={N} is below 8*H/L~="
+                f"coarse interval count N={bank.N} is below 8*H/L~="
                 f"{8.0 * bounds.H / bounds.L:.1f}; the refinement guarantee "
                 "may not hold", stacklevel=2)
-        return LbwiBank(spec, T, rng, N=N,
-                        gamma=params.pop("gamma", DEFAULT_GAMMA),
-                        pulls_per_interval=params.pop("pulls_per_interval", None),
-                        with_init=(name == "lbwi"))
-    if name == "llr":
-        return LlrBank(spec, T, rng)
+        return bank
     if name == "gp":
-        return GpBank(spec, T, rng, eta=params.pop("eta", DEFAULT_ETA))
-    if name == "br":
-        return BrBank(spec, T, rng)
-    if name == "rs":
-        return RsBank(spec, T, rng)
-    raise ConfigurationError(f"unknown strategy {name!r}; "
-                             f"supported: {', '.join(STRATEGY_NAMES)}")
+        return GpBank(spec, T, rng, **params)
+    return {"llr": LlrBank, "br": BrBank, "rs": RsBank}[name](spec, T, rng)
 
 
 @dataclass
@@ -75,6 +77,7 @@ class StrategyConfig:
     def __post_init__(self):
         if self.name not in STRATEGY_NAMES:
             raise ConfigurationError(f"unknown strategy {self.name!r}")
+        self.params = dict(self.params or {})
 
 
 @dataclass

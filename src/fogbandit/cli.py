@@ -23,6 +23,7 @@ from .campaign import (ExperimentConfig, StrategyConfig, run_campaign,
                        summary_dict, write_outputs, STRATEGY_NAMES)
 from .dataset import builtin_game1, load_dataset, select_subgame
 from .engine import regret_slope
+from .errors import ConfigurationError
 from .game import GameSpec
 from .nash import solve_nash
 
@@ -53,10 +54,14 @@ def build_spec(args) -> GameSpec:
 
 
 def cmd_run(args) -> int:
-    spec = build_spec(args)
     params = json.loads(args.params) if args.params else {}
-    strategies = [StrategyConfig(name, params.get(name, {}))
-                  for name in args.strategy.split(",")]
+    names = args.strategy.split(",")
+    unlisted = sorted(set(params) - set(names))
+    if unlisted:
+        raise ConfigurationError(
+            f"--params names {', '.join(unlisted)}, which --strategy does not list")
+    spec = build_spec(args)
+    strategies = [StrategyConfig(name, params.get(name, {})) for name in names]
     config = ExperimentConfig(
         spec=spec, strategies=strategies, T=args.T, n_seeds=args.seeds,
         master_seed=args.master_seed, regret_mode=args.regret_mode,

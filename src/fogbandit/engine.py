@@ -12,7 +12,7 @@ utilities, so the series reflects decisions rather than noise draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,44 +28,6 @@ class RoundRecord:
     a: np.ndarray
     clean_utility: np.ndarray
     observed_utility: np.ndarray
-
-
-@dataclass
-class RegretLedger:
-    """Per-node instantaneous regret rows and their exact prefix sums."""
-
-    reference: np.ndarray                      # (K,) reference utilities
-    instantaneous: list = field(default_factory=list)
-
-    def cumulative(self) -> np.ndarray:
-        return np.cumsum(np.asarray(self.instantaneous, dtype=float), axis=0)
-
-
-def update_regret(ledger: RegretLedger, record: RoundRecord,
-                  spec: GameSpec = None, mode: str = "ne_reference") -> RegretLedger:
-    """Append one round's per-node regret increment.
-
-    ne_reference: reference utility minus the realized clean utility.
-    per_round_br: best unilateral deviation against this round's profile
-    minus the realized clean utility (needs `spec`).
-    """
-    realized = record.clean_utility.sum(axis=1)
-    if mode == "ne_reference":
-        inst = ledger.reference - realized
-    elif mode == "per_round_br":
-        inst = deviation_utilities(record.x, spec) - realized
-    else:
-        raise ConfigurationError(f"unknown regret mode {mode!r}")
-    ledger.instantaneous.append(inst)
-    return ledger
-
-
-def time_averaged_profile(profiles) -> np.ndarray:
-    """Entrywise mean of the action profiles played so far."""
-    profiles = list(profiles)
-    if not profiles:
-        raise ValueError("need at least one round")
-    return np.mean(np.asarray(profiles, dtype=float), axis=0)
 
 
 def regret_slope(cumulative, window=(0.5, 1.0), t=None) -> float:

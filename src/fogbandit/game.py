@@ -5,11 +5,14 @@ by proportional allocation with a small barrier constant in the denominator,
 and each node's per-task utility is
 
     completion reward + power term - reservation cost
-    = rho*(1 - exp(-x/(rho*(S + barrier)))) + eps*S - kappa*x
 
-where x is the node's own request, S is the column sum of all requests and
-(rho, eps, kappa) are that node's per-task indices. Utilities are additive
-over tasks. Everything in this module is a pure function of its inputs.
+evaluated on the node's own request, the column sum of all requests and
+that node's per-task indices (rho, eps, kappa). Utilities are additive over
+tasks. Everything in this module is a pure function of its inputs.
+
+The per-task utility, its own-action gradient and its two curvatures are
+written once each, in the kernels task_utility, task_gradient, hessian_own
+and hessian_others; every other evaluation in the package calls them.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,7 +136,6 @@ class Bounds:
     L: float
     U: float
     H: float
-    grid_resolution: int = field(default=0, compare=False)
 
     def __post_init__(self):
         if not (self.L > 0 and self.U > 0 and self.H > 0):
@@ -168,13 +170,40 @@ def completion_reward(share: float, rho: float) -> float:
     return rho * (1.0 - math.exp(-share / rho))
 
 
-def task_utility(x_own: float, x_others_sum: float, rho: float, eps: float,
-                 kappa: float, barrier: float) -> float:
-    """Per-task utility of one node given its own request and the sum of the
-    other nodes' requests for the same task."""
-    s = x_own + x_others_sum + barrier
-    return (rho * (1.0 - math.exp(-x_own / (rho * s)))
-            + eps * (x_own + x_others_sum) - kappa * x_own)
+# The four per-task kernels: x_own is a node's request for one task and
+# x_others the other nodes' summed request for it. Every argument broadcasts.
+
+def task_utility(x_own, x_others, rho, eps, kappa, barrier):
+    """Per-task utility
+    rho*(1 - exp(-x_own/(rho*s))) + eps*(x_own + x_others) - kappa*x_own
+    with s = x_own + x_others + barrier."""
+    total = x_own + x_others
+    s = total + barrier
+    return rho * (1.0 - np.exp(-x_own / (rho * s))) + eps * total - kappa * x_own
+
+
+def task_gradient(x_own, x_others, rho, eps, kappa, barrier):
+    """d(task_utility)/d(x_own); the barrier makes it total on [0,1]^2."""
+    s = x_own + x_others + barrier
+    return ((x_others + barrier) * np.exp(-x_own / (rho * s)) / (s * s)
+            + eps - kappa)
+
+
+def hessian_own(x_own, x_others, rho, barrier):
+    """Second derivative of task_utility in the own action; non-positive
+    everywhere (the utility is concave in the own action)."""
+    s = x_own + x_others + barrier
+    return (-np.exp(-x_own / (rho * s))
+            * (2.0 * x_others / s**3 + x_others * x_others / (rho * s**4)))
+
+
+def hessian_others(x_own, x_others, rho, barrier):
+    """Curvature of task_utility in the others' summed action; non-negative
+    whenever rho > 0.5 (convexity in others)."""
+    s = x_own + x_others + barrier
+    return (np.exp(-x_own / (rho * s))
+            * (2.0 * x_own * x_others + (2.0 * rho - 1.0) * x_own * x_own)
+            / (rho * s**4))
 
 
 def total_utility(k: int, x, spec: GameSpec) -> float:
@@ -191,47 +220,25 @@ def total_utility(k: int, x, spec: GameSpec) -> float:
     return total
 
 
-def task_gradient(x_own: float, x_others_sum: float, rho: float, eps: float,
-                  kappa: float, barrier: float) -> float:
-    """d(task_utility)/d(x_own); the barrier makes it total on [0,1]^2."""
-    s = x_own + x_others_sum + barrier
-    return ((x_others_sum + barrier) * math.exp(-x_own / (rho * s)) / (s * s)
-            + eps - kappa)
-
-
 def utility_gradient(k: int, x, spec: GameSpec) -> np.ndarray:
     """Gradient of node k's utility in its own action row (length M)."""
     x = check_profile(x, spec)
     if not 0 <= k < spec.K:
         raise IndexError(f"node index {k} out of range for K={spec.K}")
-    col = x.sum(axis=0)
-    return np.array([
-        task_gradient(x[k, m], col[m] - x[k, m], spec.rho[k, m],
-                      spec.eps[k, m], spec.kappa[k, m], spec.barrier)
-        for m in range(spec.M)
-    ])
+    return task_gradient(x[k], x.sum(axis=0) - x[k], spec.rho[k], spec.eps[k],
+                         spec.kappa[k], spec.barrier)
 
 
-def hessian_own(k: int, m: int, x, spec: GameSpec) -> float:
-    """Second derivative of node k's task-m utility in its own action;
-    non-positive everywhere (the utility is concave in the own action)."""
-    x = check_profile(x, spec)
-    xo = x.sum(axis=0)[m] - x[k, m]
-    s = x[k, m] + xo + spec.barrier
-    rho = spec.rho[k, m]
-    return -math.exp(-x[k, m] / (rho * s)) * (2.0 * xo / s**3 + xo * xo / (rho * s**4))
+def utility_matrix(x: np.ndarray, spec: GameSpec) -> np.ndarray:
+    """Per-(node, task) clean utilities at profile x, shape (K, M)."""
+    return task_utility(x, x.sum(axis=0) - x, spec.rho, spec.eps, spec.kappa,
+                        spec.barrier)
 
 
-def hessian_others(k: int, m: int, x, spec: GameSpec) -> float:
-    """Curvature of node k's task-m utility in the other nodes' summed
-    action; non-negative whenever rho > 0.5 (convexity in others)."""
-    x = check_profile(x, spec)
-    xkm = x[k, m]
-    xo = x.sum(axis=0)[m] - xkm
-    s = xkm + xo + spec.barrier
-    rho = spec.rho[k, m]
-    return (math.exp(-xkm / (rho * s))
-            * (2.0 * xkm * xo + (2.0 * rho - 1.0) * xkm * xkm) / (rho * s**4))
+def gradient_matrix(x: np.ndarray, spec: GameSpec) -> np.ndarray:
+    """Per-(node, task) own-action utility gradients at profile x."""
+    return task_gradient(x, x.sum(axis=0) - x, spec.rho, spec.eps, spec.kappa,
+                         spec.barrier)
 
 
 def dsc_gap(x0, x1, spec: GameSpec) -> float:
@@ -249,69 +256,34 @@ def dsc_gap(x0, x1, spec: GameSpec) -> float:
     return float(((x1 - x0) * (g1 - g0)).sum())
 
 
-# ---------------------------------------------------------------------------
-# Vectorized forms used by the round loop and solvers. Same formulas as the
-# scalar functions above, evaluated on whole K x M profiles at once.
-# ---------------------------------------------------------------------------
-
-def utility_matrix(x: np.ndarray, spec: GameSpec) -> np.ndarray:
-    """Per-(node, task) clean utilities at profile x, shape (K, M)."""
-    col = x.sum(axis=0)
-    s = col[None, :] + spec.barrier
-    ex = np.exp(-x / (spec.rho * s))
-    return spec.rho * (1.0 - ex) + spec.eps * col[None, :] - spec.kappa * x
-
-
-def gradient_matrix(x: np.ndarray, spec: GameSpec) -> np.ndarray:
-    """Per-(node, task) own-action utility gradients at profile x."""
-    col = x.sum(axis=0)
-    s = col[None, :] + spec.barrier
-    xo = col[None, :] - x
-    ex = np.exp(-x / (spec.rho * s))
-    return (xo + spec.barrier) * ex / (s * s) + spec.eps - spec.kappa
-
-
-def estimate_bounds(spec: GameSpec, grid_resolution: int = 100,
-                    others_range=None) -> Bounds:
+def estimate_bounds(spec: GameSpec, grid_resolution: int = 100) -> Bounds:
     """Estimate (L, U, H) by scanning a uniform grid of (own action,
     others' sum) pairs for every (node, task) index triple.
 
-    By default the others'-sum axis spans [0.5, K-1]: near-empty columns
-    are excluded because their sensitivity is pinned by the barrier
-    (gradient magnitude grows like 1/(column sum + barrier) there) rather
-    than by the competition the learners actually face. Pass others_range
-    to scan a different interval. Results carry a 1.1 safety factor
-    against grid undersampling.
+    The others'-sum axis spans [0.5, K-1]: near-empty columns are excluded
+    because their sensitivity is pinned by the barrier (gradient magnitude
+    grows like 1/(column sum + barrier) there) rather than by the
+    competition the learners actually face. Results carry a 1.1 safety
+    factor against grid undersampling. One kernel's grid is alive at a time.
     """
     if grid_resolution < 10:
         raise ConfigurationError("grid_resolution must be >= 10")
     G = int(grid_resolution)
-    if others_range is None:
-        lo, hi = 0.5, max(spec.K - 1.0, 0.5)
-    else:
-        lo, hi = float(others_range[0]), float(others_range[1])
-        if lo < 0 or hi < lo:
-            raise ConfigurationError(f"invalid others_range ({lo}, {hi})")
     xg = np.linspace(0.0, 1.0, G)[:, None, None]
-    og = np.linspace(lo, hi, G)[None, :, None]
-    rho = spec.rho.ravel()[None, None, :]
-    eps = spec.eps.ravel()[None, None, :]
-    kap = spec.kappa.ravel()[None, None, :]
+    og = np.linspace(0.5, max(spec.K - 1.0, 0.5), G)[None, :, None]
+    rho, eps, kap = (a.ravel()[None, None, :]
+                     for a in (spec.rho, spec.eps, spec.kappa))
     d = spec.barrier
 
-    s = xg + og + d
-    ex = np.exp(-xg / (rho * s))
-    grad = (og + d) * ex / (s * s) + eps - kap
-    util = rho * (1.0 - ex) + eps * (xg + og) - kap * xg
-    h_own = ex * (2.0 * og / s**3 + og * og / (rho * s**4))
-    h_oth = ex * (2.0 * xg * og + (2.0 * rho - 1.0) * xg * xg) / (rho * s**4)
+    def peak(values) -> float:
+        return float(np.abs(values).max())
 
     safety = 1.1
     return Bounds(
-        L=safety * float(np.abs(grad).max()),
-        U=safety * float(np.abs(util).max()),
-        H=safety * float(np.maximum(np.abs(h_own), np.abs(h_oth)).max()),
-        grid_resolution=G,
+        L=safety * peak(task_gradient(xg, og, rho, eps, kap, d)),
+        U=safety * peak(task_utility(xg, og, rho, eps, kap, d)),
+        H=safety * max(peak(hessian_own(xg, og, rho, d)),
+                       peak(hessian_others(xg, og, rho, d))),
     )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, EquilibriumError
-from .game import GameSpec, utility_matrix
+from .game import GameSpec, task_utility, utility_matrix
 from .strategies.baselines import br_profile
 
 DEFAULT_TOL = 1e-6
@@ -35,11 +35,8 @@ def deviation_utilities(x, spec: GameSpec) -> np.ndarray:
     """Per-node utility of unilaterally best-responding to profile x while
     everyone else stays put (length K)."""
     x = np.asarray(x, dtype=float)
-    br = br_profile(x, spec)
-    others = x.sum(axis=0)[None, :] - x
-    s_dev = br + others + spec.barrier
-    return (spec.rho * (1.0 - np.exp(-br / (spec.rho * s_dev)))
-            + spec.eps * (br + others) - spec.kappa * br).sum(axis=1)
+    return task_utility(br_profile(x, spec), x.sum(axis=0) - x, spec.rho,
+                        spec.eps, spec.kappa, spec.barrier).sum(axis=1)
 
 
 def epsilon_gap(x, spec: GameSpec) -> float:

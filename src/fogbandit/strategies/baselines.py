@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ProtocolError
-from ..game import GameSpec
+from ..errors import ConfigurationError, ProtocolError
+from ..game import GameSpec, task_utility
 
 DEFAULT_ETA = 0.5
 GOLDEN_TOL = 1e-8
@@ -35,13 +35,6 @@ def golden_max(f, lo, hi, tol: float = GOLDEN_TOL):
     return (lo + hi) / 2.0
 
 
-def _task_objective(others_sum, rho, eps, kappa, barrier):
-    def f(z):
-        s = z + others_sum + barrier
-        return rho * (1.0 - np.exp(-z / (rho * s))) + eps * (z + others_sum) - kappa * z
-    return f
-
-
 def best_response(k: int, x_others, spec: GameSpec) -> np.ndarray:
     """Node k's utility-maximizing action row against the other nodes'
     profile (each task is an independent 1-D concave maximization on
@@ -54,16 +47,19 @@ def best_response(k: int, x_others, spec: GameSpec) -> np.ndarray:
             f"others' profile must have shape {(spec.K - 1, spec.M)}, got {x_others.shape}"
         )
     others_sum = x_others.sum(axis=0)
-    f = _task_objective(others_sum, spec.rho[k], spec.eps[k], spec.kappa[k],
-                        spec.barrier)
-    return golden_max(f, np.zeros(spec.M), np.ones(spec.M))
+    rho, eps, kappa = spec.rho[k], spec.eps[k], spec.kappa[k]
+    return golden_max(
+        lambda z: task_utility(z, others_sum, rho, eps, kappa, spec.barrier),
+        np.zeros(spec.M), np.ones(spec.M))
 
 
 def br_profile(x: np.ndarray, spec: GameSpec) -> np.ndarray:
     """Synchronous best response of every node against the given profile."""
-    others_sum = x.sum(axis=0)[None, :] - x
-    f = _task_objective(others_sum, spec.rho, spec.eps, spec.kappa, spec.barrier)
-    return golden_max(f, np.zeros_like(x), np.ones_like(x))
+    others_sum = x.sum(axis=0) - x
+    rho, eps, kappa = spec.rho, spec.eps, spec.kappa
+    return golden_max(
+        lambda z: task_utility(z, others_sum, rho, eps, kappa, spec.barrier),
+        np.zeros_like(x), np.ones_like(x))
 
 
 @dataclass
@@ -88,6 +84,8 @@ class GpBank:
     feedback_kind = "gradient"
 
     def __init__(self, spec, T: int, rng, eta: float = DEFAULT_ETA):
+        if not eta > 0.0:
+            raise ConfigurationError(f"eta must be > 0, got {eta}")
         self.eta = eta
         self.x = rng.random((spec.K, spec.M))
         self.t = 1

@@ -35,8 +35,10 @@ def perturbation_radius(T: int, bounds: Bounds, xi: float) -> tuple[float, float
         raise ConfigurationError(f"horizon must be >= 2, got {T}")
     if bounds.L <= 0 or bounds.U <= 0:
         raise ConfigurationError(f"bounds must be positive, got {bounds}")
-    if xi <= 0:
-        raise ConfigurationError(f"shift must be positive, got {xi}")
+    if not 0.0 < xi <= 0.5:
+        raise ConfigurationError(
+            f"xi must lie in (0, 0.5] so that y + sigma*c + xi stays in [0, 1], "
+            f"got {xi}")
     r = xi
     sigma = T ** -0.25 * math.sqrt(r * bounds.U * r / (3.0 * (bounds.L * r + bounds.U)))
     sigma = min(sigma, 0.499 * xi)

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from ..errors import FeedbackError, ProtocolError
+from ..errors import ConfigurationError, FeedbackError, ProtocolError
 from ..game import utility_range
 from .exp3 import lipschitz_estimate, phase2_intervals, redistribute_weights
 
@@ -44,6 +44,12 @@ class LbwiBank:
     def __init__(self, spec, T: int, rng, N: int = DEFAULT_INTERVALS,
                  gamma: float = DEFAULT_GAMMA, pulls_per_interval=None,
                  with_init: bool = True):
+        if N < 2:
+            raise ConfigurationError(
+                f"N must be >= 2 (the Lipschitz estimate differences adjacent "
+                f"intervals), got {N}")
+        if not 0.0 < gamma <= 1.0:
+            raise ConfigurationError(f"gamma must lie in (0, 1], got {gamma}")
         self.K, self.M = spec.K, spec.M
         self.T = T
         self.N = N

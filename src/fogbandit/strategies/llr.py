@@ -138,11 +138,3 @@ class LlrBank:
         self.state.t += 1
         self._assignment = None
 
-
-def llr_step(bank: LlrBank, observed_utilities=None):
-    """One protocol step: fold in the previous round's feedback (None on
-    the first call), then emit the next assignment."""
-    if observed_utilities is not None:
-        bank.observe(observed_utilities)
-    bank.act()
-    return bank._assignment.copy(), bank

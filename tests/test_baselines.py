@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fogbandit.errors import ConfigurationError
 from fogbandit.game import GameSpec, task_gradient, task_utility
 from fogbandit.strategies import (BrBank, GpBank, GpState, RsBank,
                                   best_response, br_profile, golden_max,
@@ -128,6 +129,11 @@ class TestGradientPlay:
         assert state.x == pytest.approx(0.54)
         gp_step(state, 0.1)      # moves by 0.4/sqrt(2) * 0.1
         assert state.x == pytest.approx(0.54 + 0.4 / np.sqrt(2) * 0.1)
+
+    @pytest.mark.parametrize("eta", [0.0, -1.0])
+    def test_bank_rejects_non_positive_step(self, game1, eta):
+        with pytest.raises(ConfigurationError, match="eta"):
+            GpBank(game1, T=100, rng=np.random.default_rng(0), eta=eta)
 
     def test_bank_all_play_converges_to_equilibrium(self, game1):
         from fogbandit import solve_nash

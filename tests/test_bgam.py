@@ -61,6 +61,13 @@ class TestConfigure:
         with pytest.raises(ConfigurationError):
             bgam_configure(100, Bounds(L=1.0, U=1.0, H=1.0), beta=1.0)
 
+    @pytest.mark.parametrize("xi", [0.0, 0.7])
+    def test_bank_rejects_shift_outside_half_unit(self, game1, xi):
+        # 2*xi <= 1 is what keeps y + sigma*c + xi inside [0, 1]
+        with pytest.raises(ConfigurationError, match="xi"):
+            BgamBank(game1, 1000, Bounds(L=1.0, U=1.0, H=1.0),
+                     np.random.default_rng(0), xi=xi)
+
 
 class TestActUpdate:
     def test_act_substitutes_shift_and_radius(self):

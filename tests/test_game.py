@@ -19,6 +19,13 @@ from fogbandit.game import task_gradient
 mp.mp.dps = 40
 
 
+def curvature(kernel, k, m, x, spec):
+    """A curvature kernel at entry (k, m) of profile x."""
+    x = np.asarray(x, dtype=float)
+    return kernel(x[k, m], x.sum(axis=0)[m] - x[k, m], spec.rho[k, m],
+                  spec.barrier)
+
+
 def mp_task_utility(x, xo, rho, eps, kappa, d):
     x, xo, rho, eps, kappa, d = map(mp.mpf, map(str, (x, xo, rho, eps, kappa, d)))
     s = x + xo + d
@@ -216,26 +223,28 @@ class TestGradient:
 class TestCurvature:
     def test_hessian_own_zero_without_others(self, game1):
         x = np.array([[0.7, 0.0], [0.0, 0.0]])
-        assert hessian_own(0, 0, x, game1) == pytest.approx(0.0, abs=1e-5)
+        h = curvature(hessian_own, 0, 0, x, game1)
+        assert h == pytest.approx(0.0, abs=1e-5)
 
     def test_hessian_own_value(self, game1):
         x = np.array([[0.5, 0.0], [0.5, 0.0]])
         xo, own, rho = mp.mpf("0.5"), mp.mpf("0.5"), mp.mpf("0.9")
         s = own + xo + mp.mpf("1e-6")
         expected = -mp.e ** (-own / (rho * s)) * (2 * xo / s ** 3 + xo ** 2 / (rho * s ** 4))
-        assert hessian_own(0, 0, x, game1) == pytest.approx(float(expected), rel=1e-12)
+        h = curvature(hessian_own, 0, 0, x, game1)
+        assert h == pytest.approx(float(expected), rel=1e-12)
         # reference scale: -e^{-5/9} * (1 + 0.25/0.9) in the barrier-free limit
-        assert hessian_own(0, 0, x, game1) == pytest.approx(-0.733129, abs=1e-4)
+        assert h == pytest.approx(-0.733129, abs=1e-4)
 
     def test_hessian_own_never_positive(self, game1, rng):
         for _ in range(300):
             x = rng.random((2, 2))
             k, m = int(rng.integers(0, 2)), int(rng.integers(0, 2))
-            assert hessian_own(k, m, x, game1) <= 1e-12
+            assert curvature(hessian_own, k, m, x, game1) <= 1e-12
 
     def test_hessian_others_zero_without_own(self, game1):
         x = np.array([[0.0, 0.0], [0.8, 0.0]])
-        assert hessian_others(0, 0, x, game1) == 0.0
+        assert curvature(hessian_others, 0, 0, x, game1) == 0.0
 
     def test_hessian_others_value(self, game1):
         x = np.array([[0.5, 0.0], [0.5, 0.0]])
@@ -243,8 +252,9 @@ class TestCurvature:
         s = own + xo + mp.mpf("1e-6")
         expected = (mp.e ** (-own / (rho * s))
                     * (2 * own * xo + (2 * rho - 1) * own ** 2) / (rho * s ** 4))
-        assert hessian_others(0, 0, x, game1) == pytest.approx(float(expected), rel=1e-12)
-        assert hessian_others(0, 0, x, game1) == pytest.approx(0.446253, abs=1e-4)
+        h = curvature(hessian_others, 0, 0, x, game1)
+        assert h == pytest.approx(float(expected), rel=1e-12)
+        assert h == pytest.approx(0.446253, abs=1e-4)
 
     def test_hessian_others_nonnegative_for_high_efficiency(self, rng):
         with warnings.catch_warnings():
@@ -254,7 +264,7 @@ class TestCurvature:
         for _ in range(300):
             x = rng.random((2, 2))
             k, m = int(rng.integers(0, 2)), int(rng.integers(0, 2))
-            assert hessian_others(k, m, x, spec) >= -1e-12
+            assert curvature(hessian_others, k, m, x, spec) >= -1e-12
 
 
 class TestDscGap:
@@ -306,12 +316,9 @@ class TestEstimateBounds:
     def test_lipschitz_capped_by_min_column_sum(self):
         # equal power and cost indices, competition fixed at one unit of
         # demand: the gradient magnitude cannot exceed 1/(min column sum)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            spec = GameSpec(rho=np.full((2, 2), 0.8), eps=np.full((2, 2), 0.2),
-                            kappa=np.full((2, 2), 0.2), barrier=1e-9)
-        b = estimate_bounds(spec, grid_resolution=100, others_range=(1.0, 1.0))
-        assert b.L <= 1.1 * 1.0 / 1.0 + 1e-9
+        x_own = np.linspace(0.0, 1.0, 100)
+        g = task_gradient(x_own, 1.0, rho=0.8, eps=0.2, kappa=0.2, barrier=1e-9)
+        assert np.abs(g).max() <= 1.0 / 1.0 + 1e-9
 
     def test_game1_regression_triple(self, game1):
         b = estimate_bounds(game1, grid_resolution=100)
@@ -330,3 +337,21 @@ class TestEstimateBounds:
             u1 = task_utility(x1, xo, *args)
             u2 = task_utility(x2, xo, *args)
             assert abs(u1 - u2) <= b.L * abs(x1 - x2) + 1e-12
+
+
+class TestKernels:
+    @pytest.mark.parametrize("kernel,n_indices", [
+        (task_utility, 3), (task_gradient, 3), (hessian_own, 1), (hessian_others, 1),
+    ])
+    def test_array_evaluation_matches_scalar(self, kernel, n_indices, game2, rng):
+        # numpy's vector and scalar exp may disagree in the last bit, so the
+        # entries are compared to a tolerance rather than bitwise
+        x = rng.random((10, 10))
+        others = x.sum(axis=0) - x
+        indices = (game2.rho, game2.eps, game2.kappa)[:n_indices]
+        array = kernel(x, others, *indices, game2.barrier)
+        assert array.shape == (10, 10)
+        for k, m in np.ndindex(x.shape):
+            scalar = kernel(float(x[k, m]), float(others[k, m]),
+                            *(float(a[k, m]) for a in indices), game2.barrier)
+            assert array[k, m] == pytest.approx(scalar, rel=1e-14, abs=0.0)

@@ -4,7 +4,7 @@ transition, and the exploitation-phase sampling contract."""
 import numpy as np
 import pytest
 
-from fogbandit.errors import FeedbackError
+from fogbandit.errors import ConfigurationError, FeedbackError
 from fogbandit.game import GameSpec, utility_range
 from fogbandit.strategies import LbwiBank, LbwiLearner, lbwi_step
 from fogbandit.strategies.lbwi import default_pulls_per_interval
@@ -22,6 +22,17 @@ def drive(bank, spec, T, rng, log=None):
         if log is not None:
             log.append((int(bank._arm[0, 0]), float(u[0, 0])))
         bank.observe(u)
+
+
+class TestConstruction:
+    def test_rejects_single_interval(self, rng):
+        with pytest.raises(ConfigurationError, match="N must be"):
+            LbwiBank(tiny_spec(), T=100, rng=rng, N=1)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.5])
+    def test_rejects_exploration_rate_outside_unit_interval(self, rng, gamma):
+        with pytest.raises(ConfigurationError, match="gamma"):
+            LbwiBank(tiny_spec(), T=100, rng=rng, gamma=gamma)
 
 
 class TestPhaseOne:
