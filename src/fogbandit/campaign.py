@@ -39,11 +39,8 @@ STRATEGY_NAMES = tuple(STRATEGY_PARAMS)
 FMT = "{:.17g}"
 
 
-def make_bank(name: str, spec: GameSpec, T: int, rng, params: dict,
-              bounds: Bounds):
-    """Instantiate the learner bank for a strategy name. Raises
-    ConfigurationError for an unknown strategy or parameter key, and the
-    bank's own ConfigurationError for an out-of-range parameter value."""
+def check_params(name: str, params: dict) -> None:
+    """Raise ConfigurationError for an unknown strategy or parameter key."""
     if name not in STRATEGY_PARAMS:
         raise ConfigurationError(f"unknown strategy {name!r}; "
                                  f"supported: {', '.join(STRATEGY_NAMES)}")
@@ -52,6 +49,14 @@ def make_bank(name: str, spec: GameSpec, T: int, rng, params: dict,
         raise ConfigurationError(
             f"strategy {name!r} has no parameter {', '.join(map(repr, unknown))}; "
             f"accepted: {', '.join(STRATEGY_PARAMS[name]) or 'none'}")
+
+
+def make_bank(name: str, spec: GameSpec, T: int, rng, params: dict,
+              bounds: Bounds):
+    """Instantiate the learner bank for a strategy name. Raises
+    ConfigurationError for an unknown strategy or parameter key, and the
+    bank's own ConfigurationError for an out-of-range parameter value."""
+    check_params(name, params)
     if name in ("bgam", "bgd"):
         if name == "bgd":
             params = dict(params, beta=0.0)
@@ -75,9 +80,8 @@ class StrategyConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.name not in STRATEGY_NAMES:
-            raise ConfigurationError(f"unknown strategy {self.name!r}")
         self.params = dict(self.params or {})
+        check_params(self.name, self.params)
 
 
 @dataclass
@@ -192,11 +196,9 @@ def run_campaign(config: ExperimentConfig, nash: NashSolution = None,
         log_t = seed_results[0].log_t
         mean_cum = cum.mean(axis=0)
         ddof = 1 if config.n_seeds > 1 else 0
-        gap_traj = {
-            t: float(np.mean([epsilon_gap(r.avg_profile[t], spec)
-                              for r in seed_results]))
-            for t in checkpoints
-        }
+        gaps = epsilon_gap(np.array([[r.avg_profile[t] for r in seed_results]
+                                     for t in checkpoints]), spec)
+        gap_traj = {t: float(g) for t, g in zip(checkpoints, gaps.mean(axis=1))}
         node_mean_cum = mean_cum.mean(axis=1)
         try:
             slope = regret_slope(node_mean_cum, t=log_t)

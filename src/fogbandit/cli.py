@@ -60,8 +60,8 @@ def cmd_run(args) -> int:
     if unlisted:
         raise ConfigurationError(
             f"--params names {', '.join(unlisted)}, which --strategy does not list")
-    spec = build_spec(args)
     strategies = [StrategyConfig(name, params.get(name, {})) for name in names]
+    spec = build_spec(args)
     config = ExperimentConfig(
         spec=spec, strategies=strategies, T=args.T, n_seeds=args.seeds,
         master_seed=args.master_seed, regret_mode=args.regret_mode,

@@ -230,9 +230,9 @@ def utility_gradient(k: int, x, spec: GameSpec) -> np.ndarray:
 
 
 def utility_matrix(x: np.ndarray, spec: GameSpec) -> np.ndarray:
-    """Per-(node, task) clean utilities at profile x, shape (K, M)."""
-    return task_utility(x, x.sum(axis=0) - x, spec.rho, spec.eps, spec.kappa,
-                        spec.barrier)
+    """Per-(node, task) clean utilities at profile x, shape (..., K, M)."""
+    return task_utility(x, x.sum(axis=-2, keepdims=True) - x, spec.rho,
+                        spec.eps, spec.kappa, spec.barrier)
 
 
 def gradient_matrix(x: np.ndarray, spec: GameSpec) -> np.ndarray:

@@ -3,7 +3,9 @@
 The game is concave in each node's own action and the equilibrium is
 unique, so synchronous best-response sweeps from independent random starts
 all land on the same profile; the spread across starts doubles as a
-uniqueness certificate.
+uniqueness certificate. The starts are swept together as one stacked
+(n_starts, K, M) array; deviation_utilities and epsilon_gap likewise take
+(..., K, M) stacks and answer each profile on its own.
 """
 
 from __future__ import annotations
@@ -33,19 +35,20 @@ class NashSolution:
 
 def deviation_utilities(x, spec: GameSpec) -> np.ndarray:
     """Per-node utility of unilaterally best-responding to profile x while
-    everyone else stays put (length K)."""
+    everyone else stays put: shape (..., K) for x of shape (..., K, M)."""
     x = np.asarray(x, dtype=float)
-    return task_utility(br_profile(x, spec), x.sum(axis=0) - x, spec.rho,
-                        spec.eps, spec.kappa, spec.barrier).sum(axis=1)
+    return task_utility(br_profile(x, spec), x.sum(axis=-2, keepdims=True) - x,
+                        spec.rho, spec.eps, spec.kappa, spec.barrier).sum(axis=-1)
 
 
-def epsilon_gap(x, spec: GameSpec) -> float:
+def epsilon_gap(x, spec: GameSpec):
     """Largest utility any single node can gain by deviating unilaterally
-    from profile x (0 means x is an equilibrium). Never negative: staying
-    put is always an admissible deviation."""
+    from profile x: 0 at an equilibrium, never negative (staying put is a
+    deviation). x of shape (..., K, M) gives shape (...), a float for one
+    K x M profile and one gap per profile of a stack."""
     x = np.asarray(x, dtype=float)
-    u_cur = utility_matrix(x, spec).sum(axis=1)
-    return max(0.0, float((deviation_utilities(x, spec) - u_cur).max()))
+    u_cur = utility_matrix(x, spec).sum(axis=-1)
+    return np.maximum(0.0, (deviation_utilities(x, spec) - u_cur).max(axis=-1))
 
 
 def solve_nash(spec: GameSpec, tol: float = DEFAULT_TOL,
@@ -58,6 +61,11 @@ def solve_nash(spec: GameSpec, tol: float = DEFAULT_TOL,
     suppresses the two-cycles undamped simultaneous updates fall into on
     larger games and does not move the fixed points.
 
+    The starts are one (n_starts, K, M) draw, and each sweep is one
+    br_profile call on the starts still moving. A start freezes at the
+    sweep where it converges, so it ends where it would alone; `iterations`
+    is the slowest start's sweep count, `converged` whether all converged.
+
     Raises EquilibriumError if the starts do not agree within 10 * tol
     (a game outside the proven uniqueness regime, e.g. low efficiency
     indices, can surface here).
@@ -66,32 +74,21 @@ def solve_nash(spec: GameSpec, tol: float = DEFAULT_TOL,
         raise ConfigurationError("tol must be positive")
     if not 0.0 < damping <= 1.0:
         raise ConfigurationError("damping must be in (0, 1]")
-    rng = np.random.default_rng(seed)
-    finals = []
-    sweeps_used = 0
-    all_converged = True
-    for _ in range(n_starts):
-        x = rng.random((spec.K, spec.M))
-        converged = False
-        for it in range(1, max_sweeps + 1):
-            x_next = (1.0 - damping) * x + damping * br_profile(x, spec)
-            change = float(np.abs(x_next - x).max())
-            x = x_next
-            if change < tol:
-                converged = True
-                break
-        finals.append(x)
-        sweeps_used = max(sweeps_used, it)
-        all_converged &= converged
-
-    spread = max(float(np.abs(f - finals[0]).max()) for f in finals)
+    x = np.random.default_rng(seed).random((n_starts, spec.K, spec.M))
+    active = np.arange(n_starts)
+    for sweeps in range(1, max_sweeps + 1):
+        x_act = x[active]
+        x_next = (1.0 - damping) * x_act + damping * br_profile(x_act, spec)
+        x[active] = x_next
+        active = active[np.abs(x_next - x_act).max(axis=(-2, -1)) >= tol]
+        if not active.size:
+            break
+    spread = float(np.abs(x - x[0]).max())
     if spread > 10.0 * tol:
         raise EquilibriumError(
             f"best-response starts disagree by {spread:.3e} (> 10 * tol); "
             "equilibrium uniqueness not certified for this game"
         )
-    x_star = finals[0]
-    utilities = utility_matrix(x_star, spec).sum(axis=1)
-    return NashSolution(x_star=x_star, utilities=utilities,
-                        eps_gap=epsilon_gap(x_star, spec),
-                        iterations=sweeps_used, converged=all_converged)
+    return NashSolution(x_star=x[0], utilities=utility_matrix(x[0], spec).sum(axis=1),
+                        eps_gap=float(epsilon_gap(x[0], spec)),
+                        iterations=sweeps, converged=not active.size)

@@ -16,23 +16,23 @@ GOLDEN_TOL = 1e-8
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_max(f, lo, hi, tol: float = GOLDEN_TOL):
-    """Golden-section maximization of an elementwise-unimodal function over
-    [lo, hi]; works on scalars and arrays alike."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    n_iter = int(math.ceil(math.log(tol / 1.0) / math.log(_INVPHI))) + 1
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = f(c), f(d)
+def golden_max(f, shape, tol: float = GOLDEN_TOL):
+    """Golden-section maximization over [0, 1] of an elementwise-unimodal f,
+    for every element of an array of the given shape (() for a scalar).
+    All brackets share one width, probed at lo + width/phi^2 and
+    lo + width/phi; each iteration evaluates f at one new probe."""
+    n_iter = int(math.ceil(math.log(tol) / math.log(_INVPHI))) + 1
+    lo, width = np.zeros(shape), 1.0
+    fc, fd = f(np.full(shape, _INVPHI ** 2)), f(np.full(shape, _INVPHI))
     for _ in range(n_iter):
-        shrink_right = fc >= fd
-        hi = np.where(shrink_right, d, hi)
-        lo = np.where(shrink_right, lo, c)
-        c = hi - _INVPHI * (hi - lo)
-        d = lo + _INVPHI * (hi - lo)
-        fc, fd = f(c), f(d)
-    return (lo + hi) / 2.0
+        # fc >= fd keeps the left part and its old lower probe turns upper;
+        # otherwise the right part is kept and the upper probe turns lower.
+        keep_left = fc >= fd
+        lo = np.where(keep_left, lo, lo + _INVPHI ** 2 * width)
+        width *= _INVPHI
+        fp = f(lo + np.where(keep_left, _INVPHI ** 2 * width, _INVPHI * width))
+        fc, fd = np.where(keep_left, fp, fd), np.where(keep_left, fc, fp)
+    return lo + width / 2.0
 
 
 def best_response(k: int, x_others, spec: GameSpec) -> np.ndarray:
@@ -50,16 +50,17 @@ def best_response(k: int, x_others, spec: GameSpec) -> np.ndarray:
     rho, eps, kappa = spec.rho[k], spec.eps[k], spec.kappa[k]
     return golden_max(
         lambda z: task_utility(z, others_sum, rho, eps, kappa, spec.barrier),
-        np.zeros(spec.M), np.ones(spec.M))
+        others_sum.shape)
 
 
 def br_profile(x: np.ndarray, spec: GameSpec) -> np.ndarray:
-    """Synchronous best response of every node against the given profile."""
-    others_sum = x.sum(axis=0) - x
+    """Synchronous best response of every node against the given profile;
+    x may be a (..., K, M) stack of profiles, each answered on its own."""
+    others_sum = x.sum(axis=-2, keepdims=True) - x
     rho, eps, kappa = spec.rho, spec.eps, spec.kappa
     return golden_max(
         lambda z: task_utility(z, others_sum, rho, eps, kappa, spec.barrier),
-        np.zeros_like(x), np.ones_like(x))
+        x.shape)
 
 
 @dataclass

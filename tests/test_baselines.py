@@ -24,7 +24,7 @@ class TestGoldenMax:
             def f(z):
                 return task_utility(float(z), xo, *args)
 
-            best = golden_max(lambda z: np.vectorize(f)(z), 0.0, 1.0)
+            best = golden_max(lambda z: np.vectorize(f)(z), ())
             grid = np.linspace(0, 1, 10_001)
             dense = grid[np.argmax([task_utility(g, xo, *args) for g in grid])]
             # the 1e-4 grid step brackets the 1e-8 golden-section answer
@@ -34,10 +34,22 @@ class TestGoldenMax:
         def f(z):
             return -(z - 0.37) ** 2
 
-        single = float(golden_max(f, 0.0, 1.0))
-        batch = golden_max(f, np.zeros((3, 2)), np.ones((3, 2)))
+        single = float(golden_max(f, ()))
+        batch = golden_max(f, (3, 2))
         assert single == pytest.approx(0.37, abs=1e-7)
         assert np.allclose(batch, single)
+
+    def test_one_new_probe_per_iteration(self):
+        # two initial probes, then one per iteration: 2 + 40 for tol 1e-8
+        calls = []
+
+        def f(z):
+            calls.append(z.shape)
+            return -(z - 0.37) ** 2
+
+        golden_max(f, (4, 3))
+        assert len(calls) == 42
+        assert set(calls) == {(4, 3)}
 
 
 class TestBestResponse:

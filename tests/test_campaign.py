@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from fogbandit import cli
-from fogbandit.campaign import STRATEGY_NAMES, make_bank
+from fogbandit.campaign import STRATEGY_NAMES, StrategyConfig, make_bank
 from fogbandit.errors import ConfigurationError
-from fogbandit.game import estimate_bounds
+from fogbandit.game import allocate, estimate_bounds
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +51,16 @@ class TestMakeBank:
             build("ucb", {}, game1, bounds)
 
 
+class TestStrategyConfig:
+    def test_rejects_unknown_key_when_built(self):
+        with pytest.raises(ConfigurationError, match="'bgam'.*'nuu'"):
+            StrategyConfig("bgam", {"nuu": 5})
+
+    def test_rejects_unknown_strategy_when_built(self):
+        with pytest.raises(ConfigurationError, match="unknown strategy 'ucb'"):
+            StrategyConfig("ucb")
+
+
 @pytest.mark.filterwarnings("ignore:rho <= 0.5")
 class TestRunParams:
     def run(self, tmp_path, params, capsys):
@@ -73,3 +83,21 @@ class TestRunParams:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["strategies"]["gp"]["params"] == {"eta": 0.3}
+
+
+@pytest.mark.filterwarnings("ignore:rho <= 0.5")
+class TestTrace:
+    def test_allocation_column_is_proportional_share(self, game1, tmp_path):
+        # the trace writer derives a from x; it must equal game.allocate
+        out = tmp_path / "out"
+        code = cli.main(["run", "--strategy", "rs", "--T", "5", "--seeds", "1",
+                         "--trace", "--out", str(out)])
+        assert code == 0
+        rows = np.genfromtxt(out / "trace_rs_seed0.csv", delimiter=",",
+                             names=True)
+        for t in range(1, 6):
+            r = rows[rows["t"] == t]
+            k, m = r["node"].astype(int), r["task"].astype(int)
+            x = np.zeros((game1.K, game1.M))
+            x[k, m] = r["x"]
+            assert np.array_equal(r["a"], allocate(x, game1)[k, m])

@@ -1,0 +1,18 @@
+"""Command-line verbs, driven through cli.main."""
+
+import json
+
+import pytest
+
+from fogbandit import cli
+
+
+class TestSolveNash:
+    @pytest.mark.filterwarnings("ignore:rho <= 0.5")
+    def test_game1_prints_certified_equilibrium(self, capsys):
+        assert cli.main(["solve-nash", "--game", "game1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert isinstance(doc["eps_gap"], float)
+        assert 0.0 <= doc["eps_gap"] < 1e-6
+        assert doc["converged"] is True
+        assert len(doc["x_star"]) == 2 and len(doc["x_star"][0]) == 2

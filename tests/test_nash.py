@@ -1,5 +1,6 @@
 """Equilibrium solving and the unilateral-deviation gap."""
 
+import numpy as np
 import pytest
 
 from fogbandit.errors import EquilibriumError
@@ -41,3 +42,51 @@ class TestSolveNash:
     def test_one_sweep_cannot_certify_uniqueness(self, game1):
         with pytest.raises(EquilibriumError):
             solve_nash(game1, max_sweeps=1)
+
+    def test_start_count_does_not_move_x_star(self, game):
+        # x* is the first start's end point, and each start is swept as if
+        # it were alone, so the other starts cannot move it
+        one = solve_nash(game, n_starts=1, seed=3)
+        many = solve_nash(game, n_starts=20, seed=3)
+        assert np.array_equal(one.x_star, many.x_star)
+
+    def test_matches_one_start_at_a_time(self, game):
+        # reference: each start swept on its own until it converges
+        tol, damping, n_starts = 1e-6, 0.5, 5
+        starts = np.random.default_rng(7).random((n_starts, game.K, game.M))
+        finals, sweeps = [], []
+        for x in starts:
+            for it in range(1, 10_001):
+                x_next = (1 - damping) * x + damping * br_profile(x, game)
+                change, x = np.abs(x_next - x).max(), x_next
+                if change < tol:
+                    break
+            finals.append(x)
+            sweeps.append(it)
+        sol = solve_nash(game, tol=tol, n_starts=n_starts, seed=7,
+                         damping=damping)
+        assert np.array_equal(sol.x_star, finals[0])
+        assert sol.iterations == max(sweeps)
+        assert sol.converged
+        assert isinstance(sol.eps_gap, float)
+
+
+class TestStackedProfiles:
+    """A (..., K, M) stack is answered profile by profile, bit for bit."""
+
+    def test_br_profile_and_gap_match_per_profile_calls(self, game, rng):
+        stack = rng.random((37, game.K, game.M))
+        br = br_profile(stack, game)
+        gaps = epsilon_gap(stack, game)
+        dev = deviation_utilities(stack, game)
+        assert br.shape == stack.shape and gaps.shape == (37,)
+        for i, x in enumerate(stack):
+            assert np.array_equal(br[i], br_profile(x, game))
+            assert gaps[i] == epsilon_gap(x, game)
+            assert np.array_equal(dev[i], deviation_utilities(x, game))
+
+    def test_gap_keeps_leading_axes(self, game, rng):
+        stack = rng.random((3, 4, game.K, game.M))
+        gaps = epsilon_gap(stack, game)
+        assert gaps.shape == (3, 4)
+        assert gaps[2, 1] == epsilon_gap(stack[2, 1], game)
