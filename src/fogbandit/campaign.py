@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import SeedResult, regret_slope, run_seed
+from .engine import regret_slope, run_seed
 from .errors import ConfigurationError
 from .game import Bounds, GameSpec, estimate_bounds, utility_range
 from .nash import NashSolution, epsilon_gap, solve_nash
@@ -113,7 +113,7 @@ class ExperimentConfig:
         base = {self.T // 4, self.T // 2, (3 * self.T) // 4, self.T}
         samples = np.unique(np.geomspace(max(1, self.T // 100), self.T, 8)
                             .astype(int))
-        return sorted(base | set(samples.tolist()))
+        return sorted(c for c in base | set(samples.tolist()) if c >= 1)
 
 
 def replica_streams(master_seed: int, strategy: str, seed: int):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .campaign import (ExperimentConfig, StrategyConfig, run_campaign,
-                       summary_dict, write_outputs, STRATEGY_NAMES)
+                       write_outputs, STRATEGY_NAMES)
 from .dataset import builtin_game1, load_dataset, select_subgame
 from .engine import regret_slope
 from .errors import ConfigurationError

@@ -18,7 +18,6 @@ and hessian_others; every other evaluation in the package calls them.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -120,12 +119,6 @@ class GameSpec:
                 )
         return spec
 
-    def replace(self, **kwargs) -> "GameSpec":
-        base = dict(rho=self.rho, eps=self.eps, kappa=self.kappa,
-                    barrier=self.barrier, noise_std=self.noise_std)
-        base.update(kwargs)
-        return GameSpec(**base)
-
 
 @dataclass
 class Bounds:
@@ -165,11 +158,6 @@ def allocate(x, spec: GameSpec) -> np.ndarray:
     return x / (col + spec.barrier)[None, :]
 
 
-def completion_reward(share: float, rho: float) -> float:
-    """Risk-averse reward rho*(1 - exp(-share/rho)) for an allocated share."""
-    return rho * (1.0 - math.exp(-share / rho))
-
-
 # The four per-task kernels: x_own is a node's request for one task and
 # x_others the other nodes' summed request for it. Every argument broadcasts.
 
@@ -204,29 +192,6 @@ def hessian_others(x_own, x_others, rho, barrier):
     return (np.exp(-x_own / (rho * s))
             * (2.0 * x_own * x_others + (2.0 * rho - 1.0) * x_own * x_own)
             / (rho * s**4))
-
-
-def total_utility(k: int, x, spec: GameSpec) -> float:
-    """Node k's utility at profile x: the sum of its per-task utilities,
-    accumulated in task order (fixed evaluation order)."""
-    x = check_profile(x, spec)
-    if not 0 <= k < spec.K:
-        raise IndexError(f"node index {k} out of range for K={spec.K}")
-    col = x.sum(axis=0)
-    total = 0.0
-    for m in range(spec.M):
-        total += task_utility(x[k, m], col[m] - x[k, m], spec.rho[k, m],
-                              spec.eps[k, m], spec.kappa[k, m], spec.barrier)
-    return total
-
-
-def utility_gradient(k: int, x, spec: GameSpec) -> np.ndarray:
-    """Gradient of node k's utility in its own action row (length M)."""
-    x = check_profile(x, spec)
-    if not 0 <= k < spec.K:
-        raise IndexError(f"node index {k} out of range for K={spec.K}")
-    return task_gradient(x[k], x.sum(axis=0) - x[k], spec.rho[k], spec.eps[k],
-                         spec.kappa[k], spec.barrier)
 
 
 def utility_matrix(x: np.ndarray, spec: GameSpec) -> np.ndarray:

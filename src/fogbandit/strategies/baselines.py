@@ -4,7 +4,6 @@ response, and uniform random selection."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,47 +34,19 @@ def golden_max(f, shape, tol: float = GOLDEN_TOL):
     return lo + width / 2.0
 
 
-def best_response(k: int, x_others, spec: GameSpec) -> np.ndarray:
-    """Node k's utility-maximizing action row against the other nodes'
-    profile (each task is an independent 1-D concave maximization on
-    [0, 1], solved by golden section to absolute tolerance 1e-8). A task's
-    best response is 0 exactly when the slope at zero,
-    1/(o + barrier) + eps - kappa with o the others' summed request, is <= 0."""
-    x_others = np.asarray(x_others, dtype=float)
-    if x_others.shape != (spec.K - 1, spec.M):
-        raise ValueError(
-            f"others' profile must have shape {(spec.K - 1, spec.M)}, got {x_others.shape}"
-        )
-    others_sum = x_others.sum(axis=0)
-    rho, eps, kappa = spec.rho[k], spec.eps[k], spec.kappa[k]
-    return golden_max(
-        lambda z: task_utility(z, others_sum, rho, eps, kappa, spec.barrier),
-        others_sum.shape)
-
-
 def br_profile(x: np.ndarray, spec: GameSpec) -> np.ndarray:
     """Synchronous best response of every node against the given profile;
-    x may be a (..., K, M) stack of profiles, each answered on its own."""
+    x may be a (..., K, M) stack of profiles, each answered on its own.
+    Row k depends only on the other rows: each task is an independent 1-D
+    concave maximization on [0, 1], solved by golden section to absolute
+    tolerance 1e-8. A task's best response is 0 exactly when the slope at
+    zero, 1/(o + barrier) + eps - kappa with o the others' summed request,
+    is <= 0."""
     others_sum = x.sum(axis=-2, keepdims=True) - x
     rho, eps, kappa = spec.rho, spec.eps, spec.kappa
     return golden_max(
         lambda z: task_utility(z, others_sum, rho, eps, kappa, spec.barrier),
         x.shape)
-
-
-@dataclass
-class GpState:
-    x: float
-    eta: float = DEFAULT_ETA
-    t: int = 1
-
-
-def gp_step(state: GpState, exact_gradient: float):
-    """Projected gradient step x <- clip(x + eta/sqrt(t) * grad, 0, 1)."""
-    state.x = min(max(state.x + state.eta / math.sqrt(state.t) * exact_gradient,
-                      0.0), 1.0)
-    state.t += 1
-    return state.x, state
 
 
 class GpBank:

@@ -13,8 +13,6 @@ special case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -45,57 +43,9 @@ def perturbation_radius(T: int, bounds: Bounds, xi: float) -> tuple[float, float
     return sigma, sigma / r
 
 
-@dataclass
-class BgamState:
-    """Per-(node, task) learner state; see bgam_configure for setup."""
-
-    sigma: float
-    alpha: float
-    nu: float
-    beta: float
-    xi: float
-    y: float = 0.0
-    v: float = 0.0
-    t: int = 1
-    last_c: Optional[float] = field(default=None, repr=False)
-
-
-def bgam_configure(T: int, bounds: Bounds, xi: float = DEFAULT_XI,
-                   beta: float = DEFAULT_BETA, nu: float = DEFAULT_NU) -> BgamState:
-    if not 0.0 <= beta < 1.0:
-        raise ConfigurationError(f"momentum coefficient must be in [0, 1), got {beta}")
-    sigma, alpha = perturbation_radius(T, bounds, xi)
-    return BgamState(sigma=sigma, alpha=alpha, nu=nu, beta=beta, xi=xi)
-
-
-def bgam_act(state: BgamState, rng) -> float:
-    """Draw the perturbation sign, play x = y + sigma*c + xi."""
-    c = 1.0 if rng.integers(0, 2) == 1 else -1.0
-    state.last_c = c
-    return state.y + state.sigma * c + state.xi
-
-
-def bgam_update(state: BgamState, observed_utility: float) -> BgamState:
-    """Fold the one-point gradient estimate into the momentum accumulator
-    and take a projected step."""
-    if state.last_c is None:
-        raise ProtocolError("bgam_update called without a preceding bgam_act")
-    g = observed_utility * state.last_c
-    state.v = state.beta * state.v + g
-    bound = (1.0 - state.alpha) * state.xi
-    y = state.y + state.nu / math.sqrt(state.t) * state.v
-    state.y = min(max(y, -bound), bound)
-    state.t += 1
-    state.last_c = None
-    return state
-
-
 class BgamBank:
-    """All K x M independent learners of one game, updated as arrays.
-
-    Same per-learner equations as the scalar state machine; one generator
-    drives the whole bank (one sign draw per learner per round).
-    """
+    """All K x M independent learners of one game, updated as arrays; one
+    generator drives the whole bank (one sign draw per learner per round)."""
 
     feedback_kind = "bandit"
 

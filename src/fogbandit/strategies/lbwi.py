@@ -22,7 +22,6 @@ import numpy as np
 
 from ..errors import ConfigurationError, FeedbackError, ProtocolError
 from ..game import utility_range
-from .exp3 import lipschitz_estimate, phase2_intervals, redistribute_weights
 
 DEFAULT_INTERVALS = 10
 DEFAULT_GAMMA = 0.05
@@ -34,6 +33,43 @@ def default_pulls_per_interval(T: int, N: int,
     """Pulls per coarse interval so Phase I takes about `fraction` of the
     horizon."""
     return max(1, math.ceil(fraction * T / N))
+
+
+def lipschitz_estimate(mu_hat, N: int, A: int, T: int):
+    """Estimate the utility's Lipschitz constant from per-interval average
+    utilities: the raw estimate is N times the largest difference between
+    adjacent intervals, and the inflated estimate adds a confidence margin
+    N * sqrt((2/A) * ln(2NT)) for the A observations per interval.
+
+    Works on the last axis; returns (raw, inflated).
+    """
+    if N < 2:
+        raise ConfigurationError("need at least 2 intervals to difference")
+    l_hat = N * np.abs(np.diff(mu_hat, axis=-1)).max(axis=-1)
+    return l_hat, l_hat + N * math.sqrt(2.0 / A * math.log(2.0 * N * T))
+
+
+def phase2_intervals(N: int, l_tilde, T: int):
+    """Refined interval count: N * ceil(l_tilde^(2/3) * T^(1/3) / N), always
+    a positive multiple of N."""
+    lt = np.asarray(l_tilde, dtype=float)
+    if np.any(lt <= 0.0) or T <= 0:
+        raise ConfigurationError("l_tilde and T must be positive")
+    return np.maximum(N * np.ceil(lt ** (2.0 / 3.0) * T ** (1.0 / 3.0) / N)
+                      .astype(int), N)
+
+
+def redistribute_weights(omega_coarse, N: int, n_tilde: int) -> np.ndarray:
+    """Spread N coarse-interval weights over n_tilde refined intervals.
+
+    Refined interval n inherits from parent (n * N) // n_tilde, scaled by
+    N / n_tilde so total mass is preserved; each parent gets exactly
+    n_tilde / N children, so the heaviest parent's children stay heaviest.
+    """
+    if n_tilde % N != 0:
+        raise ConfigurationError(f"refined count {n_tilde} is not a multiple of {N}")
+    parents = (np.arange(n_tilde) * N) // n_tilde
+    return (N / n_tilde) * np.asarray(omega_coarse, dtype=float)[parents]
 
 
 class LbwiBank:
@@ -147,32 +183,3 @@ class LbwiBank:
                     fine[k, m, :n] = 1.0
         self.n_arms = n_tilde
         self.weights = fine / fine.max(axis=-1, keepdims=True)
-
-
-class LbwiLearner:
-    """Single (node, task) interval learner: a 1 x 1 bank behind the scalar
-    act/observe surface used by the engine protocol tests."""
-
-    def __init__(self, spec, T, rng, **kwargs):
-        if spec.K != 1 or spec.M != 1:
-            raise ValueError("LbwiLearner is the single-learner view; use LbwiBank")
-        self._bank = LbwiBank(spec, T, rng, **kwargs)
-
-    @property
-    def phase(self) -> str:
-        return "explore" if self._bank.t <= self._bank.T1 else "exploit"
-
-    def act(self) -> float:
-        return float(self._bank.act()[0, 0])
-
-    def observe(self, utility: float) -> None:
-        self._bank.observe(np.array([[utility]],
-                                    dtype=float))
-
-
-def lbwi_step(learner, observed_utility, rng=None):
-    """One protocol step: fold in the previous round's feedback (None on the
-    first call), then emit the next action."""
-    if observed_utility is not None:
-        learner.observe(observed_utility)
-    return learner.act(), learner

@@ -1,5 +1,5 @@
 """Full-information baselines: the one-dimensional maximizer, best-response
-rows, projected gradient play, and random selection."""
+profiles, projected gradient play, and random selection."""
 
 import warnings
 
@@ -8,9 +8,13 @@ import pytest
 
 from fogbandit.errors import ConfigurationError
 from fogbandit.game import GameSpec, task_gradient, task_utility
-from fogbandit.strategies import (BrBank, GpBank, GpState, RsBank,
-                                  best_response, br_profile, golden_max,
-                                  gp_step)
+from fogbandit.strategies import BrBank, GpBank, RsBank, br_profile, golden_max
+
+
+def br_row(k, others, spec, own=0.5):
+    """Node k's best-response row against the others' rows, read off
+    br_profile on the full profile (own row set to `own`)."""
+    return br_profile(np.insert(others, k, own, axis=0), spec)[k]
 
 
 class TestGoldenMax:
@@ -75,11 +79,11 @@ class TestBestResponse:
         assert task_gradient(0.0, 2.0, *args) < 0 < task_gradient(0.0, 1.25, *args)
 
         # others' sum o = 2 lies above the threshold: the cost prices node 0 out
-        row = best_response(k, np.array([[0.0, 1.0], [0.0, 1.0]]), game3)
+        row = br_row(k, np.array([[0.0, 1.0], [0.0, 1.0]]), game3)
         assert row[m] == pytest.approx(0.0, abs=1e-6)
 
         # o = 1.25 lies below it: the slope at zero is positive, so is the BR
-        row = best_response(k, np.array([[0.0, 0.625], [0.0, 0.625]]), game3)
+        row = br_row(k, np.array([[0.0, 0.625], [0.0, 0.625]]), game3)
         assert row[m] > 1e-3
 
     def test_interior_point_matches_gradient_root(self, game1):
@@ -96,7 +100,7 @@ class TestBestResponse:
             else:
                 hi = mid
         root = (lo + hi) / 2
-        row = best_response(k, np.array([[1.0, 0.0]]), game1)
+        row = br_row(k, np.array([[1.0, 0.0]]), game1)
         assert row[0] == pytest.approx(root, abs=1e-6)
 
     def test_matches_fine_grid_scan(self, game1, rng):
@@ -104,7 +108,7 @@ class TestBestResponse:
         for _ in range(10):
             others = rng.random((1, 2))
             k = int(rng.integers(0, 2))
-            row = best_response(k, others, game1)
+            row = br_row(k, others, game1)
             for m in range(2):
                 args = (game1.rho[k, m], game1.eps[k, m], game1.kappa[k, m],
                         game1.barrier)
@@ -113,34 +117,45 @@ class TestBestResponse:
                 assert abs(row[m] - grid[np.argmax(vals)]) < 1e-5
 
     def test_profile_form_consistent_with_rows(self, game1, rng):
-        x = rng.random((2, 2))
+        # row k answers the others' rows only: replacing row k leaves it be
+        # (dyadic entries keep the column sums minus row k exact)
+        x = rng.integers(0, 9, (2, 2)) / 8
         full = br_profile(x, game1)
         for k in range(2):
-            others = np.delete(x, k, axis=0)
-            assert np.allclose(full[k], best_response(k, others, game1),
-                               atol=1e-12)
+            moved = x.copy()
+            moved[k] = rng.integers(0, 9, 2) / 8
+            assert np.allclose(full[k], br_profile(moved, game1)[k], atol=1e-12)
+
+
+def gp_single(x0, eta=0.5):
+    """A 1 x 1 gradient-play bank started at x0."""
+    bank = GpBank(GameSpec(rho=[[0.9]], eps=[[0.1]], kappa=[[0.1]]), T=100,
+                  rng=np.random.default_rng(0), eta=eta)
+    bank.x[0, 0] = x0
+    return bank
+
+
+def gp_step(bank, gradient):
+    bank.act()
+    bank.observe(np.array([[gradient]]))
+    return bank.x[0, 0]
 
 
 class TestGradientPlay:
     def test_zero_gradient_keeps_action(self):
-        state = GpState(x=0.4, eta=0.5)
-        x, state = gp_step(state, 0.0)
-        assert x == 0.4 and state.t == 2
+        bank = gp_single(0.4, eta=0.5)
+        assert gp_step(bank, 0.0) == 0.4 and bank.t == 2
 
     def test_projection_at_boundaries(self):
-        state = GpState(x=1.0)
-        x, _ = gp_step(state, 10.0)
-        assert x == 1.0
-        state = GpState(x=0.0)
-        x, _ = gp_step(state, -10.0)
-        assert x == 0.0
+        assert gp_step(gp_single(1.0), 10.0) == 1.0
+        assert gp_step(gp_single(0.0), -10.0) == 0.0
 
     def test_step_size_decays(self):
-        state = GpState(x=0.5, eta=0.4)
-        gp_step(state, 0.1)      # moves by 0.4 * 0.1
-        assert state.x == pytest.approx(0.54)
-        gp_step(state, 0.1)      # moves by 0.4/sqrt(2) * 0.1
-        assert state.x == pytest.approx(0.54 + 0.4 / np.sqrt(2) * 0.1)
+        bank = gp_single(0.5, eta=0.4)
+        gp_step(bank, 0.1)      # moves by 0.4 * 0.1
+        assert bank.x[0, 0] == pytest.approx(0.54)
+        gp_step(bank, 0.1)      # moves by 0.4/sqrt(2) * 0.1
+        assert bank.x[0, 0] == pytest.approx(0.54 + 0.4 / np.sqrt(2) * 0.1)
 
     @pytest.mark.parametrize("eta", [0.0, -1.0])
     def test_bank_rejects_non_positive_step(self, game1, eta):

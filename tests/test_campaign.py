@@ -1,5 +1,6 @@
-"""Bank construction from strategy configs, and the CLI's check of
-per-strategy parameter overrides."""
+"""Bank construction from strategy configs, the CLI's check of
+per-strategy parameter overrides, checkpoint rounds, and replica streams
+that depend on neither strategy order nor seed count."""
 
 import json
 
@@ -7,9 +8,11 @@ import numpy as np
 import pytest
 
 from fogbandit import cli
-from fogbandit.campaign import STRATEGY_NAMES, StrategyConfig, make_bank
+from fogbandit.campaign import (STRATEGY_NAMES, ExperimentConfig,
+                                StrategyConfig, make_bank, run_campaign)
 from fogbandit.errors import ConfigurationError
 from fogbandit.game import allocate, estimate_bounds
+from fogbandit.nash import solve_nash
 
 
 @pytest.fixture(scope="module")
@@ -101,3 +104,47 @@ class TestTrace:
             x = np.zeros((game1.K, game1.M))
             x[k, m] = r["x"]
             assert np.array_equal(r["a"], allocate(x, game1)[k, m])
+
+
+class TestCheckpoints:
+    @pytest.mark.parametrize("T", [1, 2, 3])
+    def test_every_checkpoint_is_a_played_round(self, game1, T):
+        cps = ExperimentConfig(game1, [], T=T).checkpoints()
+        assert cps[-1] == T
+        assert all(1 <= c <= T for c in cps)
+
+    @pytest.mark.parametrize("T,expected", [
+        (200, [2, 3, 7, 14, 27, 50, 53, 100, 103, 150, 200]),
+        (600, [6, 11, 22, 43, 83, 150, 160, 300, 310, 450, 600]),
+        (1000, [10, 19, 37, 71, 138, 250, 268, 500, 517, 750, 1000]),
+    ])
+    def test_long_horizons_keep_their_checkpoints(self, game1, T, expected):
+        assert ExperimentConfig(game1, [], T=T).checkpoints() == expected
+
+
+class TestReplicaStreams:
+    """The module's claim: a replica's randomness derives from (master seed,
+    strategy, replica index) alone."""
+
+    @pytest.fixture(scope="class")
+    def nash(self, game1):
+        return solve_nash(game1)
+
+    def cum_regret(self, game1, nash, strategies, n_seeds):
+        config = ExperimentConfig(game1, [{"name": n} for n in strategies],
+                                  T=60, n_seeds=n_seeds, master_seed=3)
+        result = run_campaign(config, nash=nash)
+        return {s.name: [r.cum_regret for r in s.seeds] for s in result.strategies}
+
+    def test_independent_of_strategy_order(self, game1, nash):
+        forward = self.cum_regret(game1, nash, ["bgam", "rs"], 2)
+        backward = self.cum_regret(game1, nash, ["rs", "bgam"], 2)
+        for name in ("bgam", "rs"):
+            for a, b in zip(forward[name], backward[name]):
+                assert np.array_equal(a, b)
+
+    def test_independent_of_seed_count(self, game1, nash):
+        two = self.cum_regret(game1, nash, ["bgam", "rs"], 2)
+        three = self.cum_regret(game1, nash, ["bgam", "rs"], 3)
+        for name in ("bgam", "rs"):
+            assert np.array_equal(two[name][1], three[name][1])

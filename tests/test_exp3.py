@@ -1,99 +1,152 @@
-"""Exponential-weight primitives and the interval bookkeeping around them."""
+"""Exponential weights of the interval learner bank (its mixing
+distribution, weight update and interval sampling) and the Phase-I to
+Phase-II interval bookkeeping."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from fogbandit.errors import ConfigurationError, ProtocolError
-from fogbandit.strategies import (exp3_probs, exp3_update, lbwi_sample_action,
-                                  lipschitz_estimate, phase2_intervals,
-                                  redistribute_weights)
+from fogbandit.errors import ConfigurationError
+from fogbandit.game import GameSpec
+from fogbandit.strategies import (LbwiBank, lipschitz_estimate,
+                                  phase2_intervals, redistribute_weights)
 
 mp.mp.dps = 40
 
 
+def bank_with(weights, gamma):
+    """A bank of one learner per row of `weights` (a 1 x rows game) whose
+    weights are set to `weights`; the arm count is the row length."""
+    w = np.atleast_2d(np.asarray(weights, dtype=float))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        spec = GameSpec(rho=np.full((1, len(w)), 0.9), eps=np.full((1, len(w)), 0.1),
+                        kappa=np.full((1, len(w)), 0.1))
+    bank = LbwiBank(spec, 1000, np.random.default_rng(0), N=w.shape[-1],
+                    gamma=gamma)
+    bank.weights[0] = w
+    return bank
+
+
+def probs(weights, gamma):
+    """The bank's mixing distribution for the given weights; gamma = 0 (no
+    uniform mixing) is set after construction, which rejects it."""
+    bank = bank_with(weights, gamma or 1.0)
+    bank.gamma = gamma
+    return bank._probs()[0]
+
+
 class TestExp3Probs:
     def test_uniform_weights(self):
-        p = exp3_probs(np.ones(10), gamma=0.1)
+        p = probs(np.ones(10), gamma=0.1)
         assert np.allclose(p, 0.1, atol=1e-15)
 
     def test_no_mixing_reduces_to_proportions(self):
-        p = exp3_probs([2.0, 1.0, 1.0], gamma=0.0)
+        p = probs([2.0, 1.0, 1.0], gamma=0.0)
         assert np.allclose(p, [0.5, 0.25, 0.25])
 
     def test_mixed_example(self):
-        p = exp3_probs([2.0, 1.0, 1.0], gamma=0.3)
+        p = probs([2.0, 1.0, 1.0], gamma=0.3)
         assert np.allclose(p, [0.45, 0.275, 0.275])
 
     def test_random_weights_normalize_and_floor(self, rng):
-        for _ in range(2000):
-            n = int(rng.integers(2, 40))
-            w = rng.random(n) * 10.0 ** float(rng.integers(-6, 6))
-            gamma = float(rng.uniform(0.01, 1.0))
-            p = exp3_probs(w + 1e-12, gamma)
-            assert abs(p.sum() - 1.0) < 1e-9
-            assert np.all(p >= gamma / n - 1e-15)
-
-    def test_rejects_degenerate_weights(self):
-        with pytest.raises(ValueError):
-            exp3_probs(np.zeros(4), gamma=0.1)
-        with pytest.raises(ValueError):
-            exp3_probs([1.0, np.inf], gamma=0.1)
-        with pytest.raises(ValueError):
-            exp3_probs([1.0, -1.0], gamma=0.1)
+        # every learner of a 10 x 10 bank on its own arm count, as after
+        # Phase II refinement: padded arms get probability zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            spec = GameSpec(rho=np.full((10, 10), 0.9), eps=np.full((10, 10), 0.1),
+                            kappa=np.full((10, 10), 0.1))
+        bank = LbwiBank(spec, 1000, np.random.default_rng(0), N=40)
+        for _ in range(20):
+            n = rng.integers(2, 40, (10, 10))
+            bank.n_arms = n
+            bank.weights = (rng.random((10, 10, 40))
+                            * 10.0 ** rng.integers(-6, 6, (10, 10, 1)) + 1e-12)
+            bank.gamma = float(rng.uniform(0.01, 1.0))
+            p = bank._probs()
+            assert np.all(np.abs(p.sum(axis=-1) - 1.0) < 1e-9)
+            active = np.arange(40) < n[..., None]
+            assert np.all((p >= bank.gamma / n[..., None] - 1e-15) | ~active)
+            assert np.all(p[~active] == 0.0)
 
     def test_batched_weights(self):
-        w = np.stack([[2.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
-        p = exp3_probs(w, gamma=0.0)
+        p = probs(np.stack([[2.0, 1.0, 1.0], [1.0, 1.0, 1.0]]), gamma=0.0)
         assert np.allclose(p[0], [0.5, 0.25, 0.25])
         assert np.allclose(p[1], 1.0 / 3.0)
 
 
+def update(weights, reward, gamma):
+    """One act/observe step of a single-learner bank with the given weights,
+    fed the observation whose normalized reward is `reward`; returns the
+    weights before and after, the played arm and its probability."""
+    bank = bank_with(weights, gamma)
+    before = bank.weights[0, 0].copy()
+    bank.act()
+    arm, prob = int(bank._arm[0, 0]), float(bank._prob[0, 0])
+    bank.observe(np.array([[bank.u_lo + reward * (bank.u_hi - bank.u_lo)]]))
+    return before, bank.weights[0, 0], arm, prob
+
+
 class TestExp3Update:
     def test_zero_reward_keeps_proportions(self):
-        w0 = np.array([2.0, 1.0, 1.0])
-        w1 = exp3_update(w0, arm=1, reward=0.0, prob=0.3, gamma=0.1, count=3)
+        w0, w1, _, _ = update([2.0, 1.0, 1.0], reward=0.0, gamma=0.1)
         assert np.allclose(w1 / w1.sum(), w0 / w0.sum())
 
     def test_multiplier_value(self):
-        w = exp3_update(np.ones(10), arm=0, reward=1.0, prob=0.1, gamma=0.1,
-                        count=10)
+        _, w, arm, prob = update(np.ones(10), reward=1.0, gamma=0.1)
         # played arm's weight grows by exp(0.1 * 1 / (10 * 0.1)) = e^0.1
+        assert prob == pytest.approx(0.1, rel=1e-14)
         expected = float(mp.e ** mp.mpf("0.1"))
-        assert w[0] / w[1] == pytest.approx(expected, rel=1e-14)
+        assert w[arm] / w[arm - 1] == pytest.approx(expected, rel=1e-14)
 
     def test_rescale_does_not_change_probs(self, rng):
         w = rng.random(8) + 0.1
-        p_before = exp3_probs(w, gamma=0.2)
-        p_after = exp3_probs(w / w.max(), gamma=0.2)
+        p_before = probs(w, gamma=0.2)
+        p_after = probs(w / w.max(), gamma=0.2)
         assert np.allclose(p_before, p_after, atol=1e-12)
 
     def test_max_weight_is_one_after_update(self, rng):
         w = rng.random(5) + 0.1
-        w = exp3_update(w, arm=2, reward=0.7, prob=0.2, gamma=0.3, count=5)
+        _, w, _, _ = update(w, reward=0.7, gamma=0.3)
         assert w.max() == 1.0
 
-    def test_nonpositive_probability_rejected(self):
-        with pytest.raises(ProtocolError):
-            exp3_update(np.ones(3), arm=0, reward=0.5, prob=0.0, gamma=0.1, count=3)
+
+def played_actions(N, rounds, rng_seed=7):
+    """Actions and played arms of a 100 x 100 bank of N-interval learners
+    over the given Phase-I rounds."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        spec = GameSpec(rho=np.full((100, 100), 0.9), eps=np.full((100, 100), 0.1),
+                        kappa=np.full((100, 100), 0.1))
+    bank = LbwiBank(spec, 10 * rounds, np.random.default_rng(rng_seed), N=N,
+                    pulls_per_interval=rounds)
+    xs, arms = [], []
+    for _ in range(rounds):
+        xs.append(bank.act())
+        arms.append(bank._arm)
+        bank.observe(np.zeros((100, 100)))
+    return np.array(xs), np.array(arms)
 
 
 class TestSampleAction:
-    def test_whole_interval(self, rng):
-        for _ in range(100):
-            x = lbwi_sample_action(0, 1, rng)
-            assert 0.0 <= x < 1.0
+    def test_whole_interval(self):
+        xs, _ = played_actions(2, 5)
+        assert np.all((0.0 <= xs) & (xs < 1.0))
 
-    def test_interval_bounds(self, rng):
-        for _ in range(200):
-            x = lbwi_sample_action(3, 10, rng)
-            assert 0.3 <= x < 0.4
+    def test_interval_bounds(self):
+        xs, arms = played_actions(10, 10)
+        in_three = xs[arms == 3]
+        assert in_three.size > 0
+        assert np.all((0.3 <= in_three) & (in_three < 0.4))
 
     def test_empirical_mean(self):
-        rng = np.random.default_rng(7)
-        draws = [lbwi_sample_action(3, 10, rng) for _ in range(100_000)]
+        # every learner pulls each of its 10 arms once per 10 rounds
+        xs, arms = played_actions(10, 100)
+        draws = xs[arms == 3]
+        assert draws.size == 100_000
         assert np.mean(draws) == pytest.approx(0.35, abs=1e-3)
 
 

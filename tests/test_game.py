@@ -9,10 +9,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fogbandit import (GameSpec, allocate, completion_reward, dsc_gap,
-                       estimate_bounds, gradient_matrix, hessian_others,
-                       hessian_own, task_utility, total_utility,
-                       utility_gradient, utility_matrix)
+from fogbandit import (GameSpec, allocate, dsc_gap, estimate_bounds,
+                       gradient_matrix, hessian_others, hessian_own,
+                       task_utility, utility_matrix)
 from fogbandit.errors import ConfigurationError
 from fogbandit.game import task_gradient
 
@@ -108,20 +107,27 @@ class TestAllocate:
             allocate(np.zeros((3, 2)), game1)
 
 
+def reward(share, rho):
+    """The completion-reward term rho*(1 - exp(-share/rho)) of task_utility:
+    no power or cost term, no barrier, and a column total of 1 so the own
+    request is the share."""
+    return task_utility(share, 1.0 - share, rho, 0.0, 0.0, barrier=0.0)
+
+
 class TestRewardAndUtility:
     def test_zero_share_zero_reward(self):
         for rho in (0.1, 0.5, 0.9, 1.0):
-            assert completion_reward(0.0, rho) == 0.0
+            assert reward(0.0, rho) == 0.0
 
     @pytest.mark.parametrize("share,rho", [(1.0, 0.9), (0.5, 0.5)])
     def test_reward_matches_high_precision(self, share, rho):
         expected = mp.mpf(str(rho)) * (1 - mp.e ** (-mp.mpf(str(share)) / mp.mpf(str(rho))))
-        assert completion_reward(share, rho) == pytest.approx(float(expected), rel=1e-14)
+        assert reward(share, rho) == pytest.approx(float(expected), rel=1e-14)
 
     def test_reward_increasing_and_concave(self, rng):
         rho = 0.7
         grid = np.linspace(0.0, 1.0, 101)
-        vals = np.array([completion_reward(a, rho) for a in grid])
+        vals = reward(grid, rho)
         assert np.all(np.diff(vals) > 0)
         assert np.all(np.diff(vals, 2) < 0)
 
@@ -140,8 +146,7 @@ class TestRewardAndUtility:
         assert got == pytest.approx(expected, rel=1e-13)
 
     def test_total_utility_zero_profile(self, game1):
-        assert total_utility(0, np.zeros((2, 2)), game1) == 0.0
-        assert total_utility(1, np.zeros((2, 2)), game1) == 0.0
+        assert np.all(utility_matrix(np.zeros((2, 2)), game1).sum(axis=1) == 0.0)
 
     def test_total_utility_corner_profile(self, game1):
         # node 0 at x=(1,0) against node 1 at (0,1): reward on task 0 plus the
@@ -149,19 +154,8 @@ class TestRewardAndUtility:
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
         expected = (mp_task_utility(1, 0, 0.9, 0.1, 0.1, "1e-6")
                     + mp_task_utility(0, 1, 0.5, 0.03, 0.8, "1e-6"))
-        assert total_utility(0, x, game1) == pytest.approx(float(expected), rel=1e-12)
-
-    def test_additivity_is_bitwise(self, game1, rng):
-        for _ in range(50):
-            x = rng.random((2, 2))
-            col = x.sum(axis=0)
-            for k in range(2):
-                parts = 0.0
-                for m in range(2):
-                    parts += task_utility(x[k, m], col[m] - x[k, m],
-                                          game1.rho[k, m], game1.eps[k, m],
-                                          game1.kappa[k, m], game1.barrier)
-                assert total_utility(k, x, game1) == parts
+        assert utility_matrix(x, game1)[0].sum() == pytest.approx(float(expected),
+                                                                rel=1e-12)
 
     def test_single_task_equals_task_utility(self):
         with warnings.catch_warnings():
@@ -169,12 +163,8 @@ class TestRewardAndUtility:
             spec = GameSpec(rho=[[0.7], [0.6]], eps=[[0.1], [0.2]],
                             kappa=[[0.3], [0.4]])
         x = np.array([[0.4], [0.3]])
-        assert total_utility(0, x, spec) == task_utility(
+        assert utility_matrix(x, spec)[0].sum() == task_utility(
             0.4, 0.3, 0.7, 0.1, 0.3, spec.barrier)
-
-    def test_node_index_out_of_range(self, game1):
-        with pytest.raises(IndexError):
-            total_utility(5, np.zeros((2, 2)), game1)
 
 
 class TestGradient:
@@ -199,20 +189,23 @@ class TestGradient:
         for _ in range(100):
             x = 0.05 + 0.9 * rng.random((2, 2))
             k = int(rng.integers(0, 2))
-            grad = utility_gradient(k, x, game1)
+            grad = gradient_matrix(x, game1)[k]
             for m in range(2):
                 hi = x.copy(); hi[k, m] += h
                 lo = x.copy(); lo[k, m] -= h
-                fd = (total_utility(k, hi, game1) - total_utility(k, lo, game1)) / (2 * h)
+                fd = (utility_matrix(hi, game1)[k].sum()
+                      - utility_matrix(lo, game1)[k].sum()) / (2 * h)
                 assert abs(grad[m] - fd) / abs(fd) < 1e-5
 
     def test_matrix_form_agrees_with_scalar(self, game1, rng):
         x = rng.random((2, 2))
         gm = gradient_matrix(x, game1)
-        for k in range(2):
-            assert np.allclose(gm[k], utility_gradient(k, x, game1), rtol=1e-12)
-        um = utility_matrix(x, game1)
         col = x.sum(axis=0)
+        for k in range(2):
+            assert np.allclose(gm[k], task_gradient(
+                x[k], col - x[k], game1.rho[k], game1.eps[k], game1.kappa[k],
+                game1.barrier), rtol=1e-12)
+        um = utility_matrix(x, game1)
         for k in range(2):
             for m in range(2):
                 assert um[k, m] == pytest.approx(task_utility(

@@ -6,7 +6,7 @@ import pytest
 
 from fogbandit.errors import ConfigurationError, FeedbackError
 from fogbandit.game import GameSpec, utility_range
-from fogbandit.strategies import LbwiBank, LbwiLearner, lbwi_step
+from fogbandit.strategies import LbwiBank
 from fogbandit.strategies.lbwi import default_pulls_per_interval
 
 
@@ -145,14 +145,15 @@ class TestProtocol:
             bank.observe(np.array([[np.nan]]))
 
     def test_learner_step_protocol(self, rng):
-        spec = tiny_spec()
-        learner = LbwiLearner(spec, T=60, rng=rng, N=4, pulls_per_interval=5)
-        assert learner.phase == "explore"
-        x, learner = lbwi_step(learner, None)
-        for _ in range(30):
+        # Phase I lasts T1 = 20 act/observe steps; the Lipschitz estimate
+        # that opens Phase II exists only after the last of them
+        bank = LbwiBank(tiny_spec(), T=60, rng=rng, N=4, pulls_per_interval=5)
+        for t in range(1, 31):
+            assert (bank.l_tilde is None) == (t <= bank.T1)
+            x = bank.act()[0, 0]
             assert 0.0 <= x < 1.0
-            x, learner = lbwi_step(learner, 0.3)
-        assert learner.phase == "exploit"
+            bank.observe(np.array([[0.3]]))
+        assert bank.l_tilde is not None
 
     def test_normalization_envelope_contains_utilities(self, game1, rng):
         lo, hi = utility_range(game1)

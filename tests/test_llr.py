@@ -1,4 +1,4 @@
-"""Centralized matching learner: confidence weights, the assignment solver
+"""Centralized matching learner: confidence weights, the round's assignment
 against brute force, and the warm-up/update bookkeeping."""
 
 import itertools
@@ -10,8 +10,7 @@ import pytest
 
 from fogbandit.errors import ProtocolError
 from fogbandit.game import GameSpec
-from fogbandit.strategies import LlrBank, LlrState, hungarian_match, llr_ucb_weights
-from fogbandit.strategies.llr import llr_record
+from fogbandit.strategies import LlrBank
 
 
 def brute_force_value(w):
@@ -24,71 +23,78 @@ def brute_force_value(w):
     return best
 
 
+def bank_for(K, M, theta_hat=None, counts=1, t=None, xi=None):
+    """An LLR bank on a K x M game with its estimates set; by default past
+    the warm-up, with every pair observed once."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        spec = GameSpec(rho=np.full((K, M), 0.9), eps=np.full((K, M), 0.1),
+                        kappa=np.full((K, M), 0.1))
+    bank = LlrBank(spec, T=100, rng=np.random.default_rng(0))
+    bank.theta_hat[:] = 0.0 if theta_hat is None else theta_hat
+    bank.counts[:] = counts
+    bank.t = M + 1 if t is None else t
+    if xi is not None:
+        bank.xi = xi
+    return bank
+
+
+def match(w):
+    """The bank's post-warm-up assignment when its sample means are w and
+    every pair is observed equally often (a common confidence bonus, which
+    every assignment of min(K, M) pairs collects alike)."""
+    bank = bank_for(*w.shape, theta_hat=w)
+    x = bank.act()
+    assert set(np.unique(x)) <= {0.0, 1.0}
+    return x
+
+
 class TestHungarian:
     def test_diagonal_dominance(self):
-        out = hungarian_match(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert out.tolist() == [0, 1]
+        x = match(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert x.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_anti_diagonal(self):
-        out = hungarian_match(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        assert out.tolist() == [1, 0]
+        x = match(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert x.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_matches_brute_force_on_random_instances(self, rng):
         for _ in range(100):
             w = rng.normal(size=(5, 5))
-            out = hungarian_match(w)
-            value = sum(w[k, m] for k, m in enumerate(out) if m >= 0)
+            value = (w * match(w)).sum()
             assert value == pytest.approx(brute_force_value(w), rel=1e-12)
 
     def test_rectangular_instances(self, rng):
         for K, M in [(3, 6), (6, 3), (2, 5), (5, 2)]:
             for _ in range(20):
                 w = rng.normal(size=(K, M))
-                out = hungarian_match(w)
-                matched = [(k, m) for k, m in enumerate(out) if m >= 0]
-                assert len(matched) == min(K, M)
-                tasks = [m for _, m in matched]
-                assert len(set(tasks)) == len(tasks)
-                value = sum(w[k, m] for k, m in matched)
-                assert value == pytest.approx(brute_force_value(w), rel=1e-10)
-
-    def test_ties_prefer_low_node_then_low_task(self):
-        # every assignment of this matrix has the same value
-        out = hungarian_match(np.ones((3, 3)))
-        assert out.tolist() == [0, 1, 2]
-        # two optimal choices for node 0; it must take the lower task index
-        w = np.array([[1.0, 1.0], [0.5, 0.5]])
-        assert hungarian_match(w).tolist() == [0, 1]
-        # with K > M the idle node is the one optimality forces; on full
-        # ties the lowest-index nodes are matched first
-        out = hungarian_match(np.ones((3, 2)))
-        assert out.tolist() == [0, 1, -1]
+                x = match(w)
+                assert x.sum() == min(K, M)
+                assert np.all(x.sum(axis=1) <= 1.0)   # one task per node
+                assert np.all(x.sum(axis=0) <= 1.0)   # one node per task
+                assert (w * x).sum() == pytest.approx(brute_force_value(w),
+                                                      rel=1e-10)
 
 
 class TestUcbWeights:
     def test_reference_value(self):
-        state = LlrState(theta_hat=np.full((1, 1), 0.5),
-                         counts=np.ones((1, 1), dtype=int), t=3, xi=10)
-        w = llr_ucb_weights(state)
+        bank = bank_for(1, 1, theta_hat=0.5, t=3, xi=10)
+        w = bank.ucb_weights()
         assert w[0, 0] == pytest.approx(0.5 + math.sqrt(11 * math.log(3)), rel=1e-12)
 
     def test_no_confidence_term_on_first_round(self):
-        state = LlrState(theta_hat=np.full((2, 2), 0.3),
-                         counts=np.ones((2, 2), dtype=int), t=1, xi=2)
-        assert np.allclose(llr_ucb_weights(state), 0.3)
+        bank = bank_for(2, 2, theta_hat=0.3, t=1, xi=2)
+        assert np.allclose(bank.ucb_weights(), 0.3)
 
     def test_more_observations_shrink_the_bonus(self):
-        few = LlrState(theta_hat=np.zeros((1, 1)),
-                       counts=np.array([[2]]), t=10, xi=1)
-        many = LlrState(theta_hat=np.zeros((1, 1)),
-                        counts=np.array([[20]]), t=10, xi=1)
-        assert llr_ucb_weights(many)[0, 0] < llr_ucb_weights(few)[0, 0]
+        few = bank_for(1, 1, counts=2, t=10, xi=1)
+        many = bank_for(1, 1, counts=20, t=10, xi=1)
+        assert many.ucb_weights()[0, 0] < few.ucb_weights()[0, 0]
 
     def test_unobserved_pair_is_protocol_error(self):
-        state = LlrState(theta_hat=np.zeros((2, 2)),
-                         counts=np.array([[1, 0], [1, 1]]), t=3, xi=2)
+        bank = bank_for(2, 2, counts=np.array([[1, 0], [1, 1]]), t=3, xi=2)
         with pytest.raises(ProtocolError):
-            llr_ucb_weights(state)
+            bank.ucb_weights()
 
 
 class TestLlrBank:
@@ -98,7 +104,7 @@ class TestLlrBank:
             x = bank.act()
             assert np.all(x.sum(axis=1) == 1.0)   # every node plays one task
             bank.observe(np.zeros((10, 10)))
-        assert bank.state.counts.min() == 1
+        assert bank.counts.min() == 1
 
     def test_sample_means_are_replayable(self, game2, rng):
         bank = LlrBank(game2, T=100, rng=rng)
@@ -106,15 +112,29 @@ class TestLlrBank:
         for t in range(40):
             x = bank.act()
             obs = rng.normal(0.5, 0.2, (10, 10))
-            for k, m in enumerate(bank._assignment):
-                if m >= 0:
-                    seen.setdefault((k, m), []).append(obs[k, m])
+            for k, m in zip(*np.nonzero(x)):
+                seen.setdefault((k, m), []).append(obs[k, m])
             bank.observe(obs)
         for (k, m), vals in seen.items():
-            assert bank.state.theta_hat[k, m] == pytest.approx(np.mean(vals),
-                                                               rel=1e-12)
+            assert bank.theta_hat[k, m] == pytest.approx(np.mean(vals), rel=1e-12)
         for (k, m), vals in seen.items():
-            assert bank.state.counts[k, m] == len(vals)
+            assert bank.counts[k, m] == len(vals)
+
+    @pytest.mark.parametrize("K,M", [(6, 4), (3, 5)])
+    def test_record_matches_loop_reference(self, K, M, rng):
+        # the played pairs' running means, updated one pair at a time
+        bank = bank_for(K, M, counts=0, t=1)
+        theta, counts = np.zeros((K, M)), np.zeros((K, M), dtype=int)
+        for _ in range(30):
+            x = bank.act()
+            obs = rng.normal(0.5, 0.2, (K, M))
+            bank.observe(obs)
+            for k, m in zip(*np.nonzero(x)):
+                c = counts[k, m]
+                theta[k, m] = (theta[k, m] * c + obs[k, m]) / (c + 1)
+                counts[k, m] = c + 1
+            assert np.array_equal(bank.theta_hat, theta)
+            assert np.array_equal(bank.counts, counts)
 
     def test_more_nodes_than_tasks_idles_someone(self):
         with warnings.catch_warnings():
@@ -130,10 +150,12 @@ class TestLlrBank:
             bank.observe(np.full((2, 1), 0.3))
 
     def test_update_only_touches_played_pairs(self):
-        state = LlrState.fresh(2, 2)
-        state.counts[:] = 1
-        state.theta_hat[:] = 0.5
-        llr_record(state, np.array([0, -1]), np.array([[0.9, 0.0], [0.0, 0.0]]))
-        assert state.theta_hat[0, 0] == pytest.approx(0.7)
-        assert state.counts[0, 0] == 2
-        assert np.all(state.theta_hat.ravel()[1:] == 0.5)
+        bank = bank_for(3, 2, theta_hat=0.5)
+        x = bank.act()
+        bank.observe(np.full((3, 2), 0.9))
+        played = x == 1.0
+        assert played.sum() == 2
+        assert np.allclose(bank.theta_hat[played], 0.7)
+        assert np.all(bank.counts[played] == 2)
+        assert np.all(bank.theta_hat[~played] == 0.5)
+        assert np.all(bank.counts[~played] == 1)
