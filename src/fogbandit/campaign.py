@@ -1,11 +1,11 @@
 """Multi-seed campaign orchestration and plot-ready result files.
 
 A campaign runs one or more strategies on the same game, each as an
-independent set of replicas (every node plays the strategy under test).
-Replica randomness derives from (master_seed, strategy name, replica
-index), so results are reproducible and independent of the order in which
-strategies or seeds are listed. The equilibrium is solved once per game
-and serves as the regret reference.
+independent set of replicas (every node plays the strategy under test),
+all held by one bank and played by one engine loop. Replica randomness
+derives from (master_seed, strategy name, replica index), so results are
+reproducible and independent of strategy order and seed count. The
+equilibrium is solved once per game and serves as the regret reference.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import regret_slope, run_seed
+from .engine import POST_FRACTION, regret_slope, run_seed
 from .errors import ConfigurationError
 from .game import Bounds, GameSpec, estimate_bounds, utility_range
 from .nash import NashSolution, epsilon_gap, solve_nash
@@ -51,18 +51,19 @@ def check_params(name: str, params: dict) -> None:
             f"accepted: {', '.join(STRATEGY_PARAMS[name]) or 'none'}")
 
 
-def make_bank(name: str, spec: GameSpec, T: int, rng, params: dict,
+def make_bank(name: str, spec: GameSpec, T: int, rngs, params: dict,
               bounds: Bounds):
-    """Instantiate the learner bank for a strategy name. Raises
+    """Instantiate the learner bank for a strategy name, one replica per
+    generator in `rngs`. Raises
     ConfigurationError for an unknown strategy or parameter key, and the
     bank's own ConfigurationError for an out-of-range parameter value."""
     check_params(name, params)
     if name in ("bgam", "bgd"):
         if name == "bgd":
             params = dict(params, beta=0.0)
-        return BgamBank(spec, T, bounds, rng, **params)
+        return BgamBank(spec, T, bounds, rngs, **params)
     if name in ("lbwi", "lb"):
-        bank = LbwiBank(spec, T, rng, with_init=(name == "lbwi"), **params)
+        bank = LbwiBank(spec, T, rngs, with_init=(name == "lbwi"), **params)
         if bank.N < 8.0 * bounds.H / bounds.L:
             warnings.warn(
                 f"coarse interval count N={bank.N} is below 8*H/L~="
@@ -70,8 +71,8 @@ def make_bank(name: str, spec: GameSpec, T: int, rng, params: dict,
                 "may not hold", stacklevel=2)
         return bank
     if name == "gp":
-        return GpBank(spec, T, rng, **params)
-    return {"llr": LlrBank, "br": BrBank, "rs": RsBank}[name](spec, T, rng)
+        return GpBank(spec, T, rngs, **params)
+    return {"llr": LlrBank, "br": BrBank, "rs": RsBank}[name](spec, T, rngs)
 
 
 @dataclass
@@ -94,10 +95,7 @@ class ExperimentConfig:
     regret_mode: str = "ne_reference"
     out_dir: Path = None
     trace: bool = False
-    log_every: int = None
-    final_window: int = 1000
-    post_fraction: float = 0.9
-    hist_bins: int = 20
+    post_fraction = POST_FRACTION     # the engine's constant, not a field
 
     def __post_init__(self):
         if self.T < 1 or self.n_seeds < 1:
@@ -108,6 +106,10 @@ class ExperimentConfig:
             s if isinstance(s, StrategyConfig) else StrategyConfig(**s)
             for s in self.strategies
         ]
+        for s in self.strategies:
+            if s.name in ("bgam", "bgd") and self.T < 2:
+                raise ConfigurationError(
+                    f"strategy {s.name!r} needs T >= 2, got T={self.T}")
 
     def checkpoints(self):
         base = {self.T // 4, self.T // 2, (3 * self.T) // 4, self.T}
@@ -167,28 +169,24 @@ def run_campaign(config: ExperimentConfig, nash: NashSolution = None,
     u_lo, u_hi = utility_range(spec)
 
     strategies = []
+    seeds = range(config.n_seeds)
     for sc in config.strategies:
         t0 = time.monotonic()
-        seed_results = []
-        for seed in range(config.n_seeds):
-            strat_rng, noise_rng = replica_streams(config.master_seed, sc.name, seed)
-            bank = make_bank(sc.name, spec, config.T, strat_rng, sc.params, bounds)
-            trace_sink = None
-            if config.trace and config.out_dir is not None:
-                trace_sink = _TraceWriter(
-                    Path(config.out_dir) / f"trace_{sc.name}_seed{seed}.csv")
-            res = run_seed(spec, bank, config.T, noise_rng, nash, seed=seed,
-                           regret_mode=config.regret_mode,
-                           log_every=config.log_every,
-                           final_window=config.final_window,
-                           post_fraction=config.post_fraction,
-                           hist_bins=config.hist_bins,
-                           checkpoints=checkpoints,
-                           trace_sink=trace_sink)
-            if trace_sink is not None:
-                trace_sink.close()
-            seed_results.append(res)
-            if progress:
+        streams = [replica_streams(config.master_seed, sc.name, seed)
+                   for seed in seeds]
+        bank = make_bank(sc.name, spec, config.T, [g for g, _ in streams],
+                         sc.params, bounds)
+        trace_sink = None
+        if config.trace and config.out_dir is not None:
+            trace_sink = _TraceWriter([
+                Path(config.out_dir) / f"trace_{sc.name}_seed{seed}.csv"
+                for seed in seeds])
+        seed_results = run_seed(spec, bank, config.T, [g for _, g in streams],
+                                nash, config.regret_mode, checkpoints, trace_sink)
+        if trace_sink is not None:
+            trace_sink.close()
+        if progress:
+            for seed in seeds:
                 progress(f"{sc.name}: seed {seed} done")
 
         cum = np.stack([r.cum_regret for r in seed_results])    # (S, L, K)
@@ -232,25 +230,26 @@ def run_campaign(config: ExperimentConfig, nash: NashSolution = None,
 class _TraceWriter:
     HEADER = "t,node,task,x,a,clean_utility,observed_utility\n"
 
-    def __init__(self, path: Path):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(path, "w")
-        self._fh.write(self.HEADER)
+    def __init__(self, paths):
+        self._fhs = []
+        for path in paths:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            self._fhs.append(open(path, "w"))
+            self._fhs[-1].write(self.HEADER)
 
     def __call__(self, rec):
-        K, M = rec.x.shape
-        rows = []
-        for k in range(K):
-            for m in range(M):
-                rows.append(",".join([str(rec.t), str(k), str(m)] + [
-                    FMT.format(v) for v in
-                    (rec.x[k, m], rec.a[k, m], rec.clean_utility[k, m],
-                     rec.observed_utility[k, m])
-                ]))
-        self._fh.write("\n".join(rows) + "\n")
+        S, K, M = rec.x.shape
+        # "%.17g" prints a float exactly as FMT does
+        template = "".join(f"{rec.t},{k},{m},%.17g,%.17g,%.17g,%.17g\n"
+                           for k, m in np.ndindex(K, M))
+        values = np.stack([rec.x, rec.a, rec.clean_utility,
+                           rec.observed_utility], axis=-1).reshape(S, -1)
+        for fh, row in zip(self._fhs, values.tolist()):
+            fh.write(template % tuple(row))
 
     def close(self):
-        self._fh.close()
+        for fh in self._fhs:
+            fh.close()
 
 
 def write_regret_csv(result: StrategyCampaign, path: Path) -> None:

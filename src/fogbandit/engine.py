@@ -1,13 +1,15 @@
-"""Round loop, feedback routing, and regret accounting for one replica.
+"""Round loop, feedback routing, and regret accounting for all S replicas
+of a strategy at once.
 
-Every round each learner bank emits a K x M action profile; the engine
-computes allocations and clean per-(node, task) utilities, adds i.i.d.
-Gaussian observation noise per entry, and routes feedback by strategy
-class: bandit learners see only their own noisy utilities, gradient-play
-sees the exact gradient at the played profile, best-response sees the
-profile itself. Regret is accounted against a fixed reference (equilibrium
-utilities by default, or the per-round best-response oracle) using clean
-utilities, so the series reflects decisions rather than noise draws.
+Every round the learner bank emits an (S, K, M) stack of action profiles;
+the engine computes allocations and clean per-(node, task) utilities, adds
+i.i.d. Gaussian observation noise per entry from each replica's own noise
+stream, and routes feedback by strategy class: bandit learners see only
+their own noisy utilities, gradient-play sees the exact gradient at the
+played profile, best-response sees the best response to it. Regret is
+accounted against a fixed reference (equilibrium utilities by default, or
+the per-round best-response oracle) using clean utilities, so the series
+reflects decisions rather than noise draws.
 """
 
 from __future__ import annotations
@@ -19,6 +21,13 @@ import numpy as np
 from .errors import ConfigurationError, ProtocolError
 from .game import GameSpec, gradient_matrix, utility_matrix
 from .nash import NashSolution, deviation_utilities
+from .strategies.baselines import br_profile
+
+# The final-window average covers the last FINAL_WINDOW rounds; the post-window
+# average and the HIST_BINS-bin histogram the rounds after POST_FRACTION * T.
+FINAL_WINDOW = 1000
+POST_FRACTION = 0.9
+HIST_BINS = 20
 
 
 @dataclass
@@ -28,6 +37,7 @@ class RoundRecord:
     a: np.ndarray
     clean_utility: np.ndarray
     observed_utility: np.ndarray
+    br: np.ndarray = None             # br_profile(x) if the round solved it
 
 
 def regret_slope(cumulative, window=(0.5, 1.0), t=None) -> float:
@@ -51,41 +61,44 @@ def regret_slope(cumulative, window=(0.5, 1.0), t=None) -> float:
     return float(np.polyfit(np.log(ts), np.log(ys), 1)[0])
 
 
-def run_round(spec: GameSpec, bank, t: int, noise_rng) -> RoundRecord:
-    """Play one round: collect actions, allocate, compute utilities, add
-    observation noise, and route each strategy its own feedback."""
+def run_round(spec: GameSpec, bank, t: int, noise_rngs) -> RoundRecord:
+    """Play one round of every replica: collect the (S, K, M) actions,
+    allocate, compute utilities, add each replica's observation noise, and
+    route each strategy its own feedback."""
     x = np.asarray(bank.act(), dtype=float)
-    if x.shape != (spec.K, spec.M):
+    shape = (len(noise_rngs), spec.K, spec.M)
+    if x.shape != shape:
         raise ProtocolError(f"round {t}: bank emitted shape {x.shape}, "
-                            f"expected {(spec.K, spec.M)}")
+                            f"expected {shape}")
     bad = (x < 0.0) | (x > 1.0) | ~np.isfinite(x)
     if np.any(bad):
-        k, m = np.argwhere(bad)[0]
+        s, k, m = np.argwhere(bad)[0]
         raise ProtocolError(
-            f"round {t}: node {k} emitted action {x[k, m]!r} for task {m}, "
-            "outside [0, 1]"
+            f"round {t}: seed {s} node {k} emitted action {x[s, k, m]!r} for "
+            f"task {m}, outside [0, 1]"
         )
-    col = x.sum(axis=0)
-    a = x / (col + spec.barrier)[None, :]
+    a = x / (x.sum(axis=-2, keepdims=True) + spec.barrier)
     clean = utility_matrix(x, spec)
     if spec.noise_std > 0.0:
-        observed = clean + noise_rng.normal(0.0, spec.noise_std, x.shape)
+        observed = clean + np.array([g.normal(0.0, spec.noise_std, shape[1:])
+                                     for g in noise_rngs])
     else:
         observed = clean.copy()
 
-    kind = bank.feedback_kind
+    kind, br = bank.feedback_kind, None
     if kind == "bandit":
         bank.observe(observed)
     elif kind == "gradient":
         bank.observe(gradient_matrix(x, spec))
-    elif kind == "profile":
-        bank.observe(x)
+    elif kind == "best_response":
+        br = br_profile(x, spec)
+        bank.observe(br)
     elif kind == "none":
         bank.observe()
     else:
         raise ConfigurationError(f"unknown feedback kind {kind!r}")
     return RoundRecord(t=t, x=x, a=a, clean_utility=clean,
-                       observed_utility=observed)
+                       observed_utility=observed, br=br)
 
 
 @dataclass
@@ -103,37 +116,38 @@ class SeedResult:
     avg_profile: dict                 # round -> running mean profile
 
 
-def run_seed(spec: GameSpec, bank, T: int, noise_rng, reference: NashSolution,
-             seed: int = 0, regret_mode: str = "ne_reference",
-             log_every: int = None, final_window: int = 1000,
-             post_fraction: float = 0.9, hist_bins: int = 20,
-             checkpoints=(), trace_sink=None) -> SeedResult:
-    """Drive one bank for T rounds and account regret along the way."""
-    if log_every is None:
-        log_every = max(1, T // 1000)
-    K, M = spec.K, spec.M
-    checkpoints = sorted(set(int(c) for c in checkpoints))
-    final_window = min(final_window, T)
-    post_start = int(post_fraction * T)
+def run_seed(spec: GameSpec, bank, T: int, noise_rngs, reference: NashSolution,
+             regret_mode: str = "ne_reference", checkpoints=(),
+             trace_sink=None) -> list:
+    """Drive a bank of S replicas, one per generator in noise_rngs, for T
+    rounds and account each replica's regret along the way; returns one
+    SeedResult per replica, in replica order, each holding views into the
+    batched (S, ...) arrays."""
+    S, K, M = len(noise_rngs), spec.K, spec.M
+    log_every = max(1, T // 1000)
+    checkpoints = set(int(c) for c in checkpoints)
+    final_window = min(FINAL_WINDOW, T)
+    post_start = int(POST_FRACTION * T)
 
-    cum = np.zeros(K)
+    cum = np.zeros((S, K))
     log_t, cum_rows = [], []
-    x_running = np.zeros((K, M))
-    final_sum = np.zeros((K, M))
-    post_sum = np.zeros((K, M))
+    x_running = np.zeros((S, K, M))
+    final_sum = np.zeros((S, K, M))
+    post_sum = np.zeros((S, K, M))
     post_n = 0
-    hist = np.zeros((K, M, hist_bins), dtype=np.int64)
-    edges = np.linspace(0.0, 1.0, hist_bins + 1)
-    kk, mm = np.meshgrid(np.arange(K), np.arange(M), indexing="ij")
+    hist = np.zeros((S, K, M, HIST_BINS), dtype=np.int64)
+    # each (s, k, m) adds one count per round: distinct flat indices
+    hist_base = np.arange(S * K * M).reshape(S, K, M) * HIST_BINS
+    edges = np.linspace(0.0, 1.0, HIST_BINS + 1)
     avg_profile = {}
 
     for t in range(1, T + 1):
-        rec = run_round(spec, bank, t, noise_rng)
-        realized = rec.clean_utility.sum(axis=1)
+        rec = run_round(spec, bank, t, noise_rngs)
+        realized = rec.clean_utility.sum(axis=-1)
         if regret_mode == "ne_reference":
             cum += reference.utilities - realized
         elif regret_mode == "per_round_br":
-            cum += deviation_utilities(rec.x, spec) - realized
+            cum += deviation_utilities(rec.x, spec, rec.br) - realized
         else:
             raise ConfigurationError(f"unknown regret mode {regret_mode!r}")
         x_running += rec.x
@@ -142,8 +156,8 @@ def run_seed(spec: GameSpec, bank, T: int, noise_rng, reference: NashSolution,
         if t > post_start:
             post_sum += rec.x
             post_n += 1
-            bins = np.minimum((rec.x * hist_bins).astype(int), hist_bins - 1)
-            np.add.at(hist, (kk, mm, bins), 1)
+            bins = np.minimum((rec.x * HIST_BINS).astype(int), HIST_BINS - 1)
+            hist.reshape(-1)[hist_base + bins] += 1
         if t % log_every == 0 or t == T:
             log_t.append(t)
             cum_rows.append(cum.copy())
@@ -153,15 +167,13 @@ def run_seed(spec: GameSpec, bank, T: int, noise_rng, reference: NashSolution,
             trace_sink(rec)
 
     log_t = np.array(log_t)
-    cum_rows = np.array(cum_rows)
-    return SeedResult(
-        seed=seed,
-        log_t=log_t,
-        cum_regret=cum_rows,
-        avg_regret=cum_rows / log_t[:, None],
-        final_window_avg=final_sum / final_window,
-        post_window_avg=post_sum / max(post_n, 1),
-        histogram=hist,
-        hist_edges=edges,
-        avg_profile=avg_profile,
-    )
+    cum_rows = np.stack(cum_rows, axis=1)               # (S, L, K)
+    avg_rows = cum_rows / log_t[:, None]
+    final_avg = final_sum / final_window
+    post_avg = post_sum / max(post_n, 1)
+    return [SeedResult(
+        seed=s, log_t=log_t, cum_regret=cum_rows[s], avg_regret=avg_rows[s],
+        final_window_avg=final_avg[s], post_window_avg=post_avg[s],
+        histogram=hist[s], hist_edges=edges,
+        avg_profile={t: p[s] for t, p in avg_profile.items()},
+    ) for s in range(S)]

@@ -135,29 +135,6 @@ class Bounds:
             raise ConfigurationError(f"bounds must be strictly positive, got {self}")
 
 
-def check_profile(x, spec: GameSpec) -> np.ndarray:
-    """Validate a joint action profile against a spec; returns it as ndarray."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.K, spec.M):
-        raise ConfigurationError(
-            f"action profile shape {x.shape} does not match game ({spec.K}, {spec.M})"
-        )
-    if np.any(x < 0.0) or np.any(x > 1.0) or not np.all(np.isfinite(x)):
-        raise ValueError("action fractions must lie in [0, 1]")
-    return x
-
-
-def allocate(x, spec: GameSpec) -> np.ndarray:
-    """Proportional allocation: share = request / (column sum + barrier).
-
-    A column of all-zero requests yields all-zero shares (automatic under
-    the barrier).
-    """
-    x = check_profile(x, spec)
-    col = x.sum(axis=0)
-    return x / (col + spec.barrier)[None, :]
-
-
 # The four per-task kernels: x_own is a node's request for one task and
 # x_others the other nodes' summed request for it. Every argument broadcasts.
 
@@ -201,24 +178,10 @@ def utility_matrix(x: np.ndarray, spec: GameSpec) -> np.ndarray:
 
 
 def gradient_matrix(x: np.ndarray, spec: GameSpec) -> np.ndarray:
-    """Per-(node, task) own-action utility gradients at profile x."""
-    return task_gradient(x, x.sum(axis=0) - x, spec.rho, spec.eps, spec.kappa,
-                         spec.barrier)
-
-
-def dsc_gap(x0, x1, spec: GameSpec) -> float:
-    """Rosen diagonal-strict-concavity certificate with all-ones weights:
-    the inner product (x1 - x0) . (grad(x1) - grad(x0)), summed over every
-    (node, task) own-action coordinate. Strictly negative for every distinct
-    pair certifies equilibrium uniqueness.
-    """
-    x0 = check_profile(x0, spec)
-    x1 = check_profile(x1, spec)
-    if np.array_equal(x0, x1):
-        raise ValueError("profiles are identical; the certificate needs a distinct pair")
-    g0 = gradient_matrix(x0, spec)
-    g1 = gradient_matrix(x1, spec)
-    return float(((x1 - x0) * (g1 - g0)).sum())
+    """Per-(node, task) own-action utility gradients at profile x, shape
+    (..., K, M)."""
+    return task_gradient(x, x.sum(axis=-2, keepdims=True) - x, spec.rho,
+                         spec.eps, spec.kappa, spec.barrier)
 
 
 def estimate_bounds(spec: GameSpec, grid_resolution: int = 100) -> Bounds:

@@ -33,11 +33,13 @@ class NashSolution:
     converged: bool
 
 
-def deviation_utilities(x, spec: GameSpec) -> np.ndarray:
+def deviation_utilities(x, spec: GameSpec, br=None) -> np.ndarray:
     """Per-node utility of unilaterally best-responding to profile x while
-    everyone else stays put: shape (..., K) for x of shape (..., K, M)."""
+    everyone else stays put: shape (..., K) for x of shape (..., K, M).
+    `br` is br_profile(x) when the caller has already computed it."""
     x = np.asarray(x, dtype=float)
-    return task_utility(br_profile(x, spec), x.sum(axis=-2, keepdims=True) - x,
+    return task_utility(br_profile(x, spec) if br is None else br,
+                        x.sum(axis=-2, keepdims=True) - x,
                         spec.rho, spec.eps, spec.kappa, spec.barrier).sum(axis=-1)
 
 

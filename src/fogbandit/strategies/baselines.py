@@ -41,25 +41,27 @@ def br_profile(x: np.ndarray, spec: GameSpec) -> np.ndarray:
     concave maximization on [0, 1], solved by golden section to absolute
     tolerance 1e-8. A task's best response is 0 exactly when the slope at
     zero, 1/(o + barrier) + eps - kappa with o the others' summed request,
-    is <= 0."""
-    others_sum = x.sum(axis=-2, keepdims=True) - x
-    rho, eps, kappa = spec.rho, spec.eps, spec.kappa
+    is <= 0. The search runs on flat copies of the operands, so no probe
+    broadcasts the (K, M) index matrices against the stack."""
+    others_sum = (x.sum(axis=-2, keepdims=True) - x).ravel()
+    rho, eps, kappa = ((np.zeros(x.shape) + a).ravel()
+                       for a in (spec.rho, spec.eps, spec.kappa))
     return golden_max(
         lambda z: task_utility(z, others_sum, rho, eps, kappa, spec.barrier),
-        x.shape)
+        others_sum.shape).reshape(x.shape)
 
 
 class GpBank:
-    """Projected gradient play for all K x M coordinates; needs the exact
-    gradient from the engine (full-information strategy)."""
+    """Projected gradient play for all K x M coordinates of S replicas;
+    needs the exact gradient from the engine (full-information strategy)."""
 
     feedback_kind = "gradient"
 
-    def __init__(self, spec, T: int, rng, eta: float = DEFAULT_ETA):
+    def __init__(self, spec, T: int, rngs, eta: float = DEFAULT_ETA):
         if not eta > 0.0:
             raise ConfigurationError(f"eta must be > 0, got {eta}")
         self.eta = eta
-        self.x = rng.random((spec.K, spec.M))
+        self.x = np.array([g.random((spec.K, spec.M)) for g in rngs])
         self.t = 1
         self._acted = False
 
@@ -78,19 +80,18 @@ class GpBank:
 
 class BrBank:
     """Best-response dynamics: each round every node plays the best response
-    to the previous round's joint profile (full-information strategy)."""
+    to the previous round's profile, fed back by the engine (full-information)."""
 
-    feedback_kind = "profile"
+    feedback_kind = "best_response"
 
-    def __init__(self, spec, T: int, rng):
-        self.spec = spec
-        self.x = rng.random((spec.K, spec.M))
+    def __init__(self, spec, T: int, rngs):
+        self.x = np.array([g.random((spec.K, spec.M)) for g in rngs])
 
     def act(self) -> np.ndarray:
         return self.x
 
-    def observe(self, profile: np.ndarray) -> None:
-        self.x = br_profile(profile, self.spec)
+    def observe(self, best_response: np.ndarray) -> None:
+        self.x = best_response
 
 
 class RsBank:
@@ -98,12 +99,12 @@ class RsBank:
 
     feedback_kind = "none"
 
-    def __init__(self, spec, T: int, rng):
-        self.rng = rng
+    def __init__(self, spec, T: int, rngs):
+        self.rngs = rngs
         self.shape = (spec.K, spec.M)
 
     def act(self) -> np.ndarray:
-        return self.rng.random(self.shape)
+        return np.array([g.random(self.shape) for g in self.rngs])
 
     def observe(self, _=None) -> None:
         pass

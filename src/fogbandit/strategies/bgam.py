@@ -44,12 +44,13 @@ def perturbation_radius(T: int, bounds: Bounds, xi: float) -> tuple[float, float
 
 
 class BgamBank:
-    """All K x M independent learners of one game, updated as arrays; one
-    generator drives the whole bank (one sign draw per learner per round)."""
+    """All K x M independent learners of S replicas of one game, updated as
+    (S, K, M) arrays; each replica draws its signs from its own generator
+    (one sign draw per learner per round)."""
 
     feedback_kind = "bandit"
 
-    def __init__(self, spec, T: int, bounds: Bounds, rng, xi: float = DEFAULT_XI,
+    def __init__(self, spec, T: int, bounds: Bounds, rngs, xi: float = DEFAULT_XI,
                  beta: float = DEFAULT_BETA, nu: float = DEFAULT_NU):
         if not 0.0 <= beta < 1.0:
             raise ConfigurationError(f"momentum coefficient must be in [0, 1), got {beta}")
@@ -57,15 +58,15 @@ class BgamBank:
         self.xi = xi
         self.beta = beta
         self.nu = nu
-        self.rng = rng
+        self.rngs = rngs
         self.shape = (spec.K, spec.M)
-        self.y = np.zeros(self.shape)
-        self.v = np.zeros(self.shape)
+        self.y = np.zeros((len(rngs),) + self.shape)
+        self.v = np.zeros_like(self.y)
         self.t = 1
         self._c = None
 
     def act(self) -> np.ndarray:
-        c = self.rng.integers(0, 2, self.shape) * 2.0 - 1.0
+        c = np.array([g.integers(0, 2, self.shape) for g in self.rngs]) * 2.0 - 1.0
         self._c = c
         return self.y + self.sigma * c + self.xi
 

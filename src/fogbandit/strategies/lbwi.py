@@ -73,11 +73,13 @@ def redistribute_weights(omega_coarse, N: int, n_tilde: int) -> np.ndarray:
 
 
 class LbwiBank:
-    """All K x M independent interval learners of one game."""
+    """All K x M independent interval learners of S replicas of one game,
+    held as (S, K, M) arrays; each replica draws its sweep orders, arms and
+    in-interval offsets from its own generator, in that order."""
 
     feedback_kind = "bandit"
 
-    def __init__(self, spec, T: int, rng, N: int = DEFAULT_INTERVALS,
+    def __init__(self, spec, T: int, rngs, N: int = DEFAULT_INTERVALS,
                  gamma: float = DEFAULT_GAMMA, pulls_per_interval=None,
                  with_init: bool = True):
         if N < 2:
@@ -93,10 +95,10 @@ class LbwiBank:
         self.A = pulls_per_interval or default_pulls_per_interval(T, N)
         self.T1 = min(self.A * N, T)
         self.with_init = with_init
-        self.rng = rng
+        self.rngs = rngs
         self.u_lo, self.u_hi = utility_range(spec)
 
-        shape = (self.K, self.M)
+        shape = (len(rngs), self.K, self.M)
         self.mu_hat = np.zeros(shape + (N,))
         self.counts = np.zeros(shape + (N,), dtype=int)
         self.weights = np.ones(shape + (N,))
@@ -113,8 +115,12 @@ class LbwiBank:
     def _normalize(self, observed):
         return np.clip((observed - self.u_lo) / (self.u_hi - self.u_lo), 0.0, 1.0)
 
+    def _draw(self, *tail):
+        """One uniform draw of shape (K, M) + tail per replica, stacked."""
+        return np.array([g.random((self.K, self.M) + tail) for g in self.rngs])
+
     def _mask(self):
-        return np.arange(self.weights.shape[-1])[None, None, :] < self.n_arms[..., None]
+        return np.arange(self.weights.shape[-1]) < self.n_arms[..., None]
 
     def _probs(self):
         """Mixing distribution per learner over its own (padded) arm axis."""
@@ -131,16 +137,15 @@ class LbwiBank:
         if self.t <= self.T1:
             j = (self.t - 1) % self.N
             if j == 0:
-                self._sweep = np.argsort(self.rng.random((self.K, self.M, self.N)),
-                                         axis=-1)
-            arm = self._sweep[:, :, j]
+                self._sweep = np.argsort(self._draw(self.N), axis=-1)
+            arm = self._sweep[..., j]
         else:
-            draw = self.rng.random((self.K, self.M))
+            draw = self._draw()
             arm = np.minimum((draw[..., None] > p.cumsum(axis=-1)).sum(axis=-1),
                              self.n_arms - 1)
         self._arm = arm
         self._prob = np.take_along_axis(p, arm[..., None], -1)[..., 0]
-        return (arm + self.rng.random((self.K, self.M))) / self.n_arms
+        return (arm + self._draw()) / self.n_arms
 
     def observe(self, observed: np.ndarray) -> None:
         if self._arm is None:
@@ -172,14 +177,12 @@ class LbwiBank:
         self.l_hat, self.l_tilde = lipschitz_estimate(self.mu_hat, self.N,
                                                       self.A, self.T)
         n_tilde = phase2_intervals(self.N, self.l_tilde, self.T)
-        fine = np.zeros((self.K, self.M, int(n_tilde.max())))
-        for k in range(self.K):
-            for m in range(self.M):
-                n = int(n_tilde[k, m])
-                if self.with_init:
-                    fine[k, m, :n] = redistribute_weights(self.weights[k, m],
-                                                          self.N, n)
-                else:
-                    fine[k, m, :n] = 1.0
+        fine = np.zeros(n_tilde.shape + (int(n_tilde.max()),))
+        for i in np.ndindex(n_tilde.shape):
+            n = int(n_tilde[i])
+            if self.with_init:
+                fine[i][:n] = redistribute_weights(self.weights[i], self.N, n)
+            else:
+                fine[i][:n] = 1.0
         self.n_arms = n_tilde
         self.weights = fine / fine.max(axis=-1, keepdims=True)

@@ -20,17 +20,18 @@ from ..errors import FeedbackError, ProtocolError
 
 class LlrBank:
     """Coordinator state (per-pair sample means `theta_hat` and observation
-    counts) behind the engine's act/observe surface: emits one-hot action
-    rows and learns from the played pairs' observed utilities. The
+    counts, (S, K, M) for S replicas) behind the engine's act/observe
+    surface: emits one-hot action rows, one assignment per replica, and
+    learns from the played pairs' observed utilities. The
     assignment solver's own tie-breaking is kept; continuous noisy weights
     make value ties a measure-zero event."""
 
     feedback_kind = "bandit"
 
-    def __init__(self, spec, T: int, rng):
+    def __init__(self, spec, T: int, rngs):
         self.K, self.M = spec.K, spec.M
-        self.theta_hat = np.zeros((self.K, self.M))
-        self.counts = np.zeros((self.K, self.M), dtype=int)
+        self.theta_hat = np.zeros((len(rngs), self.K, self.M))
+        self.counts = np.zeros(self.theta_hat.shape, dtype=int)
         self.xi = min(self.K, self.M)
         self.t = 1
         self._played = None
@@ -44,12 +45,14 @@ class LlrBank:
     def act(self) -> np.ndarray:
         if self.t <= self.M:
             rows = np.arange(self.K)
-            cols = (rows + self.t - 1) % self.M
+            pairs = [(rows, (rows + self.t - 1) % self.M)] * len(self.theta_hat)
         else:
-            rows, cols = linear_sum_assignment(self.ucb_weights(), maximize=True)
+            pairs = [linear_sum_assignment(w, maximize=True)
+                     for w in self.ucb_weights()]
         # flat indices of the played pairs, distinct because the nodes are
-        self._played = rows * self.M + cols
-        x = np.zeros((self.K, self.M))
+        self._played = np.concatenate([(s * self.K + rows) * self.M + cols
+                                       for s, (rows, cols) in enumerate(pairs)])
+        x = np.zeros(self.theta_hat.shape)
         x.ravel()[self._played] = 1.0
         return x
 

@@ -128,17 +128,17 @@ class TestBestResponse:
 
 
 def gp_single(x0, eta=0.5):
-    """A 1 x 1 gradient-play bank started at x0."""
+    """A 1 x 1 gradient-play bank of one replica started at x0."""
     bank = GpBank(GameSpec(rho=[[0.9]], eps=[[0.1]], kappa=[[0.1]]), T=100,
-                  rng=np.random.default_rng(0), eta=eta)
-    bank.x[0, 0] = x0
+                  rngs=[np.random.default_rng(0)], eta=eta)
+    bank.x[0, 0, 0] = x0
     return bank
 
 
 def gp_step(bank, gradient):
     bank.act()
-    bank.observe(np.array([[gradient]]))
-    return bank.x[0, 0]
+    bank.observe(np.array([[[gradient]]]))
+    return bank.x[0, 0, 0]
 
 
 class TestGradientPlay:
@@ -153,37 +153,36 @@ class TestGradientPlay:
     def test_step_size_decays(self):
         bank = gp_single(0.5, eta=0.4)
         gp_step(bank, 0.1)      # moves by 0.4 * 0.1
-        assert bank.x[0, 0] == pytest.approx(0.54)
+        assert bank.x[0, 0, 0] == pytest.approx(0.54)
         gp_step(bank, 0.1)      # moves by 0.4/sqrt(2) * 0.1
-        assert bank.x[0, 0] == pytest.approx(0.54 + 0.4 / np.sqrt(2) * 0.1)
+        assert bank.x[0, 0, 0] == pytest.approx(0.54 + 0.4 / np.sqrt(2) * 0.1)
 
     @pytest.mark.parametrize("eta", [0.0, -1.0])
     def test_bank_rejects_non_positive_step(self, game1, eta):
         with pytest.raises(ConfigurationError, match="eta"):
-            GpBank(game1, T=100, rng=np.random.default_rng(0), eta=eta)
+            GpBank(game1, T=100, rngs=[np.random.default_rng(0)], eta=eta)
 
     def test_bank_all_play_converges_to_equilibrium(self, game1):
         from fogbandit import solve_nash
         from fogbandit.game import gradient_matrix
         sol = solve_nash(game1)
-        bank = GpBank(game1, T=10_000, rng=np.random.default_rng(3))
+        bank = GpBank(game1, T=10_000, rngs=[np.random.default_rng(3)])
         for t in range(10_000):
             x = bank.act()
             bank.observe(gradient_matrix(x, game1))
-        assert np.abs(bank.x - sol.x_star).max() < 1e-2
+        assert np.abs(bank.x[0] - sol.x_star).max() < 1e-2
 
 
 class TestOtherBanks:
     def test_br_bank_fixed_point_is_equilibrium(self, game1):
         from fogbandit import epsilon_gap
-        bank = BrBank(game1, T=100, rng=np.random.default_rng(0))
+        bank = BrBank(game1, T=100, rngs=[np.random.default_rng(0)])
         for _ in range(60):
-            x = bank.act()
-            bank.observe(x)
-        assert epsilon_gap(bank.x, game1) < 1e-6
+            bank.observe(br_profile(bank.act(), game1))
+        assert epsilon_gap(bank.x[0], game1) < 1e-6
 
     def test_rs_bank_uniform_range(self, game1):
-        bank = RsBank(game1, T=10, rng=np.random.default_rng(1))
-        xs = np.stack([bank.act() for _ in range(2000)])
+        bank = RsBank(game1, T=10, rngs=[np.random.default_rng(1)])
+        xs = np.stack([bank.act()[0] for _ in range(2000)])
         assert xs.min() >= 0.0 and xs.max() < 1.0
         assert abs(xs.mean() - 0.5) < 0.02

@@ -31,9 +31,9 @@ class _FixedSign:
 
 
 def single(T, bounds, rng=None, **params):
-    """A 1 x 1 bank: one (node, task) learner."""
+    """A 1 x 1 bank of one replica: one (node, task) learner."""
     spec = GameSpec(rho=[[0.9]], eps=[[0.1]], kappa=[[0.1]])
-    return BgamBank(spec, T, bounds, rng, **params)
+    return BgamBank(spec, T, bounds, [rng], **params)
 
 
 class TestConfigure:
@@ -54,7 +54,7 @@ class TestConfigure:
 
     def test_initial_state(self):
         bank = single(1000, Bounds(L=1.0, U=1.0, H=1.0))
-        assert bank.y[0, 0] == 0.0 and bank.v[0, 0] == 0.0 and bank.t == 1
+        assert bank.y[0, 0, 0] == 0.0 and bank.v[0, 0, 0] == 0.0 and bank.t == 1
         assert bank.xi == 0.5
         assert 0.0 < bank.sigma < bank.xi
         assert bank.alpha == pytest.approx(bank.sigma / bank.xi)
@@ -72,46 +72,46 @@ class TestConfigure:
         # 2*xi <= 1 is what keeps y + sigma*c + xi inside [0, 1]
         with pytest.raises(ConfigurationError, match="xi"):
             BgamBank(game1, 1000, Bounds(L=1.0, U=1.0, H=1.0),
-                     np.random.default_rng(0), xi=xi)
+                     [np.random.default_rng(0)], xi=xi)
 
 
 class TestActUpdate:
     def test_act_substitutes_shift_and_radius(self):
         bank = single(10_000, Bounds(L=2.0, U=2.0, H=1.0), _FixedSign([+1, -1]))
-        x_up = bank.act()[0, 0]
+        x_up = bank.act()[0, 0, 0]
         assert x_up == pytest.approx(0.5 + bank.sigma, rel=1e-14)
-        x_dn = bank.act()[0, 0]
+        x_dn = bank.act()[0, 0, 0]
         assert x_dn == pytest.approx(0.5 - bank.sigma, rel=1e-14)
 
     def test_action_always_in_unit_interval(self, rng):
         bank = single(100, Bounds(L=0.01, U=5.0, H=1.0), rng, nu=5.0)
         for _ in range(500):
-            x = bank.act()[0, 0]
+            x = bank.act()[0, 0, 0]
             assert 0.0 <= x <= 1.0
-            bank.observe(rng.normal(0, 3, (1, 1)))
-            assert abs(bank.y[0, 0]) <= (1 - bank.alpha) * bank.xi + 1e-15
+            bank.observe(rng.normal(0, 3, (1, 1, 1)))
+            assert abs(bank.y[0, 0, 0]) <= (1 - bank.alpha) * bank.xi + 1e-15
 
     def test_update_without_act_is_protocol_error(self):
         bank = single(100, Bounds(L=1.0, U=1.0, H=1.0))
         with pytest.raises(ProtocolError):
-            bank.observe(np.array([[0.3]]))
+            bank.observe(np.array([[[0.3]]]))
 
     def test_zero_utility_moves_by_momentum_only(self):
         bank = single(100, Bounds(L=1.0, U=1.0, H=1.0), _FixedSign([+1]),
                       beta=0.5, nu=0.1)
-        bank.v[0, 0] = 0.2
+        bank.v[0, 0, 0] = 0.2
         bank.act()
-        bank.observe(np.zeros((1, 1)))
-        assert bank.v[0, 0] == pytest.approx(0.1)          # beta * v, no new signal
-        assert bank.y[0, 0] == pytest.approx(0.1 * 0.1)    # nu/sqrt(1) * v
+        bank.observe(np.zeros((1, 1, 1)))
+        assert bank.v[0, 0, 0] == pytest.approx(0.1)        # beta * v, no new signal
+        assert bank.y[0, 0, 0] == pytest.approx(0.1 * 0.1)  # nu/sqrt(1) * v
 
     def test_first_step_hand_computation(self):
         bank = single(10_000, Bounds(L=2.0, U=2.0, H=1.0), _FixedSign([+1]),
                       beta=0.0, nu=0.1)
         bank.act()
-        bank.observe(np.array([[0.5]]))
+        bank.observe(np.array([[[0.5]]]))
         # g = 0.5 * (+1); y = clip(0 + 0.1/sqrt(1) * 0.5) = 0.05
-        assert bank.y[0, 0] == pytest.approx(0.05, rel=1e-12)
+        assert bank.y[0, 0, 0] == pytest.approx(0.05, rel=1e-12)
         assert bank.t == 2
 
     def test_persistent_gains_reach_upper_clamp(self):
@@ -119,8 +119,8 @@ class TestActUpdate:
                       beta=0.0, nu=0.5)
         for _ in range(200):
             bank.act()
-            bank.observe(np.ones((1, 1)))
-        assert bank.y[0, 0] == pytest.approx((1 - bank.alpha) * bank.xi, rel=1e-12)
+            bank.observe(np.ones((1, 1, 1)))
+        assert bank.y[0, 0, 0] == pytest.approx((1 - bank.alpha) * bank.xi, rel=1e-12)
 
 
 class TestBankAgreement:
@@ -129,7 +129,7 @@ class TestBankAgreement:
         """The 2x2 trajectory must be bit-identical to a plain one-point
         bandit gradient reference with momentum, written independently."""
         bounds = Bounds(L=2.0, U=1.0, H=1.0)
-        bank = BgamBank(game1, 5000, bounds, np.random.default_rng(5),
+        bank = BgamBank(game1, 5000, bounds, [np.random.default_rng(5)],
                         beta=beta, nu=0.1)
         # independent reference
         sigma, alpha = perturbation_radius(5000, bounds, 0.5)
@@ -140,12 +140,12 @@ class TestBankAgreement:
         for t in range(1, 301):
             c = ref_rng.integers(0, 2, (2, 2)) * 2.0 - 1.0
             x_ref = y + sigma * c + 0.5
-            x_bank = bank.act()
+            x_bank = bank.act()[0]
             assert np.array_equal(x_ref, x_bank)
             u = obs_rng.normal(0, 1, (2, 2))
-            bank.observe(u)
+            bank.observe(u[None])
             bound = (1 - alpha) * 0.5
             v = beta * v + u * c
             y = np.clip(y + 0.1 / math.sqrt(t) * v, -bound, bound)
-            assert np.array_equal(v, bank.v)
-            assert np.array_equal(y, bank.y)
+            assert np.array_equal(v, bank.v[0])
+            assert np.array_equal(y, bank.y[0])

@@ -1,6 +1,6 @@
-"""Bank construction from strategy configs, the CLI's check of
-per-strategy parameter overrides, checkpoint rounds, and replica streams
-that depend on neither strategy order nor seed count."""
+"""Bank construction from strategy configs, the config's checks, the CLI's
+check of per-strategy parameter overrides, checkpoint rounds, and replica
+streams that depend on neither strategy order nor seed count."""
 
 import json
 
@@ -11,7 +11,7 @@ from fogbandit import cli
 from fogbandit.campaign import (STRATEGY_NAMES, ExperimentConfig,
                                 StrategyConfig, make_bank, run_campaign)
 from fogbandit.errors import ConfigurationError
-from fogbandit.game import allocate, estimate_bounds
+from fogbandit.game import estimate_bounds
 from fogbandit.nash import solve_nash
 
 
@@ -21,7 +21,7 @@ def bounds(game1):
 
 
 def build(name, params, spec, bounds):
-    return make_bank(name, spec, 1000, np.random.default_rng(0), params, bounds)
+    return make_bank(name, spec, 1000, [np.random.default_rng(0)], params, bounds)
 
 
 @pytest.mark.filterwarnings("ignore:coarse interval count")
@@ -29,7 +29,7 @@ class TestMakeBank:
     @pytest.mark.parametrize("name", STRATEGY_NAMES)
     def test_defaults_build(self, name, game1, bounds):
         bank = build(name, {}, game1, bounds)
-        assert bank.act().shape == (game1.K, game1.M)
+        assert bank.act().shape == (1, game1.K, game1.M)
 
     def test_accepts_known_keys(self, game1, bounds):
         bank = build("bgam", {"xi": 0.4, "beta": 0.5, "nu": 0.1}, game1, bounds)
@@ -64,6 +64,15 @@ class TestStrategyConfig:
             StrategyConfig("ucb")
 
 
+class TestExperimentConfig:
+    @pytest.mark.parametrize("name", ["bgam", "bgd"])
+    def test_horizon_one_names_the_strategy(self, game1, name):
+        # the perturbation radius of bgam and bgd needs T >= 2
+        with pytest.raises(ConfigurationError, match=f"'{name}' needs T >= 2"):
+            ExperimentConfig(game1, [{"name": "rs"}, {"name": name}], T=1)
+        ExperimentConfig(game1, [{"name": "rs"}, {"name": name}], T=2)
+
+
 @pytest.mark.filterwarnings("ignore:rho <= 0.5")
 class TestRunParams:
     def run(self, tmp_path, params, capsys):
@@ -90,8 +99,9 @@ class TestRunParams:
 
 @pytest.mark.filterwarnings("ignore:rho <= 0.5")
 class TestTrace:
-    def test_allocation_column_is_proportional_share(self, game1, tmp_path):
-        # the trace writer derives a from x; it must equal game.allocate
+    def test_allocation_column_is_proportional_share(self, game1, tmp_path,
+                                                     allocate):
+        # the trace's a column must be the engine's allocation of its x
         out = tmp_path / "out"
         code = cli.main(["run", "--strategy", "rs", "--T", "5", "--seeds", "1",
                          "--trace", "--out", str(out)])

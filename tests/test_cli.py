@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fogbandit import cli
+from fogbandit import campaign, cli
 
 
 class TestSolveNash:
@@ -30,3 +30,16 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["T"] == T
         assert str(T) in summary["strategies"]["rs"]["eps_gap_trajectory"]
+
+    def test_horizon_one_fails_before_the_equilibrium_solve(self, tmp_path,
+                                                            capsys, monkeypatch):
+        def solve_nash(*args, **kwargs):
+            raise AssertionError("solve_nash ran")
+
+        monkeypatch.setattr(campaign, "solve_nash", solve_nash)
+        code = cli.main(["run", "--T", "1", "--seeds", "1",
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        error = json.loads(capsys.readouterr().out)
+        assert error["error"] == "ConfigurationError"
+        assert "'bgam'" in error["message"]

@@ -1,23 +1,30 @@
-"""Round loop and replica accounting: the action contract, feedback routing
-by strategy class, regret against the fixed reference, the post-window
-histogram, the regret log and the checkpoint profiles."""
+"""Round loop and replica accounting: the (S, K, M) action contract,
+feedback routing by strategy class, per-replica noise streams, regret
+against the fixed reference, the post-window histogram, the regret log and
+the checkpoint profiles."""
 
 import numpy as np
 import pytest
 
-from fogbandit.engine import run_round, run_seed
+from fogbandit.engine import HIST_BINS, POST_FRACTION, run_round, run_seed
 from fogbandit.errors import ConfigurationError, ProtocolError
 from fogbandit.game import gradient_matrix, utility_matrix
 from fogbandit.nash import NashSolution, deviation_utilities
-from fogbandit.strategies import RsBank
+from fogbandit.strategies import BrBank, RsBank, baselines, br_profile
 
 X = np.array([[0.2, 0.7], [0.6, 0.1]])
+XS = np.stack([X, X[::-1]])           # two replicas
+
+
+def rngs(*seeds):
+    return [np.random.default_rng(s) for s in seeds]
 
 
 class Stub:
-    """A bank that plays a fixed profile and records every observe call."""
+    """A bank that plays a fixed stack of profiles and records every
+    observe call."""
 
-    def __init__(self, kind="bandit", x=X):
+    def __init__(self, kind="bandit", x=XS):
         self.feedback_kind = kind
         self.x = x
         self.received = []
@@ -39,70 +46,93 @@ def reference(spec):
 def rs_seed(spec, T, **kwargs):
     """Run T rounds of random selection and collect every round's profile."""
     played = []
-    res = run_seed(spec, RsBank(spec, T, np.random.default_rng(3)), T,
-                   np.random.default_rng(4), reference(spec),
-                   trace_sink=lambda rec: played.append(rec.x), **kwargs)
+    [res] = run_seed(spec, RsBank(spec, T, rngs(3)), T, rngs(4),
+                     reference(spec),
+                     trace_sink=lambda rec: played.append(rec.x[0]), **kwargs)
     return res, np.array(played)
 
 
 class TestActionContract:
     def test_wrong_shape_is_protocol_error(self, game1):
         with pytest.raises(ProtocolError, match=r"round 7: .*shape \(3, 2\)"):
-            run_round(game1, Stub(x=np.zeros((3, 2))), 7, np.random.default_rng(0))
+            run_round(game1, Stub(x=np.zeros((3, 2))), 7, rngs(0, 1))
 
     @pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan])
     def test_action_outside_unit_interval_names_node_and_task(self, game1, bad):
-        x = X.copy()
-        x[1, 0] = bad
-        with pytest.raises(ProtocolError, match="node 1 .* task 0"):
-            run_round(game1, Stub(x=x), 1, np.random.default_rng(0))
+        x = XS.copy()
+        x[1, 1, 0] = bad
+        with pytest.raises(ProtocolError, match="seed 1 node 1 .* task 0"):
+            run_round(game1, Stub(x=x), 1, rngs(0, 1))
 
     def test_unknown_feedback_kind(self, game1):
         with pytest.raises(ConfigurationError, match="feedback kind 'oracle'"):
-            run_round(game1, Stub(kind="oracle"), 1, np.random.default_rng(0))
+            run_round(game1, Stub(kind="oracle"), 1, rngs(0, 1))
 
 
 class TestFeedbackRouting:
     def test_bandit_sees_its_noisy_utilities(self, game1):
         bank = Stub("bandit")
-        rec = run_round(game1, bank, 1, np.random.default_rng(0))
+        rec = run_round(game1, bank, 1, rngs(0, 1))
         [(observed,)] = bank.received
         assert np.array_equal(observed, rec.observed_utility)
-        assert np.array_equal(rec.clean_utility, utility_matrix(X, game1))
-        assert not np.array_equal(observed, rec.clean_utility)
+        assert np.array_equal(rec.clean_utility, utility_matrix(XS, game1))
+        # each replica's noise comes from its own stream
+        noise = np.stack([g.normal(0.0, game1.noise_std, X.shape)
+                          for g in rngs(0, 1)])
+        assert np.array_equal(observed, rec.clean_utility + noise)
 
     def test_gradient_play_sees_the_exact_gradient(self, game1):
         bank = Stub("gradient")
-        run_round(game1, bank, 1, np.random.default_rng(0))
+        run_round(game1, bank, 1, rngs(0, 1))
         [(gradient,)] = bank.received
-        assert np.array_equal(gradient, gradient_matrix(X, game1))
+        for s, x in enumerate(XS):
+            assert np.array_equal(gradient[s], gradient_matrix(x, game1))
 
-    def test_best_response_sees_the_profile(self, game1):
-        bank = Stub("profile")
-        run_round(game1, bank, 1, np.random.default_rng(0))
-        [(profile,)] = bank.received
-        assert np.array_equal(profile, X)
+    def test_best_response_sees_the_best_response(self, game1):
+        bank = Stub("best_response")
+        rec = run_round(game1, bank, 1, rngs(0, 1))
+        [(best_response,)] = bank.received
+        assert np.array_equal(best_response, br_profile(XS, game1))
+        assert rec.br is best_response
 
     def test_random_selection_sees_nothing(self, game1):
         bank = Stub("none")
-        run_round(game1, bank, 1, np.random.default_rng(0))
+        run_round(game1, bank, 1, rngs(0, 1))
         assert bank.received == [()]
 
 
 class TestAccounting:
     def test_regret_against_fixed_reference(self, game1):
-        res, played = rs_seed(game1, 30, log_every=1)
+        res, played = rs_seed(game1, 30)
         realized = utility_matrix(played, game1).sum(axis=-1)     # (T, K)
         assert np.allclose(res.cum_regret, np.cumsum(-realized, axis=0),
                            rtol=1e-12, atol=1e-12)
 
     def test_regret_against_per_round_best_response(self, game1):
-        res, played = rs_seed(game1, 10, log_every=1, regret_mode="per_round_br")
+        res, played = rs_seed(game1, 10, regret_mode="per_round_br")
         realized = utility_matrix(played, game1).sum(axis=-1)
         gain = deviation_utilities(played, game1) - realized
         assert np.all(gain >= -1e-12)
         assert np.allclose(res.cum_regret, np.cumsum(gain, axis=0),
                            rtol=1e-12, atol=1e-12)
+
+    def test_best_response_solved_once_per_round(self, game1, monkeypatch):
+        # br's feedback is the best response its per_round_br regret needs:
+        # one golden-section search per round serves both, for all replicas
+        calls, golden_max = [], baselines.golden_max
+        monkeypatch.setattr(baselines, "golden_max",
+                            lambda f, shape: calls.append(shape) or golden_max(f, shape))
+        T, played = 12, []
+        results = run_seed(game1, BrBank(game1, T, rngs(1, 2)), T, rngs(3, 4),
+                           reference(game1), "per_round_br",
+                           trace_sink=lambda rec: played.append(rec.x))
+        assert len(calls) == T
+        monkeypatch.setattr(baselines, "golden_max", golden_max)
+        played = np.array(played)                                 # (T, S, K, M)
+        gain = (deviation_utilities(played, game1)
+                - utility_matrix(played, game1).sum(axis=-1))
+        for s, res in enumerate(results):
+            assert np.array_equal(res.cum_regret, np.cumsum(gain[:, s], axis=0))
 
     def test_unknown_regret_mode(self, game1):
         with pytest.raises(ConfigurationError, match="regret mode 'best'"):
@@ -110,16 +140,19 @@ class TestAccounting:
 
     @pytest.mark.parametrize("T", [37, 50])
     def test_histogram_counts_post_window_rounds(self, game1, T):
-        res, played = rs_seed(game1, T, post_fraction=0.9, hist_bins=7)
-        post_rounds = T - int(0.9 * T)
+        res, played = rs_seed(game1, T)
+        post_rounds = T - int(POST_FRACTION * T)
+        assert res.histogram.shape == (game1.K, game1.M, HIST_BINS)
         assert res.histogram.sum() == post_rounds * game1.K * game1.M
         assert np.all(res.histogram.sum(axis=-1) == post_rounds)
         assert np.allclose(res.post_window_avg, played[-post_rounds:].mean(axis=0))
 
     def test_log_rows_end_at_horizon(self, game1):
-        res, _ = rs_seed(game1, 25, log_every=7)
-        assert res.log_t.tolist() == [7, 14, 21, 25]
-        assert res.cum_regret.shape == (4, game1.K)
+        # T // 1000 = 2: every second round, and the last one
+        res, _ = rs_seed(game1, 2501)
+        assert res.log_t[:3].tolist() == [2, 4, 6]
+        assert res.log_t[-3:].tolist() == [2498, 2500, 2501]
+        assert res.cum_regret.shape == (1251, game1.K)
         assert np.allclose(res.avg_regret, res.cum_regret / res.log_t[:, None])
 
     def test_checkpoint_profiles_are_running_means(self, game1):

@@ -18,16 +18,17 @@ mp.mp.dps = 40
 
 
 def bank_with(weights, gamma):
-    """A bank of one learner per row of `weights` (a 1 x rows game) whose
-    weights are set to `weights`; the arm count is the row length."""
+    """A one-replica bank of one learner per row of `weights` (a 1 x rows
+    game) whose weights are set to `weights`; the arm count is the row
+    length."""
     w = np.atleast_2d(np.asarray(weights, dtype=float))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         spec = GameSpec(rho=np.full((1, len(w)), 0.9), eps=np.full((1, len(w)), 0.1),
                         kappa=np.full((1, len(w)), 0.1))
-    bank = LbwiBank(spec, 1000, np.random.default_rng(0), N=w.shape[-1],
+    bank = LbwiBank(spec, 1000, [np.random.default_rng(0)], N=w.shape[-1],
                     gamma=gamma)
-    bank.weights[0] = w
+    bank.weights[0, 0] = w
     return bank
 
 
@@ -36,7 +37,7 @@ def probs(weights, gamma):
     uniform mixing) is set after construction, which rejects it."""
     bank = bank_with(weights, gamma or 1.0)
     bank.gamma = gamma
-    return bank._probs()[0]
+    return bank._probs()[0, 0]
 
 
 class TestExp3Probs:
@@ -59,12 +60,12 @@ class TestExp3Probs:
             warnings.simplefilter("ignore")
             spec = GameSpec(rho=np.full((10, 10), 0.9), eps=np.full((10, 10), 0.1),
                             kappa=np.full((10, 10), 0.1))
-        bank = LbwiBank(spec, 1000, np.random.default_rng(0), N=40)
+        bank = LbwiBank(spec, 1000, [np.random.default_rng(0)], N=40)
         for _ in range(20):
-            n = rng.integers(2, 40, (10, 10))
+            n = rng.integers(2, 40, (1, 10, 10))
             bank.n_arms = n
-            bank.weights = (rng.random((10, 10, 40))
-                            * 10.0 ** rng.integers(-6, 6, (10, 10, 1)) + 1e-12)
+            bank.weights = (rng.random((1, 10, 10, 40))
+                            * 10.0 ** rng.integers(-6, 6, (1, 10, 10, 1)) + 1e-12)
             bank.gamma = float(rng.uniform(0.01, 1.0))
             p = bank._probs()
             assert np.all(np.abs(p.sum(axis=-1) - 1.0) < 1e-9)
@@ -83,11 +84,11 @@ def update(weights, reward, gamma):
     fed the observation whose normalized reward is `reward`; returns the
     weights before and after, the played arm and its probability."""
     bank = bank_with(weights, gamma)
-    before = bank.weights[0, 0].copy()
+    before = bank.weights[0, 0, 0].copy()
     bank.act()
-    arm, prob = int(bank._arm[0, 0]), float(bank._prob[0, 0])
-    bank.observe(np.array([[bank.u_lo + reward * (bank.u_hi - bank.u_lo)]]))
-    return before, bank.weights[0, 0], arm, prob
+    arm, prob = int(bank._arm[0, 0, 0]), float(bank._prob[0, 0, 0])
+    bank.observe(np.array([[[bank.u_lo + reward * (bank.u_hi - bank.u_lo)]]]))
+    return before, bank.weights[0, 0, 0], arm, prob
 
 
 class TestExp3Update:
@@ -121,13 +122,13 @@ def played_actions(N, rounds, rng_seed=7):
         warnings.simplefilter("ignore")
         spec = GameSpec(rho=np.full((100, 100), 0.9), eps=np.full((100, 100), 0.1),
                         kappa=np.full((100, 100), 0.1))
-    bank = LbwiBank(spec, 10 * rounds, np.random.default_rng(rng_seed), N=N,
+    bank = LbwiBank(spec, 10 * rounds, [np.random.default_rng(rng_seed)], N=N,
                     pulls_per_interval=rounds)
     xs, arms = [], []
     for _ in range(rounds):
-        xs.append(bank.act())
-        arms.append(bank._arm)
-        bank.observe(np.zeros((100, 100)))
+        xs.append(bank.act()[0])
+        arms.append(bank._arm[0])
+        bank.observe(np.zeros((1, 100, 100)))
     return np.array(xs), np.array(arms)
 
 

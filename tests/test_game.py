@@ -1,6 +1,7 @@
 """Core game math: allocation, utilities, derivatives, curvature and the
 uniqueness certificate. High-precision expected values are computed with
-mpmath inside each test, independently of the float implementation."""
+mpmath inside each test, independently of the float implementation. The
+allocation is the engine's, read off run_round (the `allocate` fixture)."""
 
 import json
 import warnings
@@ -8,10 +9,13 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from fogbandit import (GameSpec, allocate, dsc_gap, estimate_bounds,
-                       gradient_matrix, hessian_others, hessian_own,
-                       task_utility, utility_matrix)
+from fogbandit import (GameSpec, estimate_bounds, gradient_matrix,
+                       hessian_others, hessian_own, task_utility,
+                       utility_matrix)
 from fogbandit.errors import ConfigurationError
 from fogbandit.game import task_gradient
 
@@ -77,23 +81,23 @@ class TestGameSpec:
 
 
 class TestAllocate:
-    def test_symmetric_column_splits_evenly(self, game1):
+    def test_symmetric_column_splits_evenly(self, game1, allocate):
         a = allocate([[0.5, 0.0], [0.5, 0.0]], game1)
         assert a[0, 0] == a[1, 0]
         assert a[0, 0] == pytest.approx(0.5, abs=1e-5)
 
-    def test_zero_column_allocates_nothing(self, game1):
+    def test_zero_column_allocates_nothing(self, game1, allocate):
         a = allocate(np.zeros((2, 2)), game1)
         assert np.all(a == 0.0)
 
-    def test_single_requester_value(self, game1):
+    def test_single_requester_value(self, game1, allocate):
         # x column (1, 0) with barrier 1e-6: share = 1/(1 + 1e-6)
         expected = mp.mpf(1) / (1 + mp.mpf("1e-6"))
         a = allocate([[1.0, 0.0], [0.0, 0.0]], game1)
         assert a[0, 0] == pytest.approx(float(expected), rel=1e-14)
         assert a[1, 0] == 0.0
 
-    def test_column_sums_conserved(self, game1, rng):
+    def test_column_sums_conserved(self, game1, rng, allocate):
         for _ in range(200):
             x = rng.random((2, 2))
             a = allocate(x, game1)
@@ -101,10 +105,6 @@ class TestAllocate:
             assert np.allclose(a.sum(axis=0), s / (s + game1.barrier), rtol=1e-12)
             assert np.all(a.sum(axis=0) <= 1.0)
             assert np.all((a >= 0.0) & (a < 1.0))
-
-    def test_dimension_mismatch_is_configuration_error(self, game1):
-        with pytest.raises(ConfigurationError):
-            allocate(np.zeros((3, 2)), game1)
 
 
 def reward(share, rho):
@@ -260,11 +260,39 @@ class TestCurvature:
             assert curvature(hessian_others, k, m, x, spec) >= -1e-12
 
 
+def rosen(x0, x1, spec):
+    """Rosen's diagonal-strict-concavity inner product with all-ones
+    weights: (x1 - x0) . (grad(x1) - grad(x0)) over every (node, task)
+    own-action coordinate. Negative for every distinct pair certifies
+    equilibrium uniqueness (Rosen, Econometrica 1965)."""
+    return float(((x1 - x0) * (gradient_matrix(x1, spec)
+                               - gradient_matrix(x0, spec))).sum())
+
+
+@st.composite
+def game_and_pair(draw):
+    """A game of up to 4 x 3 with every rho > 0.5 and two profiles on the
+    1/16 grid, so a distinct pair differs by at least 1/16 somewhere."""
+    K, M = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    unit = st.floats(0.0, 1.0, exclude_min=True)
+    rho = draw(hnp.arrays(float, (K, M), elements=st.floats(0.5, 1.0,
+                                                           exclude_min=True)))
+    eps = draw(hnp.arrays(float, (K, M), elements=unit))
+    kappa = draw(hnp.arrays(float, (K, M), elements=unit))
+    grid = hnp.arrays(np.int64, (K, M), elements=st.integers(0, 16))
+    return rho, eps, kappa, draw(grid) / 16, draw(grid) / 16
+
+
 class TestDscGap:
-    def test_identical_profiles_rejected(self, game1):
-        x = np.full((2, 2), 0.3)
-        with pytest.raises(ValueError):
-            dsc_gap(x, x, game1)
+    @settings(deadline=None)
+    @given(game_and_pair())
+    def test_random_pairs_are_negative(self, case):
+        rho, eps, kappa, x0, x1 = case
+        assume(not np.array_equal(x0, x1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            spec = GameSpec(rho=rho, eps=eps, kappa=kappa)
+        assert rosen(x0, x1, spec) < 0.0
 
     def test_own_coordinate_moves_are_negative(self, game1, rng):
         for _ in range(100):
@@ -274,18 +302,13 @@ class TestDscGap:
             x1[k, m] = rng.random()
             if x1[k, m] == x0[k, m]:
                 continue
-            assert dsc_gap(x0, x1, game1) < 0.0
-
-    def test_random_pairs_are_negative(self, game1, rng):
-        for _ in range(500):
-            x0, x1 = rng.random((2, 2)), rng.random((2, 2))
-            assert dsc_gap(x0, x1, game1) < 0.0
+            assert rosen(x0, x1, game1) < 0.0
 
     def test_row_swap_is_negative(self, game1):
         # swapping two distinct rows keeps column sums but moves own actions
         x0 = np.array([[0.2, 0.7], [0.6, 0.1]])
         x1 = x0[::-1].copy()
-        assert dsc_gap(x0, x1, game1) < 0.0
+        assert rosen(x0, x1, game1) < 0.0
 
 
 class TestEstimateBounds:

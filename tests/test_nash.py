@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fogbandit.errors import EquilibriumError
-from fogbandit.game import utility_matrix
+from fogbandit.game import gradient_matrix, utility_matrix
 from fogbandit.nash import deviation_utilities, epsilon_gap, solve_nash
 from fogbandit.strategies import br_profile
 
@@ -79,11 +79,13 @@ class TestStackedProfiles:
         br = br_profile(stack, game)
         gaps = epsilon_gap(stack, game)
         dev = deviation_utilities(stack, game)
+        grad = gradient_matrix(stack, game)
         assert br.shape == stack.shape and gaps.shape == (37,)
         for i, x in enumerate(stack):
             assert np.array_equal(br[i], br_profile(x, game))
             assert gaps[i] == epsilon_gap(x, game)
             assert np.array_equal(dev[i], deviation_utilities(x, game))
+            assert np.array_equal(grad[i], gradient_matrix(x, game))
 
     def test_gap_keeps_leading_axes(self, game, rng):
         stack = rng.random((3, 4, game.K, game.M))
