@@ -36,7 +36,6 @@ STRATEGY_PARAMS = {
     "llr": (), "gp": ("eta",), "br": (), "rs": (),
 }
 STRATEGY_NAMES = tuple(STRATEGY_PARAMS)
-FMT = "{:.17g}"
 
 
 def check_params(name: str, params: dict) -> None:
@@ -152,12 +151,6 @@ class CampaignResult:
     strategies: list
     metadata: dict
 
-    def by_name(self, name: str) -> StrategyCampaign:
-        for s in self.strategies:
-            if s.name == name:
-                return s
-        raise KeyError(name)
-
 
 def run_campaign(config: ExperimentConfig, nash: NashSolution = None,
                  progress=None) -> CampaignResult:
@@ -189,9 +182,9 @@ def run_campaign(config: ExperimentConfig, nash: NashSolution = None,
             for seed in seeds:
                 progress(f"{sc.name}: seed {seed} done")
 
-        cum = np.stack([r.cum_regret for r in seed_results])    # (S, L, K)
-        avg = np.stack([r.avg_regret for r in seed_results])
         log_t = seed_results[0].log_t
+        cum = np.stack([r.cum_regret for r in seed_results])    # (S, L, K)
+        avg = cum / log_t[:, None]
         mean_cum = cum.mean(axis=0)
         ddof = 1 if config.n_seeds > 1 else 0
         gaps = epsilon_gap(np.array([[r.avg_profile[t] for r in seed_results]
@@ -239,7 +232,6 @@ class _TraceWriter:
 
     def __call__(self, rec):
         S, K, M = rec.x.shape
-        # "%.17g" prints a float exactly as FMT does
         template = "".join(f"{rec.t},{k},{m},%.17g,%.17g,%.17g,%.17g\n"
                            for k, m in np.ndindex(K, M))
         values = np.stack([rec.x, rec.a, rec.clean_utility,
@@ -252,41 +244,39 @@ class _TraceWriter:
             fh.close()
 
 
+def _rows(fmt: str, *columns) -> str:
+    """One `fmt` line per element of the broadcast columns, in C order.
+    "%.17g" prints a float exactly as "{:.17g}" does."""
+    columns = [c.ravel().tolist() for c in np.broadcast_arrays(*columns)]
+    return "".join([fmt % row for row in zip(*columns)])
+
+
 def write_regret_csv(result: StrategyCampaign, path: Path) -> None:
     """Seed-mean regret series: one row per (logged round, node)."""
-    with open(path, "w") as fh:
-        fh.write("t,node,cumulative_regret,average_regret\n")
-        for i, t in enumerate(result.log_t):
-            for k in range(result.mean_cum_regret.shape[1]):
-                fh.write(f"{t},{k},{FMT.format(result.mean_cum_regret[i, k])},"
-                         f"{FMT.format(result.mean_avg_regret[i, k])}\n")
+    K = result.mean_cum_regret.shape[1]
+    Path(path).write_text("t,node,cumulative_regret,average_regret\n" + _rows(
+        "%d,%d,%.17g,%.17g\n", result.log_t[:, None], np.arange(K),
+        result.mean_cum_regret, result.mean_avg_regret))
 
 
 def write_histogram_csv(result: StrategyCampaign, path: Path) -> None:
     """Post-window action-selection counts, one row per (seed, node, task, bin)."""
-    edges = result.seeds[0].hist_edges
-    with open(path, "w") as fh:
-        fh.write("seed,node,task,bin_lo,bin_hi,count\n")
-        for res in result.seeds:
-            K, M, B = res.histogram.shape
-            for k in range(K):
-                for m in range(M):
-                    for b in range(B):
-                        fh.write(f"{res.seed},{k},{m},{FMT.format(edges[b])},"
-                                 f"{FMT.format(edges[b + 1])},{res.histogram[k, m, b]}\n")
+    hist = np.stack([r.histogram for r in result.seeds])    # (S, K, M, B)
+    seed = np.array([r.seed for r in result.seeds])[:, None, None, None]
+    K, M, B = hist.shape[1:]
+    edges = np.linspace(0.0, 1.0, B + 1)
+    Path(path).write_text("seed,node,task,bin_lo,bin_hi,count\n" + _rows(
+        "%d,%d,%d,%.17g,%.17g,%d\n", seed, np.arange(K)[:, None, None],
+        np.arange(M)[:, None], edges[:-1], edges[1:], hist))
 
 
 def write_final_actions_csv(result: StrategyCampaign, path: Path) -> None:
     """Seed-mean of the final-window and post-window average actions."""
     final = np.mean([r.final_window_avg for r in result.seeds], axis=0)
     post = np.mean([r.post_window_avg for r in result.seeds], axis=0)
-    with open(path, "w") as fh:
-        fh.write("node,task,final_window_avg,post_window_avg\n")
-        K, M = final.shape
-        for k in range(K):
-            for m in range(M):
-                fh.write(f"{k},{m},{FMT.format(final[k, m])},"
-                         f"{FMT.format(post[k, m])}\n")
+    K, M = final.shape
+    Path(path).write_text("node,task,final_window_avg,post_window_avg\n" + _rows(
+        "%d,%d,%.17g,%.17g\n", np.arange(K)[:, None], np.arange(M), final, post))
 
 
 def summary_dict(result: CampaignResult) -> dict:
@@ -299,13 +289,7 @@ def summary_dict(result: CampaignResult) -> dict:
         "n_seeds": cfg.n_seeds,
         "master_seed": cfg.master_seed,
         "regret_mode": cfg.regret_mode,
-        "nash": {
-            "x_star": result.nash.x_star.tolist(),
-            "utilities": result.nash.utilities.tolist(),
-            "eps_gap": result.nash.eps_gap,
-            "iterations": result.nash.iterations,
-            "converged": result.nash.converged,
-        },
+        "nash": result.nash.to_dict(),
         "metadata": result.metadata,
         "strategies": {},
     }
@@ -332,17 +316,12 @@ def write_outputs(result: CampaignResult, out_dir) -> list:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for s in result.strategies:
-        p = out_dir / f"regret_{s.name}.csv"
-        write_regret_csv(s, p)
-        written.append(p)
-        p = out_dir / f"actions_hist_{s.name}.csv"
-        write_histogram_csv(s, p)
-        written.append(p)
-        p = out_dir / f"final_actions_{s.name}.csv"
-        write_final_actions_csv(s, p)
-        written.append(p)
-    p = out_dir / "summary.json"
-    with open(p, "w") as fh:
+        for prefix, writer in (("regret", write_regret_csv),
+                               ("actions_hist", write_histogram_csv),
+                               ("final_actions", write_final_actions_csv)):
+            written.append(out_dir / f"{prefix}_{s.name}.csv")
+            writer(s, written[-1])
+    written.append(out_dir / "summary.json")
+    with open(written[-1], "w") as fh:
         json.dump(summary_dict(result), fh, indent=2, sort_keys=True)
-    written.append(p)
     return written

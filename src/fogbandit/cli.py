@@ -48,8 +48,8 @@ def build_spec(args) -> GameSpec:
     if args.game == "game1":
         return builtin_game1(noise_std=args.noise_std)
     ds = load_dataset(args.dataset)
-    nodes = range(args.nodes if args.nodes else ds.K)
-    tasks = range(args.tasks if args.tasks else ds.M)
+    nodes = range(ds.K if args.nodes is None else args.nodes)
+    tasks = range(ds.M if args.tasks is None else args.tasks)
     return select_subgame(ds, nodes, tasks, noise_std=args.noise_std)
 
 
@@ -82,14 +82,7 @@ def cmd_solve_nash(args) -> int:
     spec = build_spec(args)
     sol = solve_nash(spec, tol=args.tol, n_starts=args.starts,
                      seed=args.master_seed)
-    doc = {
-        "x_star": sol.x_star.tolist(),
-        "utilities": sol.utilities.tolist(),
-        "eps_gap": sol.eps_gap,
-        "iterations": sol.iterations,
-        "converged": sol.converged,
-    }
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(sol.to_dict(), indent=2)
     print(text)
     if args.out:
         out = Path(args.out)
@@ -112,22 +105,16 @@ def cmd_validate_spec(args) -> int:
 
 
 def cmd_bench_slope(args) -> int:
-    rows = np.genfromtxt(args.input, delimiter=",", names=True)
-    nodes = np.unique(rows["node"]).astype(int)
-    slopes = {}
-    for k in nodes:
-        sel = rows["node"] == k
-        slopes[str(k)] = regret_slope(rows["cumulative_regret"][sel],
-                                      window=(args.window, 1.0),
-                                      t=rows["t"][sel])
-    t0 = rows["node"] == nodes[0]
-    t_axis = rows["t"][t0]
-    node_mean = np.zeros_like(t_axis)
-    for k in nodes:
-        node_mean += rows["cumulative_regret"][rows["node"] == k]
-    node_mean /= len(nodes)
-    slopes["node_mean"] = regret_slope(node_mean, window=(args.window, 1.0),
-                                       t=t_axis)
+    rows = np.genfromtxt(args.input, delimiter=",", names=True, ndmin=1)
+    K = len(np.unique(rows["node"]))
+    if len(rows) % K or np.any(rows["node"] != np.tile(np.arange(K), len(rows) // K)):
+        raise ConfigurationError(f"{args.input}: the node column must repeat "
+                                 f"0..{K - 1} per logged round as `run` writes it")
+    cum = rows["cumulative_regret"].reshape(-1, K)       # (L, K)
+    t, window = rows["t"][::K], (args.window, 1.0)
+    slopes = {str(k): regret_slope(cum[:, k], window=window, t=t) for k in range(K)}
+    # nodes summed in order: cum.mean(axis=1) can round differently for K >= 8
+    slopes["node_mean"] = regret_slope(sum(cum.T) / K, window=window, t=t)
     print(json.dumps({"slopes": slopes, "window": [args.window, 1.0]}, indent=2))
     return 0
 

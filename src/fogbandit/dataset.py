@@ -59,15 +59,17 @@ def _parse_block(rows, start, name, path):
             raise IngestionError(
                 f"{path}: row {i + 1}: expected {m} columns, got {len(row)}"
             )
-        try:
-            values = [float(v) for v in row]
-        except ValueError as exc:
-            raise IngestionError(f"{path}: row {i + 1}: {exc}") from None
-        for j, v in enumerate(values):
-            if not 0.0 < v <= 1.0:
+        values = []
+        for j, v in enumerate(row):
+            try:
+                values.append(float(v))
+            except ValueError:
                 raise IngestionError(
-                    f"{path}: row {i + 1}, column {j + 1}: value {v} outside (0, 1]"
-                )
+                    f"{path}: row {i + 1}, column {j + 1}: {v!r} is not a number"
+                ) from None
+            if not 0.0 < values[-1] <= 1.0:
+                raise IngestionError(f"{path}: row {i + 1}, column {j + 1}: "
+                                     f"value {values[-1]} outside (0, 1]")
         data.append(values)
         i += 1
     if not data:

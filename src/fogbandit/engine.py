@@ -108,11 +108,9 @@ class SeedResult:
     seed: int
     log_t: np.ndarray                 # logged round indices
     cum_regret: np.ndarray            # (len(log_t), K)
-    avg_regret: np.ndarray            # cum_regret / t
     final_window_avg: np.ndarray      # (K, M), mean action over last rounds
     post_window_avg: np.ndarray       # (K, M), mean action after 90% of T
     histogram: np.ndarray             # (K, M, bins) action counts after 90%
-    hist_edges: np.ndarray
     avg_profile: dict                 # round -> running mean profile
 
 
@@ -138,7 +136,6 @@ def run_seed(spec: GameSpec, bank, T: int, noise_rngs, reference: NashSolution,
     hist = np.zeros((S, K, M, HIST_BINS), dtype=np.int64)
     # each (s, k, m) adds one count per round: distinct flat indices
     hist_base = np.arange(S * K * M).reshape(S, K, M) * HIST_BINS
-    edges = np.linspace(0.0, 1.0, HIST_BINS + 1)
     avg_profile = {}
 
     for t in range(1, T + 1):
@@ -168,12 +165,10 @@ def run_seed(spec: GameSpec, bank, T: int, noise_rngs, reference: NashSolution,
 
     log_t = np.array(log_t)
     cum_rows = np.stack(cum_rows, axis=1)               # (S, L, K)
-    avg_rows = cum_rows / log_t[:, None]
     final_avg = final_sum / final_window
     post_avg = post_sum / max(post_n, 1)
     return [SeedResult(
-        seed=s, log_t=log_t, cum_regret=cum_rows[s], avg_regret=avg_rows[s],
+        seed=s, log_t=log_t, cum_regret=cum_rows[s], histogram=hist[s],
         final_window_avg=final_avg[s], post_window_avg=post_avg[s],
-        histogram=hist[s], hist_edges=edges,
         avg_profile={t: p[s] for t, p in avg_profile.items()},
     ) for s in range(S)]

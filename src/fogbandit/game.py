@@ -34,6 +34,8 @@ def _as_index_matrix(m, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise ConfigurationError(f"{name} must be a 2-D matrix, got shape {m.shape}")
+    if m.size == 0:
+        raise ConfigurationError(f"{name} is empty, shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ConfigurationError(f"{name} contains non-finite entries")
     if np.any(m <= 0.0) or np.any(m > 1.0):
@@ -105,6 +107,12 @@ class GameSpec:
     @classmethod
     def from_json(cls, text: str) -> "GameSpec":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ConfigurationError("a game spec must be a JSON object, got "
+                                     f"a JSON {type(doc).__name__}")
+        missing = [key for key in ("rho", "eps", "kappa") if key not in doc]
+        if missing:
+            raise ConfigurationError(f"game spec lacks {', '.join(missing)}")
         spec = cls(
             rho=doc["rho"],
             eps=doc["eps"],

@@ -32,6 +32,12 @@ class NashSolution:
     iterations: int
     converged: bool
 
+    def to_dict(self) -> dict:
+        """The document `solve-nash` prints and summary.json embeds."""
+        return {"x_star": self.x_star.tolist(), "utilities": self.utilities.tolist(),
+                "eps_gap": self.eps_gap, "iterations": self.iterations,
+                "converged": self.converged}
+
 
 def deviation_utilities(x, spec: GameSpec, br=None) -> np.ndarray:
     """Per-node utility of unilaterally best-responding to profile x while

@@ -54,6 +54,8 @@ class BgamBank:
                  beta: float = DEFAULT_BETA, nu: float = DEFAULT_NU):
         if not 0.0 <= beta < 1.0:
             raise ConfigurationError(f"momentum coefficient must be in [0, 1), got {beta}")
+        if not nu > 0.0:
+            raise ConfigurationError(f"step size nu must be > 0, got {nu}")
         self.sigma, self.alpha = perturbation_radius(T, bounds, xi)
         self.xi = xi
         self.beta = beta

@@ -82,17 +82,23 @@ class LbwiBank:
     def __init__(self, spec, T: int, rngs, N: int = DEFAULT_INTERVALS,
                  gamma: float = DEFAULT_GAMMA, pulls_per_interval=None,
                  with_init: bool = True):
-        if N < 2:
+        if not isinstance(N, (int, np.integer)) or N < 2:
             raise ConfigurationError(
-                f"N must be >= 2 (the Lipschitz estimate differences adjacent "
-                f"intervals), got {N}")
+                f"N must be an integer >= 2 (the Lipschitz estimate differences "
+                f"adjacent intervals), got {N!r}")
+        if pulls_per_interval is None:
+            pulls_per_interval = default_pulls_per_interval(T, N)
+        if (not isinstance(pulls_per_interval, (int, np.integer))
+                or pulls_per_interval < 1):
+            raise ConfigurationError(f"pulls_per_interval must be an integer >= 1, "
+                                     f"got {pulls_per_interval!r}")
         if not 0.0 < gamma <= 1.0:
             raise ConfigurationError(f"gamma must lie in (0, 1], got {gamma}")
         self.K, self.M = spec.K, spec.M
         self.T = T
         self.N = N
         self.gamma = gamma
-        self.A = pulls_per_interval or default_pulls_per_interval(T, N)
+        self.A = pulls_per_interval
         self.T1 = min(self.A * N, T)
         self.with_init = with_init
         self.rngs = rngs

@@ -74,6 +74,13 @@ class TestConfigure:
             BgamBank(game1, 1000, Bounds(L=1.0, U=1.0, H=1.0),
                      [np.random.default_rng(0)], xi=xi)
 
+    @pytest.mark.parametrize("nu", [0.0, -1.0])
+    def test_bank_rejects_non_positive_step_size(self, game1, nu):
+        # nu = -1 would descend the utility
+        with pytest.raises(ConfigurationError, match="nu must be > 0"):
+            BgamBank(game1, 1000, Bounds(L=1.0, U=1.0, H=1.0),
+                     [np.random.default_rng(0)], nu=nu)
+
 
 class TestActUpdate:
     def test_act_substitutes_shift_and_radius(self):

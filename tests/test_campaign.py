@@ -153,6 +153,15 @@ class TestReplicaStreams:
             for a, b in zip(forward[name], backward[name]):
                 assert np.array_equal(a, b)
 
+    def test_average_regret_is_seed_mean_of_cumulative_over_rounds(self, game1,
+                                                                    nash):
+        config = ExperimentConfig(game1, [{"name": "bgam"}, {"name": "rs"}],
+                                  T=60, n_seeds=3, master_seed=3)
+        for s in run_campaign(config, nash=nash).strategies:
+            avg = [r.cum_regret / s.log_t[:, None] for r in s.seeds]
+            assert np.array_equal(s.mean_avg_regret, np.mean(avg, axis=0))
+            assert np.array_equal(s.std_avg_regret, np.std(avg, axis=0, ddof=1))
+
     def test_independent_of_seed_count(self, game1, nash):
         two = self.cum_regret(game1, nash, ["bgam", "rs"], 2)
         three = self.cum_regret(game1, nash, ["bgam", "rs"], 3)

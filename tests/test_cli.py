@@ -1,6 +1,7 @@
 """Command-line verbs, driven through cli.main."""
 
 import json
+import re
 
 import pytest
 
@@ -43,3 +44,92 @@ class TestRun:
         error = json.loads(capsys.readouterr().out)
         assert error["error"] == "ConfigurationError"
         assert "'bgam'" in error["message"]
+
+
+def error_of(argv, capsys) -> dict:
+    """The error JSON a verb prints when it exits 1."""
+    assert cli.main(argv) == 1
+    error = json.loads(capsys.readouterr().out)
+    assert set(error) == {"error", "message"}
+    return error
+
+
+@pytest.mark.filterwarnings("ignore:rho <= 0.5")
+class TestBadInput:
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "--strategy", "ucb", "--T", "10"], "unknown strategy 'ucb'"),
+        (["solve-nash", "--tol", "0"], "tol must be positive"),
+        (["validate-spec", "--game", "dataset", "--nodes", "0"], "rho is empty"),
+        (["bench-slope", "--input", "regret.csv"], "node column must repeat"),
+    ])
+    def test_each_verb_prints_the_error_and_exits_one(self, argv, message,
+                                                      tmp_path, capsys,
+                                                      monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        # node-major rows: not the round-major layout `run` writes
+        (tmp_path / "regret.csv").write_text(
+            "t,node,cumulative_regret,average_regret\n"
+            "1,0,1,1\n2,0,2,1\n1,1,1,1\n2,1,2,1\n")
+        error = error_of(argv, capsys)
+        assert error["error"] == "ConfigurationError"
+        assert message in error["message"]
+
+
+class TestBuildSpec:
+    @pytest.mark.parametrize("flag,value", [
+        ("--nodes", "0"), ("--tasks", "0"), ("--nodes", "-1")])
+    def test_empty_game_is_rejected(self, flag, value, capsys):
+        # 0 must not select the whole dataset, nor -1 a game with K = 0
+        error = error_of(["validate-spec", "--game", "dataset", flag, value], capsys)
+        assert error["error"] == "ConfigurationError"
+        assert "is empty" in error["message"]
+
+    def test_dataset_warns_of_low_efficiency_pairs(self, capsys):
+        assert cli.main(["validate-spec", "--game", "dataset"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["valid"], doc["K"], doc["M"]) == (True, 10, 10)
+        [warning] = doc["warnings"]
+        assert warning.startswith("rho <= 0.5 at (node, task) pairs")
+        assert len(re.findall(r"\(\d+, \d+\)", warning)) == 44
+
+    @pytest.mark.filterwarnings("ignore:rho <= 0.5")
+    def test_spec_json_round_trip(self, game1, tmp_path, capsys):
+        path = tmp_path / "game1.json"
+        path.write_text(game1.to_json())
+        assert cli.main(["solve-nash", "--spec-json", str(path)]) == 0
+        from_json = capsys.readouterr().out
+        assert cli.main(["solve-nash", "--game", "game1"]) == 0
+        assert from_json == capsys.readouterr().out
+
+    def test_spec_json_names_a_missing_field(self, game1, tmp_path, capsys):
+        doc = json.loads(game1.to_json())
+        del doc["rho"]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        error = error_of(["validate-spec", "--spec-json", str(path)], capsys)
+        assert error == {"error": "ConfigurationError",
+                         "message": "game spec lacks rho"}
+
+
+@pytest.mark.filterwarnings("ignore:rho <= 0.5")
+class TestResultFiles:
+    def test_summary_and_solve_nash_print_the_same_equilibrium(self, tmp_path,
+                                                               capsys):
+        out = tmp_path / "out"
+        assert cli.main(["run", "--strategy", "rs", "--T", "5", "--seeds", "1",
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(["solve-nash", "--game", "game1"]) == 0
+        solved = json.loads(capsys.readouterr().out)
+        assert json.loads((out / "summary.json").read_text())["nash"] == solved
+
+    def test_bench_slope_reads_the_regret_csv_of_run(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["run", "--strategy", "bgam", "--T", "2000",
+                         "--seeds", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(["bench-slope", "--input", str(out / "regret_bgam.csv")]) == 0
+        slopes = json.loads(capsys.readouterr().out)["slopes"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert slopes["node_mean"] == summary["strategies"]["bgam"]["regret_slope"]
+        assert sorted(slopes) == ["0", "1", "node_mean"]

@@ -153,7 +153,6 @@ class TestAccounting:
         assert res.log_t[:3].tolist() == [2, 4, 6]
         assert res.log_t[-3:].tolist() == [2498, 2500, 2501]
         assert res.cum_regret.shape == (1251, game1.K)
-        assert np.allclose(res.avg_regret, res.cum_regret / res.log_t[:, None])
 
     def test_checkpoint_profiles_are_running_means(self, game1):
         res, played = rs_seed(game1, 25, checkpoints=(10, 3, 25, 10))

@@ -48,6 +48,12 @@ class TestGameSpec:
         with pytest.raises(ConfigurationError):
             GameSpec(rho=[[0.9, 0.8]], eps=[[0.1]], kappa=[[0.1]])
 
+    def test_rejects_empty_index_matrix(self):
+        # a game with K = 0 has no equilibrium to solve
+        with pytest.raises(ConfigurationError, match=r"rho is empty, shape \(0, 2\)"):
+            GameSpec(rho=np.zeros((0, 2)), eps=np.zeros((0, 2)),
+                     kappa=np.zeros((0, 2)))
+
     def test_rejects_bad_barrier_and_noise(self):
         with pytest.raises(ConfigurationError):
             GameSpec(rho=[[0.9]], eps=[[0.1]], kappa=[[0.1]], barrier=0.0)
@@ -70,6 +76,17 @@ class TestGameSpec:
         assert back.barrier == game1.barrier
         assert back.noise_std == game1.noise_std
         assert json.loads(doc)["K"] == 2 and json.loads(doc)["M"] == 2
+
+    def test_json_names_a_missing_field(self, game1):
+        doc = json.loads(game1.to_json())
+        del doc["rho"], doc["kappa"]
+        with pytest.raises(ConfigurationError, match="lacks rho, kappa"):
+            GameSpec.from_json(json.dumps(doc))
+
+    def test_json_must_be_an_object(self, game1):
+        with pytest.raises(ConfigurationError, match="must be a JSON object, "
+                                                     "got a JSON list"):
+            GameSpec.from_json(json.dumps([json.loads(game1.to_json())]))
 
     def test_json_rejects_inconsistent_shape_declaration(self, game1):
         doc = json.loads(game1.to_json())

@@ -29,6 +29,29 @@ class TestConstruction:
         with pytest.raises(ConfigurationError, match="N must be"):
             LbwiBank(tiny_spec(), T=100, rngs=[rng], N=1)
 
+    def test_rejects_fractional_interval_count(self, rng):
+        with pytest.raises(ConfigurationError, match="N must be an integer"):
+            LbwiBank(tiny_spec(), T=100, rngs=[rng], N=2.5)
+
+    def test_rejects_zero_pulls_per_interval(self, rng):
+        # 0 must not fall back to the default
+        with pytest.raises(ConfigurationError, match="pulls_per_interval .* got 0"):
+            LbwiBank(tiny_spec(), T=100, rngs=[rng], pulls_per_interval=0)
+
+    def test_rejects_negative_pulls_per_interval(self, rng):
+        # -3 would give T1 = -30: Phase I skipped and no refinement ever
+        with pytest.raises(ConfigurationError, match="pulls_per_interval .* got -3"):
+            LbwiBank(tiny_spec(), T=100, rngs=[rng], pulls_per_interval=-3)
+
+    def test_rejects_fractional_pulls_per_interval(self, rng):
+        with pytest.raises(ConfigurationError, match="pulls_per_interval .* got 2.5"):
+            LbwiBank(tiny_spec(), T=100, rngs=[rng], pulls_per_interval=2.5)
+
+    def test_accepts_numpy_integer_counts(self, rng):
+        bank = LbwiBank(tiny_spec(), T=100, rngs=[rng], N=np.int64(4),
+                        pulls_per_interval=np.int64(5))
+        assert (bank.N, bank.A, bank.T1) == (4, 5, 20)
+
     @pytest.mark.parametrize("gamma", [0.0, 1.5])
     def test_rejects_exploration_rate_outside_unit_interval(self, rng, gamma):
         with pytest.raises(ConfigurationError, match="gamma"):
