@@ -38,8 +38,12 @@ STRATEGY_PARAMS = {
 STRATEGY_NAMES = tuple(STRATEGY_PARAMS)
 
 
-def check_params(name: str, params: dict) -> None:
-    """Raise ConfigurationError for an unknown strategy or parameter key."""
+def make_bank(name: str, spec: GameSpec, T: int, rngs, params: dict,
+              bounds: Bounds):
+    """Instantiate the learner bank for a strategy name, one replica per
+    generator in `rngs`: the one place a strategy's settings are checked.
+    Raises ConfigurationError for an unknown strategy or parameter key or
+    an out-of-range parameter value, naming the strategy."""
     if name not in STRATEGY_PARAMS:
         raise ConfigurationError(f"unknown strategy {name!r}; "
                                  f"supported: {', '.join(STRATEGY_NAMES)}")
@@ -48,30 +52,23 @@ def check_params(name: str, params: dict) -> None:
         raise ConfigurationError(
             f"strategy {name!r} has no parameter {', '.join(map(repr, unknown))}; "
             f"accepted: {', '.join(STRATEGY_PARAMS[name]) or 'none'}")
-
-
-def make_bank(name: str, spec: GameSpec, T: int, rngs, params: dict,
-              bounds: Bounds):
-    """Instantiate the learner bank for a strategy name, one replica per
-    generator in `rngs`. Raises
-    ConfigurationError for an unknown strategy or parameter key, and the
-    bank's own ConfigurationError for an out-of-range parameter value."""
-    check_params(name, params)
-    if name in ("bgam", "bgd"):
-        if name == "bgd":
-            params = dict(params, beta=0.0)
-        return BgamBank(spec, T, bounds, rngs, **params)
-    if name in ("lbwi", "lb"):
-        bank = LbwiBank(spec, T, rngs, with_init=(name == "lbwi"), **params)
-        if bank.N < 8.0 * bounds.H / bounds.L:
-            warnings.warn(
-                f"coarse interval count N={bank.N} is below 8*H/L~="
-                f"{8.0 * bounds.H / bounds.L:.1f}; the refinement guarantee "
-                "may not hold", stacklevel=2)
-        return bank
-    if name == "gp":
-        return GpBank(spec, T, rngs, **params)
-    return {"llr": LlrBank, "br": BrBank, "rs": RsBank}[name](spec, T, rngs)
+    if name == "bgd":
+        params = dict(params, beta=0.0)
+    try:
+        if name in ("bgam", "bgd"):
+            bank = BgamBank(spec, T, bounds, rngs, **params)
+        elif name in ("lbwi", "lb"):
+            bank = LbwiBank(spec, T, rngs, with_init=(name == "lbwi"), **params)
+        else:
+            bank = {"llr": LlrBank, "gp": GpBank, "br": BrBank,
+                    "rs": RsBank}[name](spec, T, rngs, **params)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"strategy {name!r}: {exc}") from None
+    if isinstance(bank, LbwiBank) and bank.N < 8.0 * bounds.H / bounds.L:
+        warnings.warn(f"coarse interval count N={bank.N} is below 8*H/L~="
+                      f"{8.0 * bounds.H / bounds.L:.1f}; the refinement guarantee "
+                      "may not hold", stacklevel=2)
+    return bank
 
 
 @dataclass
@@ -81,7 +78,6 @@ class StrategyConfig:
 
     def __post_init__(self):
         self.params = dict(self.params or {})
-        check_params(self.name, self.params)
 
 
 @dataclass
@@ -105,10 +101,11 @@ class ExperimentConfig:
             s if isinstance(s, StrategyConfig) else StrategyConfig(**s)
             for s in self.strategies
         ]
-        for s in self.strategies:
-            if s.name in ("bgam", "bgd") and self.T < 2:
-                raise ConfigurationError(
-                    f"strategy {s.name!r} needs T >= 2, got T={self.T}")
+        names = [s.name for s in self.strategies]
+        for name in names:
+            if names.count(name) > 1:
+                # a strategy's result files are named after it alone
+                raise ConfigurationError(f"strategy {name!r} is listed more than once")
 
     def checkpoints(self):
         base = {self.T // 4, self.T // 2, (3 * self.T) // 4, self.T}
@@ -152,30 +149,35 @@ class CampaignResult:
     metadata: dict
 
 
-def run_campaign(config: ExperimentConfig, nash: NashSolution = None,
-                 progress=None) -> CampaignResult:
+def run_campaign(config: ExperimentConfig, progress=None) -> CampaignResult:
+    """Build every strategy's bank, which checks its settings, then solve the
+    equilibrium and play the banks. Each bank draws only from its own replica
+    streams, so building them all first moves no result."""
     spec = config.spec
-    if nash is None:
-        nash = solve_nash(spec)
     bounds = estimate_bounds(spec)
-    checkpoints = config.checkpoints()
-    u_lo, u_hi = utility_range(spec)
-
-    strategies = []
     seeds = range(config.n_seeds)
+    banks = []
     for sc in config.strategies:
         t0 = time.monotonic()
         streams = [replica_streams(config.master_seed, sc.name, seed)
                    for seed in seeds]
         bank = make_bank(sc.name, spec, config.T, [g for g, _ in streams],
                          sc.params, bounds)
+        banks.append((bank, [g for _, g in streams], time.monotonic() - t0))
+    nash = solve_nash(spec)
+    checkpoints = config.checkpoints()
+    u_lo, u_hi = utility_range(spec)
+
+    strategies = []
+    for sc, (bank, noise_rngs, build_s) in zip(config.strategies, banks):
+        t0 = time.monotonic()
         trace_sink = None
         if config.trace and config.out_dir is not None:
             trace_sink = _TraceWriter([
                 Path(config.out_dir) / f"trace_{sc.name}_seed{seed}.csv"
                 for seed in seeds])
-        seed_results = run_seed(spec, bank, config.T, [g for _, g in streams],
-                                nash, config.regret_mode, checkpoints, trace_sink)
+        seed_results = run_seed(spec, bank, config.T, noise_rngs, nash,
+                                config.regret_mode, checkpoints, trace_sink)
         if trace_sink is not None:
             trace_sink.close()
         if progress:
@@ -200,7 +202,7 @@ def run_campaign(config: ExperimentConfig, nash: NashSolution = None,
             mean_cum_regret=mean_cum, std_cum_regret=cum.std(axis=0, ddof=ddof),
             mean_avg_regret=avg.mean(axis=0), std_avg_regret=avg.std(axis=0, ddof=ddof),
             slope=slope, eps_gap_trajectory=gap_traj,
-            runtime=time.monotonic() - t0))
+            runtime=build_s + time.monotonic() - t0))   # its build counts too
 
     metadata = {
         "reward_normalization": {"u_min": u_lo, "u_max": u_hi,

@@ -43,8 +43,18 @@ def bundled_dataset_path() -> Path:
     return Path(resources.files("fogbandit").joinpath("data/cloud_fog_indices.csv"))
 
 
+def _is_label(row) -> bool:
+    """A block label: one cell that is not a number, any further cells empty."""
+    try:
+        float(row[0])
+    except ValueError:
+        return not any(cell.strip() for cell in row[1:])
+    return False
+
+
 def _parse_block(rows, start, name, path):
-    """Parse one header + matrix block; returns (matrix, next_row_index)."""
+    """Parse one header + matrix block, which ends at a blank row or a label;
+    returns (matrix, next_row_index)."""
     if start >= len(rows):
         raise IngestionError(f"{path}: missing '{name}' block")
     header = rows[start]
@@ -53,7 +63,7 @@ def _parse_block(rows, start, name, path):
     m = len(header)
     data = []
     i = start + 1
-    while i < len(rows) and rows[i] and rows[i][0] not in _BLOCKS:
+    while i < len(rows) and rows[i] and not _is_label(rows[i]):
         row = rows[i]
         if len(row) != m:
             raise IngestionError(
@@ -96,7 +106,11 @@ def load_dataset(path=None) -> IndexDataset:
             if not sub.exists():
                 raise IngestionError(f"{path}: missing {name}.csv")
             rows = _read_rows(sub)
-            blocks[name], _ = _parse_block(rows, 0, name, sub)
+            blocks[name], end = _parse_block(rows, 0, name, sub)
+            extra = [j for j in range(end, len(rows)) if rows[j]]
+            if extra:
+                raise IngestionError(f"{sub}: row {extra[0] + 1}: unexpected row "
+                                     f"after the '{name}' matrix")
     else:
         rows = _read_rows(path)
         i = 0
@@ -121,7 +135,7 @@ def load_dataset(path=None) -> IndexDataset:
     return IndexDataset(rho=rho, eps=eps, kappa=kappa, provenance=str(path))
 
 
-def select_subgame(dataset: IndexDataset, nodes, tasks, barrier: float = 1e-6,
+def select_subgame(dataset: IndexDataset, nodes, tasks,
                    noise_std: float = 0.01) -> GameSpec:
     """Build a GameSpec from row/column selections of a dataset."""
     nodes = list(nodes)
@@ -133,10 +147,10 @@ def select_subgame(dataset: IndexDataset, nodes, tasks, barrier: float = 1e-6,
             raise ConfigurationError(f"{name} index out of range 0..{n - 1}: {idx}")
     sel = np.ix_(nodes, tasks)
     return GameSpec(rho=dataset.rho[sel], eps=dataset.eps[sel],
-                    kappa=dataset.kappa[sel], barrier=barrier, noise_std=noise_std)
+                    kappa=dataset.kappa[sel], noise_std=noise_std)
 
 
-def builtin_game1(barrier: float = 1e-6, noise_std: float = 0.01) -> GameSpec:
+def builtin_game1(noise_std: float = 0.01) -> GameSpec:
     """Two-node, two-task demonstration game: each node is strong on one
     task and keeps a small interior request on the other (at the Nash
     equilibrium node 0 requests about 0.0687 of task 1 and node 1 about
@@ -145,6 +159,5 @@ def builtin_game1(barrier: float = 1e-6, noise_std: float = 0.01) -> GameSpec:
         rho=[[0.9, 0.5], [0.6, 0.85]],
         eps=[[0.1, 0.03], [0.05, 0.2]],
         kappa=[[0.1, 0.8], [0.75, 0.05]],
-        barrier=barrier,
         noise_std=noise_std,
     )

@@ -132,7 +132,6 @@ def run_seed(spec: GameSpec, bank, T: int, noise_rngs, reference: NashSolution,
     x_running = np.zeros((S, K, M))
     final_sum = np.zeros((S, K, M))
     post_sum = np.zeros((S, K, M))
-    post_n = 0
     hist = np.zeros((S, K, M, HIST_BINS), dtype=np.int64)
     # each (s, k, m) adds one count per round: distinct flat indices
     hist_base = np.arange(S * K * M).reshape(S, K, M) * HIST_BINS
@@ -152,7 +151,6 @@ def run_seed(spec: GameSpec, bank, T: int, noise_rngs, reference: NashSolution,
             final_sum += rec.x
         if t > post_start:
             post_sum += rec.x
-            post_n += 1
             bins = np.minimum((rec.x * HIST_BINS).astype(int), HIST_BINS - 1)
             hist.reshape(-1)[hist_base + bins] += 1
         if t % log_every == 0 or t == T:
@@ -166,7 +164,7 @@ def run_seed(spec: GameSpec, bank, T: int, noise_rngs, reference: NashSolution,
     log_t = np.array(log_t)
     cum_rows = np.stack(cum_rows, axis=1)               # (S, L, K)
     final_avg = final_sum / final_window
-    post_avg = post_sum / max(post_n, 1)
+    post_avg = post_sum / (T - post_start)
     return [SeedResult(
         seed=s, log_t=log_t, cum_regret=cum_rows[s], histogram=hist[s],
         final_window_avg=final_avg[s], post_window_avg=post_avg[s],

@@ -28,10 +28,14 @@ from .errors import ConfigurationError
 # Convexity of the utility in the other nodes' actions is only guaranteed
 # for efficiency indices above this threshold; lower values get a warning.
 RHO_CONVEXITY_THRESHOLD = 0.5
+GRID_RESOLUTION = 100      # points per axis of estimate_bounds' grid
 
 
 def _as_index_matrix(m, name: str) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
+    try:
+        m = np.asarray(m, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{name} must be a matrix of numbers: {exc}") from None
     if m.ndim != 2:
         raise ConfigurationError(f"{name} must be a 2-D matrix, got shape {m.shape}")
     if m.size == 0:
@@ -192,7 +196,7 @@ def gradient_matrix(x: np.ndarray, spec: GameSpec) -> np.ndarray:
                          spec.eps, spec.kappa, spec.barrier)
 
 
-def estimate_bounds(spec: GameSpec, grid_resolution: int = 100) -> Bounds:
+def estimate_bounds(spec: GameSpec) -> Bounds:
     """Estimate (L, U, H) by scanning a uniform grid of (own action,
     others' sum) pairs for every (node, task) index triple.
 
@@ -202,11 +206,8 @@ def estimate_bounds(spec: GameSpec, grid_resolution: int = 100) -> Bounds:
     competition the learners actually face. Results carry a 1.1 safety
     factor against grid undersampling. One kernel's grid is alive at a time.
     """
-    if grid_resolution < 10:
-        raise ConfigurationError("grid_resolution must be >= 10")
-    G = int(grid_resolution)
-    xg = np.linspace(0.0, 1.0, G)[:, None, None]
-    og = np.linspace(0.5, max(spec.K - 1.0, 0.5), G)[None, :, None]
+    xg = np.linspace(0.0, 1.0, GRID_RESOLUTION)[:, None, None]
+    og = np.linspace(0.5, max(spec.K - 1.0, 0.5), GRID_RESOLUTION)[None, :, None]
     rho, eps, kap = (a.ravel()[None, None, :]
                      for a in (spec.rho, spec.eps, spec.kappa))
     d = spec.barrier

@@ -19,9 +19,9 @@ from .game import GameSpec, task_utility, utility_matrix
 from .strategies.baselines import br_profile
 
 DEFAULT_TOL = 1e-6
-DEFAULT_MAX_SWEEPS = 10_000
 DEFAULT_STARTS = 20
-DEFAULT_DAMPING = 0.5
+MAX_SWEEPS = 10_000
+DAMPING = 0.5
 
 
 @dataclass
@@ -60,14 +60,13 @@ def epsilon_gap(x, spec: GameSpec):
 
 
 def solve_nash(spec: GameSpec, tol: float = DEFAULT_TOL,
-               max_sweeps: int = DEFAULT_MAX_SWEEPS,
-               n_starts: int = DEFAULT_STARTS, seed: int = 0,
-               damping: float = DEFAULT_DAMPING) -> NashSolution:
+               n_starts: int = DEFAULT_STARTS, seed: int = 0) -> NashSolution:
     """Iterate damped synchronous best-response sweeps
-    x <- (1 - damping) * x + damping * BR(x) from n_starts random profiles
-    until the largest per-coordinate change drops below tol. The damping
-    suppresses the two-cycles undamped simultaneous updates fall into on
-    larger games and does not move the fixed points.
+    x <- (1 - DAMPING) * x + DAMPING * BR(x) from n_starts random profiles
+    until the largest per-coordinate change drops below tol, for at most
+    MAX_SWEEPS sweeps. The damping suppresses the two-cycles undamped
+    simultaneous updates fall into on larger games and does not move the
+    fixed points.
 
     The starts are one (n_starts, K, M) draw, and each sweep is one
     br_profile call on the starts still moving. A start freezes at the
@@ -80,13 +79,11 @@ def solve_nash(spec: GameSpec, tol: float = DEFAULT_TOL,
     """
     if tol <= 0:
         raise ConfigurationError("tol must be positive")
-    if not 0.0 < damping <= 1.0:
-        raise ConfigurationError("damping must be in (0, 1]")
     x = np.random.default_rng(seed).random((n_starts, spec.K, spec.M))
     active = np.arange(n_starts)
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, MAX_SWEEPS + 1):
         x_act = x[active]
-        x_next = (1.0 - damping) * x_act + damping * br_profile(x_act, spec)
+        x_next = (1.0 - DAMPING) * x_act + DAMPING * br_profile(x_act, spec)
         x[active] = x_next
         active = active[np.abs(x_next - x_act).max(axis=(-2, -1)) >= tol]
         if not active.size:

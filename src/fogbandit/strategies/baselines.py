@@ -13,17 +13,18 @@ from ..game import GameSpec, task_utility
 DEFAULT_ETA = 0.5
 GOLDEN_TOL = 1e-8
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_N_ITER = int(math.ceil(math.log(GOLDEN_TOL) / math.log(_INVPHI))) + 1
 
 
-def golden_max(f, shape, tol: float = GOLDEN_TOL):
+def golden_max(f, shape):
     """Golden-section maximization over [0, 1] of an elementwise-unimodal f,
-    for every element of an array of the given shape (() for a scalar).
+    for every element of an array of the given shape (() for a scalar), to
+    absolute tolerance GOLDEN_TOL.
     All brackets share one width, probed at lo + width/phi^2 and
     lo + width/phi; each iteration evaluates f at one new probe."""
-    n_iter = int(math.ceil(math.log(tol) / math.log(_INVPHI))) + 1
     lo, width = np.zeros(shape), 1.0
     fc, fd = f(np.full(shape, _INVPHI ** 2)), f(np.full(shape, _INVPHI))
-    for _ in range(n_iter):
+    for _ in range(_N_ITER):
         # fc >= fd keeps the left part and its old lower probe turns upper;
         # otherwise the right part is kept and the upper probe turns lower.
         keep_left = fc >= fd

@@ -70,7 +70,9 @@ class BgamBank:
     def act(self) -> np.ndarray:
         c = np.array([g.integers(0, 2, self.shape) for g in self.rngs]) * 2.0 - 1.0
         self._c = c
-        return self.y + self.sigma * c + self.xi
+        # exact arithmetic keeps this in [0, 1]; the clip absorbs the rounding
+        # of (1 - alpha) * xi, which can leave -1e-17 at the lower bound
+        return np.clip(self.y + self.sigma * c + self.xi, 0.0, 1.0)
 
     def observe(self, observed: np.ndarray) -> None:
         if self._c is None:

@@ -25,14 +25,13 @@ from ..game import utility_range
 
 DEFAULT_INTERVALS = 10
 DEFAULT_GAMMA = 0.05
-DEFAULT_PHASE1_FRACTION = 0.1
+PHASE1_FRACTION = 0.1
 
 
-def default_pulls_per_interval(T: int, N: int,
-                               fraction: float = DEFAULT_PHASE1_FRACTION) -> int:
-    """Pulls per coarse interval so Phase I takes about `fraction` of the
-    horizon."""
-    return max(1, math.ceil(fraction * T / N))
+def default_pulls_per_interval(T: int, N: int) -> int:
+    """Pulls per coarse interval so Phase I takes about PHASE1_FRACTION of
+    the horizon."""
+    return max(1, math.ceil(PHASE1_FRACTION * T / N))
 
 
 def lipschitz_estimate(mu_hat, N: int, A: int, T: int):

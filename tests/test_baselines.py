@@ -5,6 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fogbandit.errors import ConfigurationError
 from fogbandit.game import GameSpec, task_gradient, task_utility
@@ -54,6 +57,23 @@ class TestGoldenMax:
         golden_max(f, (4, 3))
         assert len(calls) == 42
         assert set(calls) == {(4, 3)}
+
+
+@st.composite
+def game_profile_and_row(draw):
+    """A game of 2 x 1 up to 4 x 3, a profile on the 1/8 grid, a node and a
+    new row for it on the same grid (sums of eighths are exact)."""
+    K, M = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    unit = hnp.arrays(float, (K, M), elements=st.floats(0.0, 1.0, exclude_min=True))
+    # rho divides the kernels: from about 1e-308 down, they give nan
+    rho = hnp.arrays(float, (K, M), elements=st.floats(1e-200, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        spec = GameSpec(rho=draw(rho), eps=draw(unit), kappa=draw(unit))
+    eighths = st.integers(0, 8)
+    x = draw(hnp.arrays(np.int64, (K, M), elements=eighths)) / 8
+    row = draw(hnp.arrays(np.int64, M, elements=eighths)) / 8
+    return spec, x, draw(st.integers(0, K - 1)), row
 
 
 class TestBestResponse:
@@ -116,15 +136,16 @@ class TestBestResponse:
                     + args[1] * (grid + others[0, m]) - args[2] * grid
                 assert abs(row[m] - grid[np.argmax(vals)]) < 1e-5
 
-    def test_profile_form_consistent_with_rows(self, game1, rng):
+    @settings(deadline=None, max_examples=30)
+    @given(game_profile_and_row())
+    def test_profile_form_consistent_with_rows(self, case):
         # row k answers the others' rows only: replacing row k leaves it be
         # (dyadic entries keep the column sums minus row k exact)
-        x = rng.integers(0, 9, (2, 2)) / 8
-        full = br_profile(x, game1)
-        for k in range(2):
-            moved = x.copy()
-            moved[k] = rng.integers(0, 9, 2) / 8
-            assert np.allclose(full[k], br_profile(moved, game1)[k], atol=1e-12)
+        spec, x, k, row = case
+        moved = x.copy()
+        moved[k] = row
+        assert np.allclose(br_profile(x, spec)[k], br_profile(moved, spec)[k],
+                           atol=1e-12)
 
 
 def gp_single(x0, eta=0.5):

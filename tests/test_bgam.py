@@ -90,6 +90,13 @@ class TestActUpdate:
         x_dn = bank.act()[0, 0, 0]
         assert x_dn == pytest.approx(0.5 - bank.sigma, rel=1e-14)
 
+    @pytest.mark.parametrize("xi,T", [(0.09375, 10_000), (0.4, 1000)])
+    def test_action_at_the_lower_clip_bound_is_not_negative(self, xi, T):
+        # -(1 - alpha) * xi - sigma + xi is 0 exactly, about -1e-17 in floats
+        bank = single(T, Bounds(L=2.0, U=2.0, H=1.0), _FixedSign([-1]), xi=xi)
+        bank.y[:] = -(1.0 - bank.alpha) * bank.xi
+        assert bank.act()[0, 0, 0] == 0.0
+
     def test_action_always_in_unit_interval(self, rng):
         bank = single(100, Bounds(L=0.01, U=5.0, H=1.0), rng, nu=5.0)
         for _ in range(500):

@@ -1,18 +1,18 @@
-"""Bank construction from strategy configs, the config's checks, the CLI's
-check of per-strategy parameter overrides, checkpoint rounds, and replica
-streams that depend on neither strategy order nor seed count."""
+"""Bank construction from strategy configs, the config's checks, the
+campaign's checks before its first round, the CLI's check of per-strategy
+parameter overrides, checkpoint rounds, and replica streams that depend on
+neither strategy order nor seed count."""
 
 import json
 
 import numpy as np
 import pytest
 
-from fogbandit import cli
-from fogbandit.campaign import (STRATEGY_NAMES, ExperimentConfig,
-                                StrategyConfig, make_bank, run_campaign)
+from fogbandit import campaign, cli
+from fogbandit.campaign import (STRATEGY_NAMES, ExperimentConfig, make_bank,
+                                run_campaign)
 from fogbandit.errors import ConfigurationError
 from fogbandit.game import estimate_bounds
-from fogbandit.nash import solve_nash
 
 
 @pytest.fixture(scope="module")
@@ -53,24 +53,58 @@ class TestMakeBank:
         with pytest.raises(ConfigurationError, match="unknown strategy"):
             build("ucb", {}, game1, bounds)
 
+    @pytest.mark.parametrize("name,params,message", [
+        ("gp", {"eta": -1}, "eta must be > 0, got -1"),
+        ("bgam", {"nu": 0.0}, "step size nu must be > 0"),
+        ("bgd", {"xi": 0.7}, "xi must lie in (0, 0.5]"),
+        ("lb", {"gamma": 2.0}, "gamma must lie in (0, 1]"),
+    ])
+    def test_out_of_range_value_names_the_strategy(self, name, params, message,
+                                                    game1, bounds):
+        with pytest.raises(ConfigurationError) as info:
+            build(name, params, game1, bounds)
+        assert str(info.value).startswith(f"strategy {name!r}: {message}")
 
-class TestStrategyConfig:
-    def test_rejects_unknown_key_when_built(self):
-        with pytest.raises(ConfigurationError, match="'bgam'.*'nuu'"):
-            StrategyConfig("bgam", {"nuu": 5})
-
-    def test_rejects_unknown_strategy_when_built(self):
-        with pytest.raises(ConfigurationError, match="unknown strategy 'ucb'"):
-            StrategyConfig("ucb")
+    @pytest.mark.parametrize("name", ["bgam", "bgd"])
+    def test_horizon_one_names_the_strategy(self, game1, bounds, name):
+        # the perturbation radius of bgam and bgd needs T >= 2
+        rngs = [np.random.default_rng(0)]
+        with pytest.raises(ConfigurationError,
+                           match=f"strategy '{name}': horizon must be >= 2, got 1"):
+            make_bank(name, game1, 1, rngs, {}, bounds)
+        assert make_bank(name, game1, 2, rngs, {}, bounds).act().shape == (1, 2, 2)
+        assert make_bank("rs", game1, 1, rngs, {}, bounds).act().shape == (1, 2, 2)
 
 
 class TestExperimentConfig:
-    @pytest.mark.parametrize("name", ["bgam", "bgd"])
-    def test_horizon_one_names_the_strategy(self, game1, name):
-        # the perturbation radius of bgam and bgd needs T >= 2
-        with pytest.raises(ConfigurationError, match=f"'{name}' needs T >= 2"):
-            ExperimentConfig(game1, [{"name": "rs"}, {"name": name}], T=1)
-        ExperimentConfig(game1, [{"name": "rs"}, {"name": name}], T=2)
+    def test_rejects_a_repeated_strategy(self, game1):
+        # both runs would write the same result files
+        with pytest.raises(ConfigurationError,
+                           match="strategy 'rs' is listed more than once"):
+            ExperimentConfig(game1, [{"name": "rs"}, {"name": "gp"}, {"name": "rs"}])
+
+
+class TestRunCampaign:
+    """A campaign builds every bank, and so checks every strategy's
+    settings, before it solves the equilibrium or plays a round."""
+
+    @pytest.fixture(autouse=True)
+    def no_solve_no_round(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the campaign went past its checks")
+        monkeypatch.setattr(campaign, "solve_nash", fail)
+        monkeypatch.setattr(campaign, "run_seed", fail)
+
+    def test_rejects_unknown_key_before_the_solve(self, game1):
+        config = ExperimentConfig(game1, [{"name": "rs"},
+                                          {"name": "bgam", "params": {"nuu": 5}}])
+        with pytest.raises(ConfigurationError, match="'bgam'.*'nuu'"):
+            run_campaign(config)
+
+    def test_rejects_unknown_strategy_before_the_solve(self, game1):
+        config = ExperimentConfig(game1, [{"name": "rs"}, {"name": "ucb"}])
+        with pytest.raises(ConfigurationError, match="unknown strategy 'ucb'"):
+            run_campaign(config)
 
 
 @pytest.mark.filterwarnings("ignore:rho <= 0.5")
@@ -136,34 +170,29 @@ class TestReplicaStreams:
     """The module's claim: a replica's randomness derives from (master seed,
     strategy, replica index) alone."""
 
-    @pytest.fixture(scope="class")
-    def nash(self, game1):
-        return solve_nash(game1)
-
-    def cum_regret(self, game1, nash, strategies, n_seeds):
+    def cum_regret(self, game1, strategies, n_seeds):
         config = ExperimentConfig(game1, [{"name": n} for n in strategies],
                                   T=60, n_seeds=n_seeds, master_seed=3)
-        result = run_campaign(config, nash=nash)
+        result = run_campaign(config)
         return {s.name: [r.cum_regret for r in s.seeds] for s in result.strategies}
 
-    def test_independent_of_strategy_order(self, game1, nash):
-        forward = self.cum_regret(game1, nash, ["bgam", "rs"], 2)
-        backward = self.cum_regret(game1, nash, ["rs", "bgam"], 2)
+    def test_independent_of_strategy_order(self, game1):
+        forward = self.cum_regret(game1, ["bgam", "rs"], 2)
+        backward = self.cum_regret(game1, ["rs", "bgam"], 2)
         for name in ("bgam", "rs"):
             for a, b in zip(forward[name], backward[name]):
                 assert np.array_equal(a, b)
 
-    def test_average_regret_is_seed_mean_of_cumulative_over_rounds(self, game1,
-                                                                    nash):
+    def test_average_regret_is_seed_mean_of_cumulative_over_rounds(self, game1):
         config = ExperimentConfig(game1, [{"name": "bgam"}, {"name": "rs"}],
                                   T=60, n_seeds=3, master_seed=3)
-        for s in run_campaign(config, nash=nash).strategies:
+        for s in run_campaign(config).strategies:
             avg = [r.cum_regret / s.log_t[:, None] for r in s.seeds]
             assert np.array_equal(s.mean_avg_regret, np.mean(avg, axis=0))
             assert np.array_equal(s.std_avg_regret, np.std(avg, axis=0, ddof=1))
 
-    def test_independent_of_seed_count(self, game1, nash):
-        two = self.cum_regret(game1, nash, ["bgam", "rs"], 2)
-        three = self.cum_regret(game1, nash, ["bgam", "rs"], 3)
+    def test_independent_of_seed_count(self, game1):
+        two = self.cum_regret(game1, ["bgam", "rs"], 2)
+        three = self.cum_regret(game1, ["bgam", "rs"], 3)
         for name in ("bgam", "rs"):
             assert np.array_equal(two[name][1], three[name][1])

@@ -45,6 +45,25 @@ class TestRun:
         assert error["error"] == "ConfigurationError"
         assert "'bgam'" in error["message"]
 
+    @pytest.mark.parametrize("params,named", [
+        ({"gp": {"eta": -1}}, ["strategy 'gp': eta must be > 0, got -1"]),
+        ({"bgam": {"nuu": 5}}, ["'bgam'", "'nuu'"]),
+    ])
+    def test_any_bad_setting_fails_before_the_solve_and_the_first_round(
+            self, params, named, tmp_path, capsys, monkeypatch):
+        # gp comes second: its bank is checked before bgam plays a round
+        def fail(*args, **kwargs):
+            raise AssertionError("the campaign went past its checks")
+
+        monkeypatch.setattr(campaign, "solve_nash", fail)
+        monkeypatch.setattr(campaign, "run_seed", fail)
+        error = error_of(["run", "--game", "dataset", "--strategy", "bgam,gp",
+                          "--params", json.dumps(params), "--T", "100",
+                          "--seeds", "1", "--out", str(tmp_path / "out")], capsys)
+        assert error["error"] == "ConfigurationError"
+        for part in named:
+            assert part in error["message"]
+
 
 def error_of(argv, capsys) -> dict:
     """The error JSON a verb prints when it exits 1."""
@@ -61,6 +80,8 @@ class TestBadInput:
         (["solve-nash", "--tol", "0"], "tol must be positive"),
         (["validate-spec", "--game", "dataset", "--nodes", "0"], "rho is empty"),
         (["bench-slope", "--input", "regret.csv"], "node column must repeat"),
+        (["validate-spec", "--spec-json", "spec.json"],
+         "rho must be a matrix of numbers: could not convert string to float: 'a'"),
     ])
     def test_each_verb_prints_the_error_and_exits_one(self, argv, message,
                                                       tmp_path, capsys,
@@ -70,6 +91,8 @@ class TestBadInput:
         (tmp_path / "regret.csv").write_text(
             "t,node,cumulative_regret,average_regret\n"
             "1,0,1,1\n2,0,2,1\n1,1,1,1\n2,1,2,1\n")
+        (tmp_path / "spec.json").write_text(json.dumps(
+            {"rho": [["a"]], "eps": [[0.1]], "kappa": [[0.1]]}))
         error = error_of(argv, capsys)
         assert error["error"] == "ConfigurationError"
         assert message in error["message"]

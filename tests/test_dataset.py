@@ -50,10 +50,14 @@ class TestBlockFile:
             load_dataset(path)
 
     def test_non_number(self, tmp_path):
-        path = block_file(tmp_path, kappa="task_0,task_1\n0.5,0.5\n0.25,high\n")
-        with pytest.raises(IngestionError,
-                           match="row 12, column 2: 'high' is not a number"):
-            load_dataset(path)
+        # a row with more than one filled cell is data, not a label
+        for blocks, where in (({"kappa": "task_0,task_1\n0.5,0.5\n0.25,high\n"},
+                               "row 12, column 2: 'high'"),
+                              ({"eps": "task_0,task_1\n0.1,0.2\nlow,0.4\n"},
+                               "row 8, column 1: 'low'")):
+            path = block_file(tmp_path, **blocks)
+            with pytest.raises(IngestionError, match=f"{where} is not a number"):
+                load_dataset(path)
 
     @pytest.mark.parametrize("value", ["0.0", "1.5", "-0.2"])
     def test_value_outside_unit_interval(self, tmp_path, value):
@@ -64,10 +68,14 @@ class TestBlockFile:
 
     def test_unknown_block_label(self, tmp_path):
         path = tmp_path / "indices.csv"
-        # a blank line ends a block; the next non-blank row is a label
-        path.write_text(f"rho\n{RHO}\npower\n{EPS}")
-        with pytest.raises(IngestionError, match="row 6: unknown block label 'power'"):
-            load_dataset(path)
+        # a blank line ends a block, and so does a label right after its
+        # last row; either way the label is the next row read
+        for text, row in ((f"rho\n{RHO}\npower\n{EPS}", 6),
+                          (f"rho\n{RHO}power\n{EPS}", 5)):
+            path.write_text(text)
+            with pytest.raises(IngestionError,
+                               match=f"row {row}: unknown block label 'power'"):
+                load_dataset(path)
 
     def test_missing_path(self, tmp_path):
         with pytest.raises(IngestionError, match="does not exist"):
@@ -91,6 +99,14 @@ class TestDirectory:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestionError, match="missing kappa.csv"):
             load_dataset(self.write(tmp_path, names=("rho", "eps")))
+
+    @pytest.mark.parametrize("tail,row", [
+        ("power\n", 4), ("\npower\n", 5), ("\n0.5,0.5\n", 5)])
+    def test_rejects_a_row_after_the_matrix(self, tmp_path, tail, row):
+        self.write(tmp_path)
+        (tmp_path / "rho.csv").write_text(RHO + tail)
+        with pytest.raises(IngestionError, match=rf"rho\.csv: row {row}: "):
+            load_dataset(tmp_path)
 
     def test_error_names_the_file_and_row(self, tmp_path):
         self.write(tmp_path)

@@ -3,12 +3,18 @@ feedback routing by strategy class, per-replica noise streams, regret
 against the fixed reference, the post-window histogram, the regret log and
 the checkpoint profiles."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from fogbandit.campaign import STRATEGY_NAMES, make_bank, replica_streams
 from fogbandit.engine import HIST_BINS, POST_FRACTION, run_round, run_seed
 from fogbandit.errors import ConfigurationError, ProtocolError
-from fogbandit.game import gradient_matrix, utility_matrix
+from fogbandit.game import GameSpec, estimate_bounds, gradient_matrix, utility_matrix
 from fogbandit.nash import NashSolution, deviation_utilities
 from fogbandit.strategies import BrBank, RsBank, baselines, br_profile
 
@@ -52,7 +58,53 @@ def rs_seed(spec, T, **kwargs):
     return res, np.array(played)
 
 
+UNIT = st.floats(0.0, 1.0, exclude_min=True)
+# each strategy's parameters across their valid ranges, step sizes 1e-6 to 1e6
+PARAMS = {
+    "bgam": st.fixed_dictionaries({}, optional={
+        "xi": st.floats(0.0, 0.5, exclude_min=True),
+        "beta": st.floats(0.0, 1.0, exclude_max=True),
+        "nu": st.floats(1e-6, 1e6)}),
+    "bgd": st.fixed_dictionaries({}, optional={
+        "xi": st.floats(0.0, 0.5, exclude_min=True), "nu": st.floats(1e-6, 1e6)}),
+    "lbwi": st.fixed_dictionaries({}, optional={
+        "N": st.integers(2, 12), "gamma": UNIT,
+        "pulls_per_interval": st.integers(1, 4)}),
+    "gp": st.fixed_dictionaries({}, optional={"eta": st.floats(1e-6, 1e6)}),
+}
+PARAMS["lb"] = PARAMS["lbwi"]
+
+
+@st.composite
+def bank_cases(draw):
+    """A strategy with valid parameters on a valid game of up to 4 x 3,
+    with a horizon, a replica count and a master seed."""
+    K, M = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    # rho divides the kernels: from about 1e-308 down, estimate_bounds gives nan
+    rho = draw(hnp.arrays(float, (K, M), elements=st.floats(1e-200, 1.0)))
+    eps, kappa = (draw(hnp.arrays(float, (K, M), elements=UNIT)) for _ in range(2))
+    name = draw(st.sampled_from(STRATEGY_NAMES))
+    params = draw(PARAMS.get(name, st.just({})))
+    return (rho, eps, kappa, draw(st.floats(0.0, 1.0)), name, params,
+            draw(st.integers(2, 40)), draw(st.integers(1, 3)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
 class TestActionContract:
+    @settings(deadline=None, max_examples=30)
+    @given(bank_cases())
+    def test_every_bank_keeps_its_actions_in_range(self, case):
+        # run_round raises ProtocolError for an action outside [0, 1]
+        rho, eps, kappa, noise_std, name, params, T, S, seed = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            spec = GameSpec(rho=rho, eps=eps, kappa=kappa, noise_std=noise_std)
+            streams = [replica_streams(seed, name, s) for s in range(S)]
+            bank = make_bank(name, spec, T, [g for g, _ in streams], params,
+                             estimate_bounds(spec))
+        results = run_seed(spec, bank, T, [g for _, g in streams], reference(spec))
+        assert len(results) == S
+
     def test_wrong_shape_is_protocol_error(self, game1):
         with pytest.raises(ProtocolError, match=r"round 7: .*shape \(3, 2\)"):
             run_round(game1, Stub(x=np.zeros((3, 2))), 7, rngs(0, 1))

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fogbandit import (GameSpec, estimate_bounds, gradient_matrix,
+from fogbandit import (GameSpec, estimate_bounds, game, gradient_matrix,
                        hessian_others, hessian_own, task_utility,
                        utility_matrix)
 from fogbandit.errors import ConfigurationError
@@ -47,6 +47,17 @@ class TestGameSpec:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ConfigurationError):
             GameSpec(rho=[[0.9, 0.8]], eps=[[0.1]], kappa=[[0.1]])
+
+    @pytest.mark.parametrize("rho,detail", [
+        ([["a"]], "could not convert string to float: 'a'"),
+        ([[0.9, 0.8], [0.7]], "inhomogeneous shape"),
+        ([[{}]], "float() argument must be"),
+    ])
+    def test_rejects_entries_that_are_not_numbers(self, rho, detail):
+        with pytest.raises(ConfigurationError,
+                           match=r"^rho must be a matrix of numbers: ") as info:
+            GameSpec(rho=rho, eps=[[0.1]], kappa=[[0.1]])
+        assert detail in str(info.value)
 
     def test_rejects_empty_index_matrix(self):
         # a game with K = 0 has no equilibrium to solve
@@ -329,12 +340,9 @@ class TestDscGap:
 
 
 class TestEstimateBounds:
-    def test_requires_minimum_resolution(self, game1):
-        with pytest.raises(ConfigurationError):
-            estimate_bounds(game1, grid_resolution=5)
-
-    def test_bounds_dominate_sampled_values(self, game1, rng):
-        b = estimate_bounds(game1, grid_resolution=60)
+    def test_bounds_dominate_sampled_values(self, game1, rng, monkeypatch):
+        monkeypatch.setattr(game, "GRID_RESOLUTION", 60)
+        b = estimate_bounds(game1)
         for _ in range(200):
             x_own = rng.random()
             xo = 0.5 + 0.5 * rng.random()
@@ -354,13 +362,14 @@ class TestEstimateBounds:
         assert np.abs(g).max() <= 1.0 / 1.0 + 1e-9
 
     def test_game1_regression_triple(self, game1):
-        b = estimate_bounds(game1, grid_resolution=100)
+        assert game.GRID_RESOLUTION == 100
+        b = estimate_bounds(game1)
         assert b.L == pytest.approx(2.364996, rel=1e-5)
         assert b.U == pytest.approx(0.800788, rel=1e-5)
         assert b.H == pytest.approx(17.599877, rel=1e-5)
 
     def test_lipschitz_bound_holds_on_samples(self, game1, rng):
-        b = estimate_bounds(game1, grid_resolution=100)
+        b = estimate_bounds(game1)
         for _ in range(300):
             xo = 0.5 + 0.5 * rng.random()
             x1, x2 = rng.random(), rng.random()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fogbandit import nash
 from fogbandit.errors import EquilibriumError
 from fogbandit.game import gradient_matrix, utility_matrix
 from fogbandit.nash import deviation_utilities, epsilon_gap, solve_nash
@@ -39,9 +40,10 @@ class TestEpsilonGap:
 
 
 class TestSolveNash:
-    def test_one_sweep_cannot_certify_uniqueness(self, game1):
+    def test_one_sweep_cannot_certify_uniqueness(self, game1, monkeypatch):
+        monkeypatch.setattr(nash, "MAX_SWEEPS", 1)
         with pytest.raises(EquilibriumError):
-            solve_nash(game1, max_sweeps=1)
+            solve_nash(game1)
 
     def test_start_count_does_not_move_x_star(self, game):
         # x* is the first start's end point, and each start is swept as if
@@ -52,7 +54,7 @@ class TestSolveNash:
 
     def test_matches_one_start_at_a_time(self, game):
         # reference: each start swept on its own until it converges
-        tol, damping, n_starts = 1e-6, 0.5, 5
+        tol, damping, n_starts = 1e-6, nash.DAMPING, 5
         starts = np.random.default_rng(7).random((n_starts, game.K, game.M))
         finals, sweeps = [], []
         for x in starts:
@@ -63,8 +65,7 @@ class TestSolveNash:
                     break
             finals.append(x)
             sweeps.append(it)
-        sol = solve_nash(game, tol=tol, n_starts=n_starts, seed=7,
-                         damping=damping)
+        sol = solve_nash(game, tol=tol, n_starts=n_starts, seed=7)
         assert np.array_equal(sol.x_star, finals[0])
         assert sol.iterations == max(sweeps)
         assert sol.converged
