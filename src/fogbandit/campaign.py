@@ -11,6 +11,7 @@ equilibrium is solved once per game and serves as the regret reference.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 import warnings
 import zlib
@@ -42,16 +43,25 @@ def make_bank(name: str, spec: GameSpec, T: int, rngs, params: dict,
               bounds: Bounds):
     """Instantiate the learner bank for a strategy name, one replica per
     generator in `rngs`: the one place a strategy's settings are checked.
-    Raises ConfigurationError for an unknown strategy or parameter key or
-    an out-of-range parameter value, naming the strategy."""
+    Raises ConfigurationError for an unknown strategy, a parameter block
+    that is not a dict, an unknown parameter key, or a parameter value that
+    is not a real number (bools included) or out of range, naming the
+    strategy."""
     if name not in STRATEGY_PARAMS:
         raise ConfigurationError(f"unknown strategy {name!r}; "
                                  f"supported: {', '.join(STRATEGY_NAMES)}")
+    if not isinstance(params, dict):
+        raise ConfigurationError(f"strategy {name!r}: parameters must be a JSON "
+                                 f"object, got {params!r}")
     unknown = sorted(set(params) - set(STRATEGY_PARAMS[name]))
     if unknown:
         raise ConfigurationError(
             f"strategy {name!r} has no parameter {', '.join(map(repr, unknown))}; "
             f"accepted: {', '.join(STRATEGY_PARAMS[name]) or 'none'}")
+    for key, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigurationError(f"strategy {name!r}: {key} must be a number, "
+                                     f"got {value!r}")
     if name == "bgd":
         params = dict(params, beta=0.0)
     try:
@@ -74,10 +84,7 @@ def make_bank(name: str, spec: GameSpec, T: int, rngs, params: dict,
 @dataclass
 class StrategyConfig:
     name: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.params = dict(self.params or {})
+    params: dict = field(default_factory=dict)    # checked by make_bank
 
 
 @dataclass

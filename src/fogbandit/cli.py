@@ -37,24 +37,34 @@ def _add_game_args(p):
                    help="use the first N nodes of the dataset")
     p.add_argument("--tasks", type=int, default=None,
                    help="use the first N tasks of the dataset")
-    p.add_argument("--noise-std", type=float, default=0.01)
+    p.add_argument("--noise-std", type=float, default=None,
+                   help="feedback noise std (default 0.01)")
     p.add_argument("--spec-json", default=None,
                    help="load the game from a GameSpec JSON document instead")
 
 
 def build_spec(args) -> GameSpec:
     if args.spec_json:
+        given = {"--noise-std": args.noise_std, "--nodes": args.nodes,
+                 "--tasks": args.tasks, "--dataset": args.dataset}
+        for flag, value in given.items():
+            if value is not None:
+                raise ConfigurationError(f"{flag} cannot be combined with "
+                                         "--spec-json, which sets the whole game")
         return GameSpec.from_json(Path(args.spec_json).read_text())
+    noise = {} if args.noise_std is None else {"noise_std": args.noise_std}
     if args.game == "game1":
-        return builtin_game1(noise_std=args.noise_std)
+        return builtin_game1(**noise)
     ds = load_dataset(args.dataset)
     nodes = range(ds.K if args.nodes is None else args.nodes)
     tasks = range(ds.M if args.tasks is None else args.tasks)
-    return select_subgame(ds, nodes, tasks, noise_std=args.noise_std)
+    return select_subgame(ds, nodes, tasks, **noise)
 
 
 def cmd_run(args) -> int:
     params = json.loads(args.params) if args.params else {}
+    if not isinstance(params, dict):
+        raise ConfigurationError(f"--params must be a JSON object, got {args.params}")
     names = args.strategy.split(",")
     unlisted = sorted(set(params) - set(names))
     if unlisted:
@@ -113,8 +123,7 @@ def cmd_bench_slope(args) -> int:
     cum = rows["cumulative_regret"].reshape(-1, K)       # (L, K)
     t, window = rows["t"][::K], (args.window, 1.0)
     slopes = {str(k): regret_slope(cum[:, k], window=window, t=t) for k in range(K)}
-    # nodes summed in order: cum.mean(axis=1) can round differently for K >= 8
-    slopes["node_mean"] = regret_slope(sum(cum.T) / K, window=window, t=t)
+    slopes["node_mean"] = regret_slope(cum.mean(axis=1), window=window, t=t)
     print(json.dumps({"slopes": slopes, "window": [args.window, 1.0]}, indent=2))
     return 0
 

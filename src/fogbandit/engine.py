@@ -40,14 +40,11 @@ class RoundRecord:
     br: np.ndarray = None             # br_profile(x) if the round solved it
 
 
-def regret_slope(cumulative, window=(0.5, 1.0), t=None) -> float:
-    """Least-squares slope of log(cumulative regret) against log(round)
+def regret_slope(cumulative, t, window=(0.5, 1.0)) -> float:
+    """Least-squares slope of log(cumulative regret) against log(round t)
     over the given fractional window of the horizon."""
     series = np.asarray(cumulative, dtype=float)
-    if t is None:
-        t = np.arange(1, len(series) + 1, dtype=float)
-    else:
-        t = np.asarray(t, dtype=float)
+    t = np.asarray(t, dtype=float)
     horizon = t[-1]
     sel = (t >= window[0] * horizon) & (t <= window[1] * horizon)
     if sel.sum() < 2:

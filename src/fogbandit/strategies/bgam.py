@@ -31,8 +31,6 @@ def perturbation_radius(T: int, bounds: Bounds, xi: float) -> tuple[float, float
     below xi/2 if the formula exceeds it."""
     if T < 2:
         raise ConfigurationError(f"horizon must be >= 2, got {T}")
-    if bounds.L <= 0 or bounds.U <= 0:
-        raise ConfigurationError(f"bounds must be positive, got {bounds}")
     if not 0.0 < xi <= 0.5:
         raise ConfigurationError(
             f"xi must lie in (0, 0.5] so that y + sigma*c + xi stays in [0, 1], "

@@ -58,19 +58,6 @@ def phase2_intervals(N: int, l_tilde, T: int):
                       .astype(int), N)
 
 
-def redistribute_weights(omega_coarse, N: int, n_tilde: int) -> np.ndarray:
-    """Spread N coarse-interval weights over n_tilde refined intervals.
-
-    Refined interval n inherits from parent (n * N) // n_tilde, scaled by
-    N / n_tilde so total mass is preserved; each parent gets exactly
-    n_tilde / N children, so the heaviest parent's children stay heaviest.
-    """
-    if n_tilde % N != 0:
-        raise ConfigurationError(f"refined count {n_tilde} is not a multiple of {N}")
-    parents = (np.arange(n_tilde) * N) // n_tilde
-    return (N / n_tilde) * np.asarray(omega_coarse, dtype=float)[parents]
-
-
 class LbwiBank:
     """All K x M independent interval learners of S replicas of one game,
     held as (S, K, M) arrays; each replica draws its sweep orders, arms and
@@ -105,7 +92,6 @@ class LbwiBank:
 
         shape = (len(rngs), self.K, self.M)
         self.mu_hat = np.zeros(shape + (N,))
-        self.counts = np.zeros(shape + (N,), dtype=int)
         self.weights = np.ones(shape + (N,))
         self.n_arms = np.full(shape, N, dtype=int)   # per-learner arm count
         self.l_hat = None
@@ -160,11 +146,10 @@ class LbwiBank:
         arm = self._arm[..., None]
         in_phase1 = self.t <= self.T1
         if in_phase1:
-            c0 = np.take_along_axis(self.counts, arm, -1)
+            c0 = (self.t - 1) // self.N   # each sweep pulls every arm once
             m0 = np.take_along_axis(self.mu_hat, arm, -1)
             np.put_along_axis(self.mu_hat, arm,
                               (m0 * c0 + observed[..., None]) / (c0 + 1), -1)
-            np.put_along_axis(self.counts, arm, c0 + 1, -1)
         reward = self._normalize(observed)
         w0 = np.take_along_axis(self.weights, arm, -1)[..., 0]
         mult = np.exp(self.gamma * reward / (self.n_arms * self._prob))
@@ -177,17 +162,19 @@ class LbwiBank:
         self._prob = None
 
     def _refine(self) -> None:
-        """End of Phase I: estimate the Lipschitz constant, pick the refined
-        interval counts and build the Phase-II weights."""
+        """End of Phase I: estimate the Lipschitz constant, pick each
+        learner's refined interval count n and build its Phase-II weights.
+        Refined arm j < n inherits the weight of coarse arm (j * N) // n,
+        scaled by N / n (each coarse arm gets n / N children, so the
+        heaviest one's children stay heaviest); the plain variant refines
+        uniform coarse weights, and padded arms j >= n get 0."""
         self.l_hat, self.l_tilde = lipschitz_estimate(self.mu_hat, self.N,
                                                       self.A, self.T)
-        n_tilde = phase2_intervals(self.N, self.l_tilde, self.T)
-        fine = np.zeros(n_tilde.shape + (int(n_tilde.max()),))
-        for i in np.ndindex(n_tilde.shape):
-            n = int(n_tilde[i])
-            if self.with_init:
-                fine[i][:n] = redistribute_weights(self.weights[i], self.N, n)
-            else:
-                fine[i][:n] = 1.0
-        self.n_arms = n_tilde
+        self.n_arms = phase2_intervals(self.N, self.l_tilde, self.T)
+        n = self.n_arms[..., None]
+        j = np.arange(int(n.max()))
+        coarse = self.weights if self.with_init else np.ones_like(self.weights)
+        parents = np.minimum((j * self.N) // n, self.N - 1)
+        fine = np.where(j < n, (self.N / n) * np.take_along_axis(coarse, parents, -1),
+                        0.0)
         self.weights = fine / fine.max(axis=-1, keepdims=True)

@@ -65,6 +65,31 @@ class TestMakeBank:
             build(name, params, game1, bounds)
         assert str(info.value).startswith(f"strategy {name!r}: {message}")
 
+    @pytest.mark.parametrize("name,params,message", [
+        ("gp", {"eta": "x"}, "eta must be a number, got 'x'"),
+        ("lbwi", {"gamma": None}, "gamma must be a number, got None"),
+        ("lb", {"pulls_per_interval": None}, "pulls_per_interval must be a number, "
+                                             "got None"),
+        ("gp", {"eta": True}, "eta must be a number, got True"),
+        ("bgam", {"nu": np.bool_(True)}, "nu must be a number, got "),
+        ("bgam", {"xi": 0.4, "beta": [0.5]}, "beta must be a number, got [0.5]"),
+        ("gp", 5, "parameters must be a JSON object, got 5"),
+        ("rs", None, "parameters must be a JSON object, got None"),
+        ("lbwi", [("N", 4)], "parameters must be a JSON object, got [('N', 4)]"),
+    ])
+    def test_wrong_type_names_the_strategy_and_key(self, name, params, message,
+                                                   game1, bounds):
+        with pytest.raises(ConfigurationError) as info:
+            build(name, params, game1, bounds)
+        assert str(info.value).startswith(f"strategy {name!r}: {message}")
+
+    def test_accepts_numpy_numbers(self, game1, bounds):
+        bank = build("lbwi", {"N": np.int64(12), "gamma": np.float64(0.1),
+                              "pulls_per_interval": np.int32(3)}, game1, bounds)
+        assert (bank.N, bank.gamma, bank.A) == (12, 0.1, 3)
+        assert build("gp", {"eta": np.float32(0.5)}, game1, bounds).eta == 0.5
+        assert build("bgam", {"nu": 1}, game1, bounds).nu == 1
+
     @pytest.mark.parametrize("name", ["bgam", "bgd"])
     def test_horizon_one_names_the_strategy(self, game1, bounds, name):
         # the perturbation radius of bgam and bgd needs T >= 2

@@ -65,6 +65,10 @@ class TestRun:
             assert part in error["message"]
 
 
+def went_past_the_checks(*args, **kwargs):
+    raise AssertionError("the campaign went past its checks")
+
+
 def error_of(argv, capsys) -> dict:
     """The error JSON a verb prints when it exits 1."""
     assert cli.main(argv) == 1
@@ -82,10 +86,23 @@ class TestBadInput:
         (["bench-slope", "--input", "regret.csv"], "node column must repeat"),
         (["validate-spec", "--spec-json", "spec.json"],
          "rho must be a matrix of numbers: could not convert string to float: 'a'"),
+        (["run", "--strategy", "gp", "--params", '{"gp": {"eta": "x"}}'],
+         "strategy 'gp': eta must be a number, got 'x'"),
+        (["run", "--strategy", "lbwi", "--params", '{"lbwi": {"gamma": null}}'],
+         "strategy 'lbwi': gamma must be a number, got None"),
+        (["run", "--strategy", "gp", "--params", '{"gp": {"eta": true}}'],
+         "strategy 'gp': eta must be a number, got True"),
+        (["run", "--strategy", "gp", "--params", '{"gp": 5}'],
+         "strategy 'gp': parameters must be a JSON object, got 5"),
+        (["run", "--strategy", "gp", "--params", '[5]'],
+         "--params must be a JSON object, got [5]"),
+        (["run", "--spec-json", "game.json", "--noise-std", "0.5"],
+         "--noise-std cannot be combined with --spec-json"),
     ])
     def test_each_verb_prints_the_error_and_exits_one(self, argv, message,
                                                       tmp_path, capsys,
                                                       monkeypatch):
+        monkeypatch.setattr(campaign, "solve_nash", went_past_the_checks)
         monkeypatch.chdir(tmp_path)
         # node-major rows: not the round-major layout `run` writes
         (tmp_path / "regret.csv").write_text(
@@ -93,6 +110,8 @@ class TestBadInput:
             "1,0,1,1\n2,0,2,1\n1,1,1,1\n2,1,2,1\n")
         (tmp_path / "spec.json").write_text(json.dumps(
             {"rho": [["a"]], "eps": [[0.1]], "kappa": [[0.1]]}))
+        (tmp_path / "game.json").write_text(json.dumps(
+            {"rho": [[0.9]], "eps": [[0.1]], "kappa": [[0.1]]}))
         error = error_of(argv, capsys)
         assert error["error"] == "ConfigurationError"
         assert message in error["message"]
@@ -124,6 +143,36 @@ class TestBuildSpec:
         assert cli.main(["solve-nash", "--game", "game1"]) == 0
         assert from_json == capsys.readouterr().out
 
+    @pytest.mark.parametrize("verb", ["run", "validate-spec", "solve-nash"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--noise-std", "0.5"), ("--nodes", "1"), ("--tasks", "1"),
+        ("--dataset", "other.txt"), ("--noise-std", "0.01")])
+    def test_spec_json_takes_no_other_game_flag(self, verb, flag, value, game1,
+                                                tmp_path, capsys, monkeypatch):
+        # the spec document sets the whole game: these flags used to be
+        # dropped silently, and an explicit default is rejected too
+        monkeypatch.setattr(cli, "solve_nash", went_past_the_checks)
+        monkeypatch.setattr(campaign, "solve_nash", went_past_the_checks)
+        path = tmp_path / "game1.json"
+        path.write_text(game1.to_json())
+        error = error_of([verb, "--spec-json", str(path), flag, value,
+                          *(["--out", str(tmp_path / "out")] if verb == "run" else [])],
+                         capsys)
+        assert error == {"error": "ConfigurationError",
+                         "message": f"{flag} cannot be combined with --spec-json, "
+                                    "which sets the whole game"}
+
+    @pytest.mark.filterwarnings("ignore:rho <= 0.5")
+    def test_noise_std_defaults_to_one_hundredth(self, capsys):
+        args = cli.make_parser().parse_args(["validate-spec"])
+        assert args.noise_std is None
+        assert cli.build_spec(args).noise_std == 0.01
+        args = cli.make_parser().parse_args(["validate-spec", "--game", "dataset",
+                                             "--nodes", "2"])
+        assert cli.build_spec(args).noise_std == 0.01
+        args = cli.make_parser().parse_args(["validate-spec", "--noise-std", "0.5"])
+        assert cli.build_spec(args).noise_std == 0.5
+
     def test_spec_json_names_a_missing_field(self, game1, tmp_path, capsys):
         doc = json.loads(game1.to_json())
         del doc["rho"]
@@ -147,12 +196,16 @@ class TestResultFiles:
         assert json.loads((out / "summary.json").read_text())["nash"] == solved
 
     def test_bench_slope_reads_the_regret_csv_of_run(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert cli.main(["run", "--strategy", "bgam", "--T", "2000",
-                         "--seeds", "3", "--out", str(out)]) == 0
-        capsys.readouterr()
-        assert cli.main(["bench-slope", "--input", str(out / "regret_bgam.csv")]) == 0
-        slopes = json.loads(capsys.readouterr().out)["slopes"]
-        summary = json.loads((out / "summary.json").read_text())
-        assert slopes["node_mean"] == summary["strategies"]["bgam"]["regret_slope"]
-        assert sorted(slopes) == ["0", "1", "node_mean"]
+        # on the 10 x 10 dataset a node mean summed in order would round
+        # differently from the campaign's at one of the 1000 logged rounds
+        for game, K in (("game1", 2), ("dataset", 10)):
+            out = tmp_path / game
+            assert cli.main(["run", "--game", game, "--strategy", "bgam",
+                             "--T", "2000", "--seeds", "3", "--out", str(out)]) == 0
+            capsys.readouterr()
+            assert cli.main(["bench-slope", "--input",
+                             str(out / "regret_bgam.csv")]) == 0
+            slopes = json.loads(capsys.readouterr().out)["slopes"]
+            summary = json.loads((out / "summary.json").read_text())
+            assert slopes["node_mean"] == summary["strategies"]["bgam"]["regret_slope"]
+            assert sorted(slopes) == sorted([str(k) for k in range(K)] + ["node_mean"])

@@ -11,8 +11,7 @@ import pytest
 
 from fogbandit.errors import ConfigurationError
 from fogbandit.game import GameSpec
-from fogbandit.strategies import (LbwiBank, lipschitz_estimate,
-                                  phase2_intervals, redistribute_weights)
+from fogbandit.strategies import LbwiBank, lipschitz_estimate, phase2_intervals
 
 mp.mp.dps = 40
 
@@ -207,32 +206,68 @@ class TestPhase2Intervals:
             phase2_intervals(10, 0.0, 100)
 
 
-class TestRedistributeWeights:
-    def test_identity_when_counts_match(self):
-        w = np.array([0.2, 0.5, 0.3])
-        assert np.allclose(redistribute_weights(w, 3, 3), w)
+def refined_bank(with_init):
+    """A two-replica bank of 2 x 3 learners driven through Phase I on
+    utilities whose slope in x differs per learner, so that the learners
+    refine to different interval counts; returns the bank and its coarse
+    weights as they stood when Phase I ended."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        spec = GameSpec(rho=np.full((2, 3), 0.9), eps=np.full((2, 3), 0.1),
+                        kappa=np.full((2, 3), 0.1))
+    bank = LbwiBank(spec, 1000, [np.random.default_rng(0), np.random.default_rng(1)],
+                    N=4, pulls_per_interval=5, with_init=with_init)
+    slopes = np.array([[0.0, 5.0, 20.0], [80.0, 300.0, 900.0]])
+    coarse = []
+    refine = bank._refine
 
-    def test_two_to_four(self):
-        assert np.allclose(redistribute_weights([2.0, 4.0], 2, 4), [1, 1, 2, 2])
+    def capture():
+        coarse.append(bank.weights.copy())
+        refine()
 
-    def test_mass_conserved(self, rng):
-        for _ in range(200):
-            N = int(rng.integers(2, 12))
-            mult = int(rng.integers(1, 9))
-            w = rng.random(N) + 0.01
-            out = redistribute_weights(w, N, N * mult)
-            assert out.sum() == pytest.approx(w.sum(), rel=1e-12)
+    bank._refine = capture
+    noise = np.random.default_rng(2)
+    for _ in range(bank.T1):
+        x = bank.act()
+        bank.observe(slopes * x + noise.normal(0.0, 0.01, x.shape))
+    [weights] = coarse
+    return bank, weights
 
-    def test_argmax_parent_keeps_maximal_weight(self, rng):
-        for _ in range(100):
-            N = int(rng.integers(2, 10))
-            mult = int(rng.integers(1, 6))
-            w = rng.random(N) + 0.01
-            out = redistribute_weights(w, N, N * mult)
-            top_parent = int(np.argmax(w))
-            children = out[top_parent * mult:(top_parent + 1) * mult]
-            assert np.all(children == out.max())
 
-    def test_rejects_non_multiple(self):
-        with pytest.raises(ConfigurationError):
-            redistribute_weights(np.ones(3), 3, 7)
+def refined_one_learner_at_a_time(coarse, n_arms, N, with_init):
+    """Phase-II weights built learner by learner: refined arm j < n takes
+    coarse weight (j * N) // n scaled by N / n (uniform weights without
+    init), padded arms stay 0, then each learner is scaled to max 1."""
+    fine = np.zeros(n_arms.shape + (int(n_arms.max()),))
+    for i in np.ndindex(n_arms.shape):
+        n = int(n_arms[i])
+        if with_init:
+            fine[i][:n] = (N / n) * coarse[i][(np.arange(n) * N) // n]
+        else:
+            fine[i][:n] = 1.0
+    return fine / fine.max(axis=-1, keepdims=True)
+
+
+class TestRefinement:
+    @pytest.mark.parametrize("with_init", [True, False], ids=["lbwi", "lb"])
+    def test_matches_the_per_learner_rule_bitwise(self, with_init):
+        bank, coarse = refined_bank(with_init)
+        assert len(np.unique(bank.n_arms)) >= 4
+        expected = refined_one_learner_at_a_time(coarse, bank.n_arms, 4, with_init)
+        assert bank.weights.shape == expected.shape
+        assert np.array_equal(bank.weights, expected)
+
+    @pytest.mark.parametrize("with_init", [True, False], ids=["lbwi", "lb"])
+    def test_padded_arms_get_zero(self, with_init):
+        bank, _ = refined_bank(with_init)
+        active = np.arange(bank.weights.shape[-1]) < bank.n_arms[..., None]
+        assert not active.all()
+        assert np.all(bank.weights[~active] == 0.0)
+        assert np.all(bank.weights[active] > 0.0)
+
+    def test_mass_is_kept(self):
+        # before scaling to max 1, a learner's refined weights sum to its
+        # coarse weights' sum
+        bank, coarse = refined_bank(True)
+        unscaled = bank.weights * (4 / bank.n_arms * coarse.max(axis=-1))[..., None]
+        assert np.allclose(unscaled.sum(axis=-1), coarse.sum(axis=-1), rtol=1e-12)

@@ -62,8 +62,10 @@ class TestPhaseOne:
     def test_every_arm_pulled_exactly_a_times(self, rng):
         spec = tiny_spec()
         bank = LbwiBank(spec, T=200, rngs=[rng], N=5, pulls_per_interval=8)
-        drive(bank, spec, bank.T1, np.random.default_rng(0))
-        assert np.all(bank.counts == 8)
+        log = []
+        drive(bank, spec, bank.T1, np.random.default_rng(0), log=log)
+        assert np.array_equal(np.bincount([arm for arm, _ in log], minlength=5),
+                              np.full(5, 8))
 
     def test_actions_come_from_scheduled_interval(self, rng):
         spec = tiny_spec()
@@ -79,6 +81,19 @@ class TestPhaseOne:
         bank = LbwiBank(spec, T=400, rngs=[rng], N=5, pulls_per_interval=10)
         log = []
         drive(bank, spec, bank.T1, np.random.default_rng(1), log=log)
+        for arm in range(5):
+            observed = [u for a, u in log if a == arm]
+            assert bank.mu_hat[0, 0, 0, arm] == pytest.approx(
+                np.mean(observed), rel=1e-12)
+
+    def test_average_is_exact_when_the_horizon_cuts_a_sweep(self, rng):
+        # T1 = T = 23 < A * N: the last sweep stops after 3 of its 5 arms
+        spec = tiny_spec()
+        bank = LbwiBank(spec, T=23, rngs=[rng], N=5, pulls_per_interval=10)
+        log = []
+        drive(bank, spec, bank.T1, np.random.default_rng(1), log=log)
+        pulls = np.bincount([a for a, _ in log], minlength=5)
+        assert sorted(pulls) == [4, 4, 5, 5, 5]
         for arm in range(5):
             observed = [u for a, u in log if a == arm]
             assert bank.mu_hat[0, 0, 0, arm] == pytest.approx(
