@@ -45,8 +45,8 @@ def make_bank(name: str, spec: GameSpec, T: int, rngs, params: dict,
     generator in `rngs`: the one place a strategy's settings are checked.
     Raises ConfigurationError for an unknown strategy, a parameter block
     that is not a dict, an unknown parameter key, or a parameter value that
-    is not a real number (bools included) or out of range, naming the
-    strategy."""
+    is not a real number (bools included), not finite or out of range,
+    naming the strategy."""
     if name not in STRATEGY_PARAMS:
         raise ConfigurationError(f"unknown strategy {name!r}; "
                                  f"supported: {', '.join(STRATEGY_NAMES)}")
@@ -61,6 +61,9 @@ def make_bank(name: str, spec: GameSpec, T: int, rngs, params: dict,
     for key, value in params.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ConfigurationError(f"strategy {name!r}: {key} must be a number, "
+                                     f"got {value!r}")
+        if not np.isfinite(value):
+            raise ConfigurationError(f"strategy {name!r}: {key} must be finite, "
                                      f"got {value!r}")
     if name == "bgd":
         params = dict(params, beta=0.0)
@@ -102,6 +105,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.T < 1 or self.n_seeds < 1:
             raise ConfigurationError("T and n_seeds must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigurationError(
+                f"master_seed must be >= 0, got {self.master_seed}")
         if self.regret_mode not in ("ne_reference", "per_round_br"):
             raise ConfigurationError(f"unknown regret mode {self.regret_mode!r}")
         self.strategies = [

@@ -43,17 +43,22 @@ def _add_game_args(p):
                    help="load the game from a GameSpec JSON document instead")
 
 
+def _reject_given(flags: dict, reason: str) -> None:
+    for flag, value in flags.items():
+        if value is not None:
+            raise ConfigurationError(f"{flag} cannot be combined with {reason}")
+
+
 def build_spec(args) -> GameSpec:
+    dataset_flags = {"--nodes": args.nodes, "--tasks": args.tasks,
+                     "--dataset": args.dataset}
     if args.spec_json:
-        given = {"--noise-std": args.noise_std, "--nodes": args.nodes,
-                 "--tasks": args.tasks, "--dataset": args.dataset}
-        for flag, value in given.items():
-            if value is not None:
-                raise ConfigurationError(f"{flag} cannot be combined with "
-                                         "--spec-json, which sets the whole game")
+        _reject_given({"--noise-std": args.noise_std, **dataset_flags},
+                      "--spec-json, which sets the whole game")
         return GameSpec.from_json(Path(args.spec_json).read_text())
     noise = {} if args.noise_std is None else {"noise_std": args.noise_std}
     if args.game == "game1":
+        _reject_given(dataset_flags, "--game game1, which uses no dataset")
         return builtin_game1(**noise)
     ds = load_dataset(args.dataset)
     nodes = range(ds.K if args.nodes is None else args.nodes)

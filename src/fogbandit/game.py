@@ -74,10 +74,12 @@ class GameSpec:
             )
         self.barrier = float(self.barrier)
         self.noise_std = float(self.noise_std)
-        if self.barrier <= 0.0:
-            raise ConfigurationError("barrier must be > 0")
-        if self.noise_std < 0.0:
-            raise ConfigurationError("noise_std must be >= 0")
+        if not (np.isfinite(self.barrier) and self.barrier > 0.0):
+            raise ConfigurationError(
+                f"barrier must be finite and > 0, got {self.barrier}")
+        if not (np.isfinite(self.noise_std) and self.noise_std >= 0.0):
+            raise ConfigurationError(
+                f"noise_std must be finite and >= 0, got {self.noise_std}")
         low = self.rho <= RHO_CONVEXITY_THRESHOLD
         if np.any(low):
             ks, ms = np.nonzero(low)

@@ -77,8 +77,12 @@ def solve_nash(spec: GameSpec, tol: float = DEFAULT_TOL,
     (a game outside the proven uniqueness regime, e.g. low efficiency
     indices, can surface here).
     """
-    if tol <= 0:
-        raise ConfigurationError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ConfigurationError(f"tol must be positive and finite, got {tol}")
+    for name, value, least in (("n_starts", n_starts, 1), ("seed", seed, 0)):
+        if not isinstance(value, (int, np.integer)) or value < least:
+            raise ConfigurationError(f"{name} must be an integer >= {least}, "
+                                     f"got {value!r}")
     x = np.random.default_rng(seed).random((n_starts, spec.K, spec.M))
     active = np.arange(n_starts)
     for sweeps in range(1, MAX_SWEEPS + 1):

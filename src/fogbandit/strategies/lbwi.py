@@ -110,16 +110,13 @@ class LbwiBank:
         """One uniform draw of shape (K, M) + tail per replica, stacked."""
         return np.array([g.random((self.K, self.M) + tail) for g in self.rngs])
 
-    def _mask(self):
-        return np.arange(self.weights.shape[-1]) < self.n_arms[..., None]
-
     def _probs(self):
-        """Mixing distribution per learner over its own (padded) arm axis."""
-        mask = self._mask()
-        w = np.where(mask, self.weights, 0.0)
-        total = w.sum(axis=-1, keepdims=True)
-        p = (1.0 - self.gamma) * w / total + self.gamma / self.n_arms[..., None]
-        return np.where(mask, p, 0.0)
+        """EXP3's mixing distribution over the padded arm axis. Padded arms
+        j >= n hold weight 0 (`_refine` writes it, `observe` scales only the
+        played arm j < n); their floor gamma/n lifts the cumsum only past arm
+        n - 1, so `act`'s sampler, clipped to n - 1, never returns one."""
+        w, n = self.weights, self.n_arms[..., None]
+        return (1.0 - self.gamma) * w / w.sum(axis=-1, keepdims=True) + self.gamma / n
 
     # -- act / observe ----------------------------------------------------
 

@@ -58,6 +58,12 @@ class TestMakeBank:
         ("bgam", {"nu": 0.0}, "step size nu must be > 0"),
         ("bgd", {"xi": 0.7}, "xi must lie in (0, 0.5]"),
         ("lb", {"gamma": 2.0}, "gamma must lie in (0, 1]"),
+        # inf passed every range that is open above, into summary.json
+        ("gp", {"eta": float("inf")}, "eta must be finite, got inf"),
+        ("bgam", {"nu": float("inf")}, "nu must be finite, got inf"),
+        ("bgd", {"nu": np.float64("inf")}, "nu must be finite, got "),
+        ("lbwi", {"gamma": float("nan")}, "gamma must be finite, got nan"),
+        ("lb", {"N": float("-inf")}, "N must be finite, got -inf"),
     ])
     def test_out_of_range_value_names_the_strategy(self, name, params, message,
                                                     game1, bounds):

@@ -98,6 +98,21 @@ class TestBadInput:
          "--params must be a JSON object, got [5]"),
         (["run", "--spec-json", "game.json", "--noise-std", "0.5"],
          "--noise-std cannot be combined with --spec-json"),
+        (["run", "--noise-std", "nan"], "noise_std must be finite and >= 0, got nan"),
+        (["run", "--noise-std", "inf"], "noise_std must be finite and >= 0, got inf"),
+        (["validate-spec", "--noise-std", "nan"], "noise_std must be finite"),
+        (["validate-spec", "--spec-json", "nan_barrier.json"],
+         "barrier must be finite and > 0, got nan"),
+        (["run", "--strategy", "gp", "--params", '{"gp": {"eta": Infinity}}'],
+         "strategy 'gp': eta must be finite, got inf"),
+        (["run", "--strategy", "bgam", "--params", '{"bgam": {"nu": Infinity}}'],
+         "strategy 'bgam': nu must be finite, got inf"),
+        (["solve-nash", "--tol", "nan"], "tol must be positive and finite, got nan"),
+        (["solve-nash", "--tol", "inf"], "tol must be positive and finite, got inf"),
+        (["solve-nash", "--starts", "0"], "n_starts must be an integer >= 1, got 0"),
+        (["solve-nash", "--starts", "-2"], "n_starts must be an integer >= 1, got -2"),
+        (["solve-nash", "--master-seed", "-1"], "seed must be an integer >= 0, got -1"),
+        (["run", "--master-seed", "-1"], "master_seed must be >= 0, got -1"),
     ])
     def test_each_verb_prints_the_error_and_exits_one(self, argv, message,
                                                       tmp_path, capsys,
@@ -112,6 +127,8 @@ class TestBadInput:
             {"rho": [["a"]], "eps": [[0.1]], "kappa": [[0.1]]}))
         (tmp_path / "game.json").write_text(json.dumps(
             {"rho": [[0.9]], "eps": [[0.1]], "kappa": [[0.1]]}))
+        (tmp_path / "nan_barrier.json").write_text(json.dumps(
+            {"rho": [[0.9]], "eps": [[0.1]], "kappa": [[0.1]], "barrier": float("nan")}))
         error = error_of(argv, capsys)
         assert error["error"] == "ConfigurationError"
         assert message in error["message"]
@@ -161,6 +178,21 @@ class TestBuildSpec:
         assert error == {"error": "ConfigurationError",
                          "message": f"{flag} cannot be combined with --spec-json, "
                                     "which sets the whole game"}
+
+    @pytest.mark.parametrize("verb", ["run", "validate-spec", "solve-nash"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--nodes", "1"), ("--tasks", "1"), ("--dataset", "nope.txt")])
+    def test_game1_takes_no_dataset_flag(self, verb, flag, value, tmp_path,
+                                         capsys, monkeypatch):
+        # these flags select from the dataset and were dropped silently
+        monkeypatch.setattr(cli, "solve_nash", went_past_the_checks)
+        monkeypatch.setattr(campaign, "solve_nash", went_past_the_checks)
+        error = error_of([verb, "--game", "game1", flag, value,
+                          *(["--out", str(tmp_path / "out")] if verb == "run" else [])],
+                         capsys)
+        assert error == {"error": "ConfigurationError",
+                         "message": f"{flag} cannot be combined with --game game1, "
+                                    "which uses no dataset"}
 
     @pytest.mark.filterwarnings("ignore:rho <= 0.5")
     def test_noise_std_defaults_to_one_hundredth(self, capsys):

@@ -54,7 +54,8 @@ class TestExp3Probs:
 
     def test_random_weights_normalize_and_floor(self, rng):
         # every learner of a 10 x 10 bank on its own arm count, as after
-        # Phase II refinement: padded arms get probability zero
+        # Phase II refinement: padded arms hold weight 0, as _refine leaves
+        # them, and the live arms' probabilities sum to 1
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             spec = GameSpec(rho=np.full((10, 10), 0.9), eps=np.full((10, 10), 0.1),
@@ -62,15 +63,15 @@ class TestExp3Probs:
         bank = LbwiBank(spec, 1000, [np.random.default_rng(0)], N=40)
         for _ in range(20):
             n = rng.integers(2, 40, (1, 10, 10))
-            bank.n_arms = n
-            bank.weights = (rng.random((1, 10, 10, 40))
-                            * 10.0 ** rng.integers(-6, 6, (1, 10, 10, 1)) + 1e-12)
-            bank.gamma = float(rng.uniform(0.01, 1.0))
-            p = bank._probs()
-            assert np.all(np.abs(p.sum(axis=-1) - 1.0) < 1e-9)
             active = np.arange(40) < n[..., None]
+            bank.n_arms = n
+            bank.weights = np.where(active, rng.random((1, 10, 10, 40))
+                                    * 10.0 ** rng.integers(-6, 6, (1, 10, 10, 1))
+                                    + 1e-12, 0.0)
+            bank.gamma = float(rng.uniform(0.01, 1.0))
+            p = np.where(active, bank._probs(), 0.0)
+            assert np.all(np.abs(p.sum(axis=-1) - 1.0) < 1e-9)
             assert np.all((p >= bank.gamma / n[..., None] - 1e-15) | ~active)
-            assert np.all(p[~active] == 0.0)
 
     def test_batched_weights(self):
         p = probs(np.stack([[2.0, 1.0, 1.0], [1.0, 1.0, 1.0]]), gamma=0.0)
@@ -271,3 +272,42 @@ class TestRefinement:
         bank, coarse = refined_bank(True)
         unscaled = bank.weights * (4 / bank.n_arms * coarse.max(axis=-1))[..., None]
         assert np.allclose(unscaled.sum(axis=-1), coarse.sum(axis=-1), rtol=1e-12)
+
+
+def masked_probs(bank):
+    """The mixing distribution with padded arms masked out, as the bank
+    computed it before it relied on their zero weights."""
+    mask = np.arange(bank.weights.shape[-1]) < bank.n_arms[..., None]
+    w = np.where(mask, bank.weights, 0.0)
+    total = w.sum(axis=-1, keepdims=True)
+    p = (1.0 - bank.gamma) * w / total + bank.gamma / bank.n_arms[..., None]
+    return np.where(mask, p, 0.0), mask
+
+
+class TestPaddedArms:
+    @pytest.mark.parametrize("with_init", [True, False], ids=["lbwi", "lb"])
+    def test_phase2_plays_as_the_masked_distribution(self, with_init):
+        # a two-replica 10 x 10 bank whose learners see different slopes in
+        # x, so that they refine to different arm counts
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            spec = GameSpec(rho=np.full((10, 10), 0.9), eps=np.full((10, 10), 0.1),
+                            kappa=np.full((10, 10), 0.1))
+        bank = LbwiBank(spec, 300, [np.random.default_rng(3), np.random.default_rng(4)],
+                        N=4, pulls_per_interval=5, with_init=with_init)
+        slopes = np.linspace(0.0, 100.0, 100).reshape(10, 10)
+        noise = np.random.default_rng(5)
+        for t in range(1, bank.T + 1):
+            phase2 = t > bank.T1
+            if phase2:
+                expected, live = masked_probs(bank)
+                assert np.array_equal(bank._probs()[live], expected[live])
+            x = bank.act()
+            if phase2:
+                assert np.all(bank._arm < bank.n_arms)
+                assert np.array_equal(bank._prob, np.take_along_axis(
+                    expected, bank._arm[..., None], -1)[..., 0])
+            bank.observe(slopes * x + noise.normal(0.0, 0.01, x.shape))
+            padded = np.arange(bank.weights.shape[-1]) >= bank.n_arms[..., None]
+            assert np.all(bank.weights[padded] == 0.0)
+        assert len(np.unique(bank.n_arms)) >= 5

@@ -71,6 +71,14 @@ class TestGameSpec:
         with pytest.raises(ConfigurationError):
             GameSpec(rho=[[0.9]], eps=[[0.1]], kappa=[[0.1]], noise_std=-1.0)
 
+    @pytest.mark.parametrize("field", ["barrier", "noise_std"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_barrier_and_noise(self, field, value):
+        # nan passed both sign checks and switched the noise off silently
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{field} must be finite and >=? 0, got {value}$"):
+            GameSpec(rho=[[0.9]], eps=[[0.1]], kappa=[[0.1]], **{field: value})
+
     def test_warns_on_low_efficiency_but_accepts(self):
         with pytest.warns(UserWarning, match="convexity"):
             spec = GameSpec(rho=[[0.5]], eps=[[0.1]], kappa=[[0.1]])

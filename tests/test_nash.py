@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fogbandit import nash
-from fogbandit.errors import EquilibriumError
+from fogbandit.errors import ConfigurationError, EquilibriumError
 from fogbandit.game import gradient_matrix, utility_matrix
 from fogbandit.nash import deviation_utilities, epsilon_gap, solve_nash
 from fogbandit.strategies import br_profile
@@ -44,6 +44,21 @@ class TestSolveNash:
         monkeypatch.setattr(nash, "MAX_SWEEPS", 1)
         with pytest.raises(EquilibriumError):
             solve_nash(game1)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"tol": float("nan")}, "tol must be positive and finite, got nan"),
+        ({"tol": float("inf")}, "tol must be positive and finite, got inf"),
+        ({"tol": 0.0}, "tol must be positive and finite, got 0.0"),
+        ({"n_starts": 0}, "n_starts must be an integer >= 1, got 0"),
+        ({"n_starts": -2}, "n_starts must be an integer >= 1, got -2"),
+        ({"n_starts": 2.0}, "n_starts must be an integer >= 1, got 2.0"),
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+    ])
+    def test_rejects_bad_settings_naming_the_field(self, game1, kwargs, message):
+        # a nan or inf tol stopped the sweeps at once and certified the
+        # first sweep's profile as converged
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            solve_nash(game1, **kwargs)
 
     def test_start_count_does_not_move_x_star(self, game):
         # x* is the first start's end point, and each start is swept as if
