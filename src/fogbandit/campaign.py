@@ -110,6 +110,8 @@ class ExperimentConfig:
                 f"master_seed must be >= 0, got {self.master_seed}")
         if self.regret_mode not in ("ne_reference", "per_round_br"):
             raise ConfigurationError(f"unknown regret mode {self.regret_mode!r}")
+        if self.trace and self.out_dir is None:
+            raise ConfigurationError("trace needs an out_dir to write the traces to")
         self.strategies = [
             s if isinstance(s, StrategyConfig) else StrategyConfig(**s)
             for s in self.strategies
@@ -185,7 +187,7 @@ def run_campaign(config: ExperimentConfig, progress=None) -> CampaignResult:
     for sc, (bank, noise_rngs, build_s) in zip(config.strategies, banks):
         t0 = time.monotonic()
         trace_sink = None
-        if config.trace and config.out_dir is not None:
+        if config.trace:
             trace_sink = _TraceWriter([
                 Path(config.out_dir) / f"trace_{sc.name}_seed{seed}.csv"
                 for seed in seeds])
@@ -316,7 +318,7 @@ def summary_dict(result: CampaignResult) -> dict:
             "final_average_regret_mean": s.mean_avg_regret[-1].tolist(),
             "final_average_regret_std": s.std_avg_regret[-1].tolist(),
             "final_average_regret_node_mean": s.final_avg_regret_node_mean(),
-            "regret_slope": s.slope,
+            "regret_slope": s.slope if np.isfinite(s.slope) else None,
             "eps_gap_trajectory": {str(t): g for t, g in
                                    s.eps_gap_trajectory.items()},
             "runtime_seconds": s.runtime,
@@ -338,5 +340,5 @@ def write_outputs(result: CampaignResult, out_dir) -> list:
             writer(s, written[-1])
     written.append(out_dir / "summary.json")
     with open(written[-1], "w") as fh:
-        json.dump(summary_dict(result), fh, indent=2, sort_keys=True)
+        json.dump(summary_dict(result), fh, indent=2, sort_keys=True, allow_nan=False)
     return written

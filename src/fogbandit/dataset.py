@@ -121,6 +121,8 @@ def load_dataset(path=None) -> IndexDataset:
             label = rows[i][0].strip()
             if label not in _BLOCKS:
                 raise IngestionError(f"{path}: row {i + 1}: unknown block label {label!r}")
+            if label in blocks:
+                raise IngestionError(f"{path}: row {i + 1}: repeated block label {label!r}")
             blocks[label], i = _parse_block(rows, i + 1, label, path)
 
     missing = [b for b in _BLOCKS if b not in blocks]

@@ -99,7 +99,6 @@ class LbwiBank:
         self.t = 1
         self._sweep = None
         self._arm = None
-        self._prob = None
 
     # -- helpers ----------------------------------------------------------
 
@@ -121,7 +120,6 @@ class LbwiBank:
     # -- act / observe ----------------------------------------------------
 
     def act(self) -> np.ndarray:
-        p = self._probs()
         if self.t <= self.T1:
             j = (self.t - 1) % self.N
             if j == 0:
@@ -129,10 +127,9 @@ class LbwiBank:
             arm = self._sweep[..., j]
         else:
             draw = self._draw()
-            arm = np.minimum((draw[..., None] > p.cumsum(axis=-1)).sum(axis=-1),
-                             self.n_arms - 1)
+            arm = np.minimum((draw[..., None] > self._probs().cumsum(axis=-1))
+                             .sum(axis=-1), self.n_arms - 1)
         self._arm = arm
-        self._prob = np.take_along_axis(p, arm[..., None], -1)[..., 0]
         return (arm + self._draw()) / self.n_arms
 
     def observe(self, observed: np.ndarray) -> None:
@@ -141,22 +138,21 @@ class LbwiBank:
         if not np.all(np.isfinite(observed)):
             raise FeedbackError("observed utilities must be finite")
         arm = self._arm[..., None]
-        in_phase1 = self.t <= self.T1
-        if in_phase1:
+        if self.t <= self.T1:
             c0 = (self.t - 1) // self.N   # each sweep pulls every arm once
             m0 = np.take_along_axis(self.mu_hat, arm, -1)
             np.put_along_axis(self.mu_hat, arm,
                               (m0 * c0 + observed[..., None]) / (c0 + 1), -1)
-        reward = self._normalize(observed)
-        w0 = np.take_along_axis(self.weights, arm, -1)[..., 0]
-        mult = np.exp(self.gamma * reward / (self.n_arms * self._prob))
-        np.put_along_axis(self.weights, arm, (w0 * mult)[..., None], -1)
-        self.weights /= self.weights.max(axis=-1, keepdims=True)
-        if in_phase1 and self.t == self.T1:
+        w, n = self.weights, self.n_arms
+        w0 = np.take_along_axis(w, arm, -1)[..., 0]
+        p0 = (1.0 - self.gamma) * w0 / w.sum(axis=-1) + self.gamma / n
+        w1 = w0 * np.exp(self.gamma * self._normalize(observed) / (n * p0))
+        np.put_along_axis(w, arm, w1[..., None], -1)
+        w /= np.maximum(w1, 1.0)[..., None]   # row max was 1.0, multiplier >= 1
+        if self.t == self.T1:
             self._refine()
         self.t += 1
         self._arm = None
-        self._prob = None
 
     def _refine(self) -> None:
         """End of Phase I: estimate the Lipschitz constant, pick each

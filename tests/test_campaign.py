@@ -114,6 +114,12 @@ class TestExperimentConfig:
                            match="strategy 'rs' is listed more than once"):
             ExperimentConfig(game1, [{"name": "rs"}, {"name": "gp"}, {"name": "rs"}])
 
+    def test_trace_needs_an_out_dir(self, game1, tmp_path):
+        # without one the campaign wrote no trace and raised nothing
+        with pytest.raises(ConfigurationError, match="out_dir"):
+            ExperimentConfig(game1, [{"name": "rs"}], trace=True)
+        ExperimentConfig(game1, [{"name": "rs"}], out_dir=tmp_path, trace=True)
+
 
 class TestRunCampaign:
     """A campaign builds every bank, and so checks every strategy's

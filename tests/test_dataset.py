@@ -77,6 +77,14 @@ class TestBlockFile:
                                match=f"row {row}: unknown block label 'power'"):
                 load_dataset(path)
 
+    def test_repeated_block_label(self, tmp_path):
+        # a second rho block used to replace the first without a word
+        path = block_file(tmp_path)
+        path.write_text(path.read_text() + f"rho\n{RHO}")
+        with pytest.raises(IngestionError,
+                           match=r"indices\.csv: row 13: repeated block label 'rho'"):
+            load_dataset(path)
+
     def test_missing_path(self, tmp_path):
         with pytest.raises(IngestionError, match="does not exist"):
             load_dataset(tmp_path / "absent.csv")

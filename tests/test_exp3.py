@@ -86,7 +86,8 @@ def update(weights, reward, gamma):
     bank = bank_with(weights, gamma)
     before = bank.weights[0, 0, 0].copy()
     bank.act()
-    arm, prob = int(bank._arm[0, 0, 0]), float(bank._prob[0, 0, 0])
+    arm = int(bank._arm[0, 0, 0])
+    prob = float(bank._probs()[0, 0, 0, arm])
     bank.observe(np.array([[[bank.u_lo + reward * (bank.u_hi - bank.u_lo)]]]))
     return before, bank.weights[0, 0, 0], arm, prob
 
@@ -110,8 +111,9 @@ class TestExp3Update:
         assert np.allclose(p_before, p_after, atol=1e-12)
 
     def test_max_weight_is_one_after_update(self, rng):
+        # the bank only holds weights whose max is 1.0
         w = rng.random(5) + 0.1
-        _, w, _, _ = update(w, reward=0.7, gamma=0.3)
+        _, w, _, _ = update(w / w.max(), reward=0.7, gamma=0.3)
         assert w.max() == 1.0
 
 
@@ -284,6 +286,19 @@ def masked_probs(bank):
     return np.where(mask, p, 0.0), mask
 
 
+def stored_probability_update(bank, expected, observed):
+    """The weights after `observe` as the bank computed them when it kept the
+    played arm's probability from `act`: the masked probability at the
+    played arm sets the multiplier, then each row is divided by its max."""
+    arm = bank._arm[..., None]
+    prob = np.take_along_axis(expected, arm, -1)[..., 0]
+    w = bank.weights.copy()
+    w0 = np.take_along_axis(w, arm, -1)[..., 0]
+    mult = np.exp(bank.gamma * bank._normalize(observed) / (bank.n_arms * prob))
+    np.put_along_axis(w, arm, (w0 * mult)[..., None], -1)
+    return w / w.max(axis=-1, keepdims=True)
+
+
 class TestPaddedArms:
     @pytest.mark.parametrize("with_init", [True, False], ids=["lbwi", "lb"])
     def test_phase2_plays_as_the_masked_distribution(self, with_init):
@@ -303,11 +318,14 @@ class TestPaddedArms:
                 expected, live = masked_probs(bank)
                 assert np.array_equal(bank._probs()[live], expected[live])
             x = bank.act()
+            observed = slopes * x + noise.normal(0.0, 0.01, x.shape)
             if phase2:
                 assert np.all(bank._arm < bank.n_arms)
-                assert np.array_equal(bank._prob, np.take_along_axis(
-                    expected, bank._arm[..., None], -1)[..., 0])
-            bank.observe(slopes * x + noise.normal(0.0, 0.01, x.shape))
+                reference = stored_probability_update(bank, expected, observed)
+            bank.observe(observed)
+            if phase2:
+                assert np.array_equal(bank.weights, reference)
+            assert np.all(bank.weights.max(axis=-1) == 1.0)
             padded = np.arange(bank.weights.shape[-1]) >= bank.n_arms[..., None]
             assert np.all(bank.weights[padded] == 0.0)
         assert len(np.unique(bank.n_arms)) >= 5

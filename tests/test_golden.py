@@ -57,6 +57,16 @@ def test_campaign_matches_golden_files(name, tmp_path):
     assert hashes == json.loads((GOLDEN / name / "sha256.json").read_text())
 
 
+def reject(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.parametrize("name", CAMPAIGNS)
+def test_summary_is_strict_json(name):
+    # a slope that is undefined is written as null, not NaN
+    json.loads((GOLDEN / name / "summary.json").read_text(), parse_constant=reject)
+
+
 if __name__ == "__main__":
     for name in CAMPAIGNS:
         with tempfile.TemporaryDirectory() as tmp:
