@@ -127,8 +127,14 @@ def cmd_bench_slope(args) -> int:
                                  f"0..{K - 1} per logged round as `run` writes it")
     cum = rows["cumulative_regret"].reshape(-1, K)       # (L, K)
     t, window = rows["t"][::K], (args.window, 1.0)
-    slopes = {str(k): regret_slope(cum[:, k], window=window, t=t) for k in range(K)}
-    slopes["node_mean"] = regret_slope(cum.mean(axis=1), window=window, t=t)
+
+    def slope(series):
+        try:
+            return regret_slope(series, window=window, t=t)
+        except ValueError:            # undefined: null, as summary.json has it
+            return None
+    slopes = {str(k): slope(cum[:, k]) for k in range(K)}
+    slopes["node_mean"] = slope(cum.mean(axis=1))
     print(json.dumps({"slopes": slopes, "window": [args.window, 1.0]}, indent=2))
     return 0
 

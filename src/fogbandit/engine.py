@@ -10,6 +10,14 @@ played profile, best-response sees the best response to it. Regret is
 accounted against a fixed reference (equilibrium utilities by default, or
 the per-round best-response oracle) using clean utilities, so the series
 reflects decisions rather than noise draws.
+
+Per-round best-response regret is accounted in blocks of rounds, about
+BR_BLOCK_ELEMENTS (s, k, m) elements each: one deviation_utilities call
+answers a (B, S, K, M) stack of played profiles, and the block's gains are
+then added to the running sum one round at a time, in round order. This is
+bitwise the per-round sum: every element of golden_max's search shares one
+bracket width, so its answer depends only on its own values, and the
+additions happen in the same order on the same values.
 """
 
 from __future__ import annotations
@@ -28,6 +36,9 @@ from .strategies.baselines import br_profile
 FINAL_WINDOW = 1000
 POST_FRACTION = 0.9
 HIST_BINS = 20
+# Elements per per_round_br accounting block: enough rounds to spread
+# numpy's per-call cost, few enough that the search's arrays stay in cache.
+BR_BLOCK_ELEMENTS = 8192
 
 
 @dataclass
@@ -117,7 +128,16 @@ def run_seed(spec: GameSpec, bank, T: int, noise_rngs, reference: NashSolution,
     """Drive a bank of S replicas, one per generator in noise_rngs, for T
     rounds and account each replica's regret along the way; returns one
     SeedResult per replica, in replica order, each holding views into the
-    batched (S, ...) arrays."""
+    batched (S, ...) arrays.
+
+    Under per_round_br the rounds wait in blocks of
+    max(1, BR_BLOCK_ELEMENTS // (S*K*M)), the last one cut at T, and each
+    block's deviation utilities come from one stacked call. The played
+    profiles are copied, since a bank may act from a buffer it updates in
+    place. The logged rows are the per-round sums, bit for bit (see the
+    module docstring)."""
+    if regret_mode not in ("ne_reference", "per_round_br"):
+        raise ConfigurationError(f"unknown regret mode {regret_mode!r}")
     S, K, M = len(noise_rngs), spec.K, spec.M
     log_every = max(1, T // 1000)
     checkpoints = set(int(c) for c in checkpoints)
@@ -133,16 +153,27 @@ def run_seed(spec: GameSpec, bank, T: int, noise_rngs, reference: NashSolution,
     # each (s, k, m) adds one count per round: distinct flat indices
     hist_base = np.arange(S * K * M).reshape(S, K, M) * HIST_BINS
     avg_profile = {}
+    block = max(1, BR_BLOCK_ELEMENTS // (S * K * M))
+    pending = []                      # (t, x, br, realized) not yet accounted
 
     for t in range(1, T + 1):
         rec = run_round(spec, bank, t, noise_rngs)
         realized = rec.clean_utility.sum(axis=-1)
         if regret_mode == "ne_reference":
-            cum += reference.utilities - realized
-        elif regret_mode == "per_round_br":
-            cum += deviation_utilities(rec.x, spec, rec.br) - realized
+            gains = [(t, reference.utilities - realized)]
         else:
-            raise ConfigurationError(f"unknown regret mode {regret_mode!r}")
+            pending.append((t, rec.x.copy(), rec.br, realized))
+            gains = []
+            if len(pending) == block or t == T:
+                ts, xs, brs, us = zip(*pending)
+                dev = deviation_utilities(np.stack(xs), spec,
+                                          None if brs[0] is None else np.stack(brs))
+                gains, pending = zip(ts, dev - np.stack(us)), []
+        for t_gain, gain in gains:
+            cum += gain
+            if t_gain % log_every == 0 or t_gain == T:
+                log_t.append(t_gain)
+                cum_rows.append(cum.copy())
         x_running += rec.x
         if t > T - final_window:
             final_sum += rec.x
@@ -150,9 +181,6 @@ def run_seed(spec: GameSpec, bank, T: int, noise_rngs, reference: NashSolution,
             post_sum += rec.x
             bins = np.minimum((rec.x * HIST_BINS).astype(int), HIST_BINS - 1)
             hist.reshape(-1)[hist_base + bins] += 1
-        if t % log_every == 0 or t == T:
-            log_t.append(t)
-            cum_rows.append(cum.copy())
         if t in checkpoints:
             avg_profile[t] = x_running / t
         if trace_sink is not None:

@@ -52,9 +52,12 @@ class GameSpec:
     """Parameterization of one task-allocation game.
 
     rho, eps, kappa are K x M matrices of efficiency, power-consumption and
-    cost indices, all in (0, 1]. `barrier` is the constant added to every
-    allocation denominator; `noise_std` the std of the Gaussian feedback
-    noise added per (node, task) observation.
+    cost indices, all in (0, 1], and rho is at least 1e-100. The kernels
+    divide by rho*s and rho*s**4, with s at least the barrier; near the
+    origin these underflow to 0 and give nan from about rho = 1e-300 at the
+    default barrier, so the floor leaves 200 decades to spare. `barrier` is
+    the constant added to every allocation denominator; `noise_std` the std
+    of the Gaussian feedback noise added per (node, task) observation.
     """
 
     rho: np.ndarray
@@ -67,6 +70,9 @@ class GameSpec:
         self.rho = _as_index_matrix(self.rho, "rho")
         self.eps = _as_index_matrix(self.eps, "eps")
         self.kappa = _as_index_matrix(self.kappa, "kappa")
+        if np.any(self.rho < 1e-100):
+            raise ConfigurationError(
+                f"rho entries must be >= 1e-100, got {self.rho.min()}")
         if self.eps.shape != self.rho.shape or self.kappa.shape != self.rho.shape:
             raise ConfigurationError(
                 f"index matrices disagree in shape: rho {self.rho.shape}, "

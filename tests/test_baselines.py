@@ -65,8 +65,8 @@ def game_profile_and_row(draw):
     new row for it on the same grid (sums of eighths are exact)."""
     K, M = draw(st.integers(2, 4)), draw(st.integers(1, 3))
     unit = hnp.arrays(float, (K, M), elements=st.floats(0.0, 1.0, exclude_min=True))
-    # rho divides the kernels: from about 1e-308 down, they give nan
-    rho = hnp.arrays(float, (K, M), elements=st.floats(1e-200, 1.0))
+    # GameSpec's floor on rho is 1e-100
+    rho = hnp.arrays(float, (K, M), elements=st.floats(1e-100, 1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         spec = GameSpec(rho=draw(rho), eps=draw(unit), kappa=draw(unit))

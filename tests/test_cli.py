@@ -3,9 +3,11 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from fogbandit import campaign, cli
+from fogbandit.engine import regret_slope
 
 
 class TestSolveNash:
@@ -241,3 +243,22 @@ class TestResultFiles:
             summary = json.loads((out / "summary.json").read_text())
             assert slopes["node_mean"] == summary["strategies"]["bgam"]["regret_slope"]
             assert sorted(slopes) == sorted([str(k) for k in range(K)] + ["node_mean"])
+
+    def test_bench_slope_writes_null_where_a_slope_is_undefined(self, tmp_path,
+                                                                capsys):
+        # gp's regret on this 3 x 3 game is not positive on the window for
+        # nodes 0 and 2: bench-slope exited 1 where run wrote null
+        out = tmp_path / "out"
+        assert cli.main(["run", "--game", "dataset", "--nodes", "3", "--tasks",
+                         "3", "--strategy", "gp", "--T", "1200", "--seeds", "2",
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        csv = out / "regret_gp.csv"
+        assert cli.main(["bench-slope", "--input", str(csv)]) == 0
+        slopes = json.loads(capsys.readouterr().out)["slopes"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["strategies"]["gp"]["regret_slope"] is None
+        assert [slopes[k] for k in ("0", "2", "node_mean")] == [None] * 3
+        rows = np.genfromtxt(csv, delimiter=",", names=True)
+        node1 = rows[rows["node"] == 1]
+        assert slopes["1"] == regret_slope(node1["cumulative_regret"], t=node1["t"])

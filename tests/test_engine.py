@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fogbandit import engine
 from fogbandit.campaign import STRATEGY_NAMES, make_bank, replica_streams
 from fogbandit.engine import HIST_BINS, POST_FRACTION, run_round, run_seed
 from fogbandit.errors import ConfigurationError, ProtocolError
 from fogbandit.game import GameSpec, estimate_bounds, gradient_matrix, utility_matrix
 from fogbandit.nash import NashSolution, deviation_utilities
-from fogbandit.strategies import BrBank, RsBank, baselines, br_profile
+from fogbandit.strategies import BrBank, GpBank, RsBank, baselines, br_profile
 
 X = np.array([[0.2, 0.7], [0.6, 0.1]])
 XS = np.stack([X, X[::-1]])           # two replicas
@@ -80,8 +81,8 @@ def bank_cases(draw):
     """A strategy with valid parameters on a valid game of up to 4 x 3,
     with a horizon, a replica count and a master seed."""
     K, M = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    # rho divides the kernels: from about 1e-308 down, estimate_bounds gives nan
-    rho = draw(hnp.arrays(float, (K, M), elements=st.floats(1e-200, 1.0)))
+    # GameSpec's floor on rho is 1e-100
+    rho = draw(hnp.arrays(float, (K, M), elements=st.floats(1e-100, 1.0)))
     eps, kappa = (draw(hnp.arrays(float, (K, M), elements=UNIT)) for _ in range(2))
     name = draw(st.sampled_from(STRATEGY_NAMES))
     params = draw(PARAMS.get(name, st.just({})))
@@ -185,6 +186,41 @@ class TestAccounting:
                 - utility_matrix(played, game1).sum(axis=-1))
         for s, res in enumerate(results):
             assert np.array_equal(res.cum_regret, np.cumsum(gain[:, s], axis=0))
+
+    @pytest.mark.parametrize("bank,B,T", [
+        *((bank, B, 20) for bank in (GpBank, RsBank, BrBank) for B in (1, 3, 25)),
+        (GpBank, 7, 2003),
+    ])
+    def test_best_response_regret_blocks_sum_like_rounds(self, game1, monkeypatch,
+                                                         bank, B, T):
+        # per_round_br regret is accounted B rounds per deviation_utilities
+        # call. gp acts from the buffer its observe clips into, so a block
+        # holding references would see only its last round. T = 2003 logs
+        # every second round, inside the blocks.
+        S = 2
+        monkeypatch.setattr(engine, "BR_BLOCK_ELEMENTS", B * S * game1.K * game1.M)
+        calls, golden_max = [], baselines.golden_max
+        monkeypatch.setattr(baselines, "golden_max",
+                            lambda f, shape: calls.append(shape) or golden_max(f, shape))
+        played = []
+        results = run_seed(game1, bank(game1, T, rngs(1, 2)), T, rngs(3, 4),
+                           reference(game1), "per_round_br",
+                           trace_sink=lambda rec: played.append(
+                               (rec.x.copy(), rec.br, rec.clean_utility.sum(axis=-1))))
+        # br's own best responses serve the accounting; the others search
+        # once per block, the last one cut at T
+        assert len(calls) == (T if bank is BrBank else -(-T // B))
+        monkeypatch.setattr(baselines, "golden_max", golden_max)
+        # the per-round gains, (T, S, K), summed in round order
+        xs, brs, realized = zip(*played)
+        gain = (deviation_utilities(np.array(xs), game1,
+                                    np.array(brs) if bank is BrBank else None)
+                - np.array(realized))
+        cum = np.cumsum(gain, axis=0)
+        logged = [t for t in range(1, T + 1) if t % max(1, T // 1000) == 0 or t == T]
+        for s, res in enumerate(results):
+            assert res.log_t.tolist() == logged
+            assert np.array_equal(res.cum_regret, cum[res.log_t - 1, s])
 
     def test_unknown_regret_mode(self, game1):
         with pytest.raises(ConfigurationError, match="regret mode 'best'"):

@@ -79,6 +79,28 @@ class TestGameSpec:
                            match=rf"^{field} must be finite and >=? 0, got {value}$"):
             GameSpec(rho=[[0.9]], eps=[[0.1]], kappa=[[0.1]], **{field: value})
 
+    @pytest.mark.parametrize("rho", [9.9e-101, 1e-300, 1e-310, 5e-324])
+    def test_rejects_rho_below_the_floor(self, rho):
+        # rho = 1e-308 gave nan kernels, and estimate_bounds failed with H=nan
+        with pytest.raises(ConfigurationError,
+                           match=rf"^rho entries must be >= 1e-100, got {rho}$"):
+            GameSpec(rho=[[0.9, rho]], eps=[[0.1, 0.1]], kappa=[[0.1, 0.1]])
+
+    def test_kernels_and_bounds_are_finite_at_the_rho_floor(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            spec = GameSpec(rho=[[1e-100]], eps=[[0.5]], kappa=[[0.5]])
+        grid = np.linspace(0.0, 1.0, 101)
+        own, others = np.meshgrid(grid, grid, indexing="ij")
+        rho, d = spec.rho[0, 0], spec.barrier
+        for values in (task_utility(own, others, rho, 0.5, 0.5, d),
+                       task_gradient(own, others, rho, 0.5, 0.5, d),
+                       hessian_own(own, others, rho, d),
+                       hessian_others(own, others, rho, d)):
+            assert np.all(np.isfinite(values))
+        bounds = estimate_bounds(spec)
+        assert np.all(np.isfinite([bounds.L, bounds.U, bounds.H]))
+
     def test_warns_on_low_efficiency_but_accepts(self):
         with pytest.warns(UserWarning, match="convexity"):
             spec = GameSpec(rho=[[0.5]], eps=[[0.1]], kappa=[[0.1]])

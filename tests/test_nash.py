@@ -108,3 +108,19 @@ class TestStackedProfiles:
         gaps = epsilon_gap(stack, game)
         assert gaps.shape == (3, 4)
         assert gaps[2, 1] == epsilon_gap(stack[2, 1], game)
+
+    @pytest.mark.parametrize("given_br", [False, True])
+    def test_deviation_utilities_answers_a_block_of_replica_stacks(
+            self, game, rng, given_br):
+        # the engine's per_round_br accounting passes (B, S, K, M) blocks,
+        # with br's own best responses stacked alongside when it has them
+        stack = rng.random((5, 3, game.K, game.M))
+        br = br_profile(stack, game) if given_br else None
+        dev = deviation_utilities(stack, game, br)
+        assert dev.shape == (5, 3, game.K)
+        for b in range(5):
+            for s in range(3):
+                x = stack[b, s]
+                one = deviation_utilities(x, game, None if br is None else br[b, s])
+                assert np.array_equal(dev[b, s], one)
+                assert np.array_equal(dev[b, s], deviation_utilities(x, game))
