@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import POST_FRACTION, regret_slope, run_seed
+from .engine import POST_FRACTION, checkpoint_rounds, regret_slope, run_seed
 from .errors import ConfigurationError
 from .game import Bounds, GameSpec, estimate_bounds, utility_range
 from .nash import NashSolution, epsilon_gap, solve_nash
@@ -103,11 +103,12 @@ class ExperimentConfig:
     post_fraction = POST_FRACTION     # the engine's constant, not a field
 
     def __post_init__(self):
-        if self.T < 1 or self.n_seeds < 1:
-            raise ConfigurationError("T and n_seeds must be >= 1")
-        if self.master_seed < 0:
-            raise ConfigurationError(
-                f"master_seed must be >= 0, got {self.master_seed}")
+        for name, low in (("T", 1), ("n_seeds", 1), ("master_seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ConfigurationError(f"{name} must be >= {low}, got {value}")
         if self.regret_mode not in ("ne_reference", "per_round_br"):
             raise ConfigurationError(f"unknown regret mode {self.regret_mode!r}")
         if self.trace and self.out_dir is None:
@@ -121,12 +122,6 @@ class ExperimentConfig:
             if names.count(name) > 1:
                 # a strategy's result files are named after it alone
                 raise ConfigurationError(f"strategy {name!r} is listed more than once")
-
-    def checkpoints(self):
-        base = {self.T // 4, self.T // 2, (3 * self.T) // 4, self.T}
-        samples = np.unique(np.geomspace(max(1, self.T // 100), self.T, 8)
-                            .astype(int))
-        return sorted(c for c in base | set(samples.tolist()) if c >= 1)
 
 
 def replica_streams(master_seed: int, strategy: str, seed: int):
@@ -180,7 +175,7 @@ def run_campaign(config: ExperimentConfig, progress=None) -> CampaignResult:
                          sc.params, bounds)
         banks.append((bank, [g for _, g in streams], time.monotonic() - t0))
     nash = solve_nash(spec)
-    checkpoints = config.checkpoints()
+    checkpoints = checkpoint_rounds(config.T)
     u_lo, u_hi = utility_range(spec)
 
     strategies = []
@@ -192,7 +187,7 @@ def run_campaign(config: ExperimentConfig, progress=None) -> CampaignResult:
                 Path(config.out_dir) / f"trace_{sc.name}_seed{seed}.csv"
                 for seed in seeds])
         seed_results = run_seed(spec, bank, config.T, noise_rngs, nash,
-                                config.regret_mode, checkpoints, trace_sink)
+                                config.regret_mode, trace_sink)
         if trace_sink is not None:
             trace_sink.close()
         if progress:

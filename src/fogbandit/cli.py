@@ -120,6 +120,8 @@ def cmd_validate_spec(args) -> int:
 
 
 def cmd_bench_slope(args) -> int:
+    if not 0.0 <= args.window < 1.0:          # nan fails too
+        raise ConfigurationError(f"--window must lie in [0, 1), got {args.window}")
     rows = np.genfromtxt(args.input, delimiter=",", names=True, ndmin=1)
     K = len(np.unique(rows["node"]))
     if len(rows) % K or np.any(rows["node"] != np.tile(np.arange(K), len(rows) // K)):

@@ -11,13 +11,13 @@ accounted against a fixed reference (equilibrium utilities by default, or
 the per-round best-response oracle) using clean utilities, so the series
 reflects decisions rather than noise draws.
 
-Per-round best-response regret is accounted in blocks of rounds, about
-BR_BLOCK_ELEMENTS (s, k, m) elements each: one deviation_utilities call
-answers a (B, S, K, M) stack of played profiles, and the block's gains are
-then added to the running sum one round at a time, in round order. This is
-bitwise the per-round sum: every element of golden_max's search shares one
-bracket width, so its answer depends only on its own values, and the
-additions happen in the same order on the same values.
+Both regret modes are accounted in blocks of about BR_BLOCK_ELEMENTS
+(s, k, m) elements. A block's reference is the equilibrium utilities or one
+deviation_utilities call on its (B, S, K, M) stack, and one pass in round
+order adds its gains and updates the running sums, the histogram and the
+checkpoint profiles. This is bitwise the per-round accounting: every element
+of golden_max's search shares one bracket width, and the additions happen
+in the same order on the same values.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ from .strategies.baselines import br_profile
 FINAL_WINDOW = 1000
 POST_FRACTION = 0.9
 HIST_BINS = 20
-# Elements per per_round_br accounting block: enough rounds to spread
-# numpy's per-call cost, few enough that the search's arrays stay in cache.
+# Elements per accounting block, measured under per_round_br: enough rounds
+# to spread numpy's per-call cost, few enough that the search's arrays stay
+# in cache. Under ne_reference it only bounds the pending rounds' memory.
 BR_BLOCK_ELEMENTS = 8192
 
 
@@ -87,11 +88,9 @@ def run_round(spec: GameSpec, bank, t: int, noise_rngs) -> RoundRecord:
         )
     a = x / (x.sum(axis=-2, keepdims=True) + spec.barrier)
     clean = utility_matrix(x, spec)
-    if spec.noise_std > 0.0:
-        observed = clean + np.array([g.normal(0.0, spec.noise_std, shape[1:])
-                                     for g in noise_rngs])
-    else:
-        observed = clean.copy()
+    # at noise_std 0 every draw is +0.0, so observed equals clean bit for bit
+    observed = clean + np.array([g.normal(0.0, spec.noise_std, shape[1:])
+                                 for g in noise_rngs])
 
     kind, br = bank.feedback_kind, None
     if kind == "bandit":
@@ -122,25 +121,32 @@ class SeedResult:
     avg_profile: dict                 # round -> running mean profile
 
 
+def checkpoint_rounds(T: int) -> list:
+    """The rounds at which run_seed records each replica's running mean
+    profile: the quarters of T and eight geometric steps up to T."""
+    base = {T // 4, T // 2, (3 * T) // 4, T}
+    samples = np.unique(np.geomspace(max(1, T // 100), T, 8).astype(int))
+    return sorted(c for c in base | set(samples.tolist()) if c >= 1)
+
+
 def run_seed(spec: GameSpec, bank, T: int, noise_rngs, reference: NashSolution,
-             regret_mode: str = "ne_reference", checkpoints=(),
-             trace_sink=None) -> list:
+             regret_mode: str = "ne_reference", trace_sink=None) -> list:
     """Drive a bank of S replicas, one per generator in noise_rngs, for T
     rounds and account each replica's regret along the way; returns one
     SeedResult per replica, in replica order, each holding views into the
     batched (S, ...) arrays.
 
-    Under per_round_br the rounds wait in blocks of
-    max(1, BR_BLOCK_ELEMENTS // (S*K*M)), the last one cut at T, and each
-    block's deviation utilities come from one stacked call. The played
-    profiles are copied, since a bank may act from a buffer it updates in
-    place. The logged rows are the per-round sums, bit for bit (see the
-    module docstring)."""
+    Every round waits in a block of max(1, BR_BLOCK_ELEMENTS // (S*K*M))
+    rounds, the last one cut at T. The regret mode only chooses the block's
+    reference; one pass in round order then does all the accounting. The
+    played profiles are copied, since a bank may act from a buffer it
+    updates in place. Every result is the per-round one, bit for bit (see
+    the module docstring)."""
     if regret_mode not in ("ne_reference", "per_round_br"):
         raise ConfigurationError(f"unknown regret mode {regret_mode!r}")
     S, K, M = len(noise_rngs), spec.K, spec.M
     log_every = max(1, T // 1000)
-    checkpoints = set(int(c) for c in checkpoints)
+    checkpoints = set(checkpoint_rounds(T))
     final_window = min(FINAL_WINDOW, T)
     post_start = int(POST_FRACTION * T)
 
@@ -158,33 +164,31 @@ def run_seed(spec: GameSpec, bank, T: int, noise_rngs, reference: NashSolution,
 
     for t in range(1, T + 1):
         rec = run_round(spec, bank, t, noise_rngs)
-        realized = rec.clean_utility.sum(axis=-1)
-        if regret_mode == "ne_reference":
-            gains = [(t, reference.utilities - realized)]
-        else:
-            pending.append((t, rec.x.copy(), rec.br, realized))
-            gains = []
-            if len(pending) == block or t == T:
-                ts, xs, brs, us = zip(*pending)
-                dev = deviation_utilities(np.stack(xs), spec,
-                                          None if brs[0] is None else np.stack(brs))
-                gains, pending = zip(ts, dev - np.stack(us)), []
-        for t_gain, gain in gains:
-            cum += gain
-            if t_gain % log_every == 0 or t_gain == T:
-                log_t.append(t_gain)
-                cum_rows.append(cum.copy())
-        x_running += rec.x
-        if t > T - final_window:
-            final_sum += rec.x
-        if t > post_start:
-            post_sum += rec.x
-            bins = np.minimum((rec.x * HIST_BINS).astype(int), HIST_BINS - 1)
-            hist.reshape(-1)[hist_base + bins] += 1
-        if t in checkpoints:
-            avg_profile[t] = x_running / t
+        pending.append((t, rec.x.copy(), rec.br, rec.clean_utility.sum(axis=-1)))
         if trace_sink is not None:
             trace_sink(rec)
+        if len(pending) < block and t < T:
+            continue
+        (ts, xs, brs, us), pending = zip(*pending), []
+        if regret_mode == "ne_reference":
+            ref = reference.utilities
+        else:
+            ref = deviation_utilities(np.stack(xs), spec,
+                                      None if brs[0] is None else np.stack(brs))
+        for tau, x, gain in zip(ts, xs, ref - np.stack(us)):
+            cum += gain
+            if tau % log_every == 0 or tau == T:
+                log_t.append(tau)
+                cum_rows.append(cum.copy())
+            x_running += x
+            if tau > T - final_window:
+                final_sum += x
+            if tau > post_start:
+                post_sum += x
+                bins = np.minimum((x * HIST_BINS).astype(int), HIST_BINS - 1)
+                hist.reshape(-1)[hist_base + bins] += 1
+            if tau in checkpoints:
+                avg_profile[tau] = x_running / tau
 
     log_t = np.array(log_t)
     cum_rows = np.stack(cum_rows, axis=1)               # (S, L, K)

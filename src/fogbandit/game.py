@@ -18,6 +18,7 @@ and hessian_others; every other evaluation in the package calls them.
 from __future__ import annotations
 
 import json
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -56,8 +57,10 @@ class GameSpec:
     divide by rho*s and rho*s**4, with s at least the barrier; near the
     origin these underflow to 0 and give nan from about rho = 1e-300 at the
     default barrier, so the floor leaves 200 decades to spare. `barrier` is
-    the constant added to every allocation denominator; `noise_std` the std
-    of the Gaussian feedback noise added per (node, task) observation.
+    the constant added to every allocation denominator, at least 1e-50: at
+    an empty column the kernels divide by powers of it, and at rho = 1e-100
+    the curvatures give nan there from about 1e-56; `noise_std` the std of
+    the Gaussian feedback noise added per (node, task) observation.
     """
 
     rho: np.ndarray
@@ -78,11 +81,17 @@ class GameSpec:
                 f"index matrices disagree in shape: rho {self.rho.shape}, "
                 f"eps {self.eps.shape}, kappa {self.kappa.shape}"
             )
-        self.barrier = float(self.barrier)
-        self.noise_std = float(self.noise_std)
+        for name in ("barrier", "noise_std"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigurationError(f"{name} must be a number, got {value!r}")
+            setattr(self, name, float(value))
         if not (np.isfinite(self.barrier) and self.barrier > 0.0):
             raise ConfigurationError(
                 f"barrier must be finite and > 0, got {self.barrier}")
+        if self.barrier < 1e-50:
+            raise ConfigurationError(
+                f"barrier must be >= 1e-50, got {self.barrier}")
         if not (np.isfinite(self.noise_std) and self.noise_std >= 0.0):
             raise ConfigurationError(
                 f"noise_std must be finite and >= 0, got {self.noise_std}")

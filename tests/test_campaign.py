@@ -11,6 +11,7 @@ import pytest
 from fogbandit import campaign, cli
 from fogbandit.campaign import (STRATEGY_NAMES, ExperimentConfig, make_bank,
                                 run_campaign)
+from fogbandit.engine import checkpoint_rounds
 from fogbandit.errors import ConfigurationError
 from fogbandit.game import estimate_bounds
 
@@ -114,6 +115,21 @@ class TestExperimentConfig:
                            match="strategy 'rs' is listed more than once"):
             ExperimentConfig(game1, [{"name": "rs"}, {"name": "gp"}, {"name": "rs"}])
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("T", 50.5, "an integer, got 50.5"), ("T", True, "an integer, got True"),
+        ("T", 0, ">= 1, got 0"), ("n_seeds", 2.5, "an integer, got 2.5"),
+        ("n_seeds", 0, ">= 1, got 0"), ("master_seed", 1.5, "an integer, got 1.5"),
+        ("master_seed", -1, ">= 0, got -1"),
+    ])
+    def test_rejects_counts_that_are_not_integers_in_range(self, game1, field,
+                                                            value, message):
+        # T = 50.5 failed with a TypeError in run_seed, after the solve, and
+        # T = True ran one round
+        with pytest.raises(ConfigurationError, match=rf"^{field} must be {message}$"):
+            ExperimentConfig(game1, [{"name": "rs"}], **{field: value})
+        config = ExperimentConfig(game1, [{"name": "rs"}], **{field: np.int64(3)})
+        assert getattr(config, field) == 3
+
     def test_trace_needs_an_out_dir(self, game1, tmp_path):
         # without one the campaign wrote no trace and raised nothing
         with pytest.raises(ConfigurationError, match="out_dir"):
@@ -189,8 +205,8 @@ class TestTrace:
 
 class TestCheckpoints:
     @pytest.mark.parametrize("T", [1, 2, 3])
-    def test_every_checkpoint_is_a_played_round(self, game1, T):
-        cps = ExperimentConfig(game1, [], T=T).checkpoints()
+    def test_every_checkpoint_is_a_played_round(self, T):
+        cps = checkpoint_rounds(T)
         assert cps[-1] == T
         assert all(1 <= c <= T for c in cps)
 
@@ -199,8 +215,8 @@ class TestCheckpoints:
         (600, [6, 11, 22, 43, 83, 150, 160, 300, 310, 450, 600]),
         (1000, [10, 19, 37, 71, 138, 250, 268, 500, 517, 750, 1000]),
     ])
-    def test_long_horizons_keep_their_checkpoints(self, game1, T, expected):
-        assert ExperimentConfig(game1, [], T=T).checkpoints() == expected
+    def test_long_horizons_keep_their_checkpoints(self, T, expected):
+        assert checkpoint_rounds(T) == expected
 
 
 class TestReplicaStreams:

@@ -115,6 +115,16 @@ class TestBadInput:
         (["solve-nash", "--starts", "-2"], "n_starts must be an integer >= 1, got -2"),
         (["solve-nash", "--master-seed", "-1"], "seed must be an integer >= 0, got -1"),
         (["run", "--master-seed", "-1"], "master_seed must be >= 0, got -1"),
+        (["bench-slope", "--input", "regret.csv", "--window", "2"],
+         "--window must lie in [0, 1), got 2.0"),
+        (["bench-slope", "--input", "regret.csv", "--window", "nan"],
+         "--window must lie in [0, 1), got nan"),
+        (["bench-slope", "--input", "regret.csv", "--window", "-0.5"],
+         "--window must lie in [0, 1), got -0.5"),
+        (["validate-spec", "--spec-json", "null_barrier.json"],
+         "barrier must be a number, got None"),
+        (["run", "--spec-json", "text_noise.json"],
+         "noise_std must be a number, got 'abc'"),
     ])
     def test_each_verb_prints_the_error_and_exits_one(self, argv, message,
                                                       tmp_path, capsys,
@@ -131,6 +141,10 @@ class TestBadInput:
             {"rho": [[0.9]], "eps": [[0.1]], "kappa": [[0.1]]}))
         (tmp_path / "nan_barrier.json").write_text(json.dumps(
             {"rho": [[0.9]], "eps": [[0.1]], "kappa": [[0.1]], "barrier": float("nan")}))
+        (tmp_path / "null_barrier.json").write_text(json.dumps(
+            {"rho": [[0.9]], "eps": [[0.1]], "kappa": [[0.1]], "barrier": None}))
+        (tmp_path / "text_noise.json").write_text(json.dumps(
+            {"rho": [[0.9]], "eps": [[0.1]], "kappa": [[0.1]], "noise_std": "abc"}))
         error = error_of(argv, capsys)
         assert error["error"] == "ConfigurationError"
         assert message in error["message"]

@@ -3,6 +3,7 @@ feedback routing by strategy class, per-replica noise streams, regret
 against the fixed reference, the post-window histogram, the regret log and
 the checkpoint profiles."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -13,7 +14,8 @@ from hypothesis.extra import numpy as hnp
 
 from fogbandit import engine
 from fogbandit.campaign import STRATEGY_NAMES, make_bank, replica_streams
-from fogbandit.engine import HIST_BINS, POST_FRACTION, run_round, run_seed
+from fogbandit.engine import (HIST_BINS, POST_FRACTION, checkpoint_rounds, run_round,
+                              run_seed)
 from fogbandit.errors import ConfigurationError, ProtocolError
 from fogbandit.game import GameSpec, estimate_bounds, gradient_matrix, utility_matrix
 from fogbandit.nash import NashSolution, deviation_utilities
@@ -148,6 +150,14 @@ class TestFeedbackRouting:
         assert np.array_equal(best_response, br_profile(XS, game1))
         assert rec.br is best_response
 
+    @pytest.mark.filterwarnings("ignore:rho <= 0.5")
+    def test_noiseless_observation_is_the_clean_utility(self, game1):
+        # a normal draw with std 0 is +0.0, so noise_std = 0 needs no branch
+        spec = dataclasses.replace(game1, noise_std=0.0)
+        rec = run_round(spec, Stub(), 1, rngs(0, 1))
+        assert rec.observed_utility.tobytes() == rec.clean_utility.tobytes()
+        assert not np.shares_memory(rec.observed_utility, rec.clean_utility)
+
     def test_random_selection_sees_nothing(self, game1):
         bank = Stub("none")
         run_round(game1, bank, 1, rngs(0, 1))
@@ -187,40 +197,51 @@ class TestAccounting:
         for s, res in enumerate(results):
             assert np.array_equal(res.cum_regret, np.cumsum(gain[:, s], axis=0))
 
-    @pytest.mark.parametrize("bank,B,T", [
-        *((bank, B, 20) for bank in (GpBank, RsBank, BrBank) for B in (1, 3, 25)),
-        (GpBank, 7, 2003),
+    @pytest.mark.parametrize("bank,B,T,mode", [
+        pytest.param(bank, B, T, mode, id=f"{bank.__name__}-{B}-{T}"
+                     + ("" if mode == "per_round_br" else "-ne_reference"))
+        for mode in ("per_round_br", "ne_reference")
+        for bank, B, T in [*((bank, B, 20) for bank in (GpBank, RsBank, BrBank)
+                             for B in (1, 3, 25)), (GpBank, 7, 2003)]
     ])
     def test_best_response_regret_blocks_sum_like_rounds(self, game1, monkeypatch,
-                                                         bank, B, T):
-        # per_round_br regret is accounted B rounds per deviation_utilities
-        # call. gp acts from the buffer its observe clips into, so a block
-        # holding references would see only its last round. T = 2003 logs
-        # every second round, inside the blocks.
+                                                         bank, B, T, mode):
+        # both regret modes are accounted B rounds per block, per_round_br
+        # with one deviation_utilities call each. gp acts from the buffer its
+        # observe clips into, so a block holding references would see only
+        # its last round. T = 2003 logs every second round, inside the blocks.
         S = 2
         monkeypatch.setattr(engine, "BR_BLOCK_ELEMENTS", B * S * game1.K * game1.M)
         calls, golden_max = [], baselines.golden_max
         monkeypatch.setattr(baselines, "golden_max",
                             lambda f, shape: calls.append(shape) or golden_max(f, shape))
+        nash = NashSolution(x_star=X, utilities=utility_matrix(X, game1).sum(axis=-1),
+                            eps_gap=0.0, iterations=0, converged=True)
         played = []
         results = run_seed(game1, bank(game1, T, rngs(1, 2)), T, rngs(3, 4),
-                           reference(game1), "per_round_br",
+                           nash, mode,
                            trace_sink=lambda rec: played.append(
                                (rec.x.copy(), rec.br, rec.clean_utility.sum(axis=-1))))
         # br's own best responses serve the accounting; the others search
-        # once per block, the last one cut at T
-        assert len(calls) == (T if bank is BrBank else -(-T // B))
+        # once per per_round_br block, the last one cut at T
+        searches = 0 if mode == "ne_reference" else -(-T // B)
+        assert len(calls) == (T if bank is BrBank else searches)
         monkeypatch.setattr(baselines, "golden_max", golden_max)
         # the per-round gains, (T, S, K), summed in round order
         xs, brs, realized = zip(*played)
-        gain = (deviation_utilities(np.array(xs), game1,
-                                    np.array(brs) if bank is BrBank else None)
-                - np.array(realized))
-        cum = np.cumsum(gain, axis=0)
+        if mode == "ne_reference":
+            ref = nash.utilities
+        else:
+            ref = deviation_utilities(np.array(xs), game1,
+                                      np.array(brs) if bank is BrBank else None)
+        cum = np.cumsum(ref - np.array(realized), axis=0)
+        running = np.cumsum(xs, axis=0)
         logged = [t for t in range(1, T + 1) if t % max(1, T // 1000) == 0 or t == T]
         for s, res in enumerate(results):
             assert res.log_t.tolist() == logged
             assert np.array_equal(res.cum_regret, cum[res.log_t - 1, s])
+            for t, profile in res.avg_profile.items():
+                assert np.array_equal(profile, running[t - 1, s] / t)
 
     def test_unknown_regret_mode(self, game1):
         with pytest.raises(ConfigurationError, match="regret mode 'best'"):
@@ -243,7 +264,7 @@ class TestAccounting:
         assert res.cum_regret.shape == (1251, game1.K)
 
     def test_checkpoint_profiles_are_running_means(self, game1):
-        res, played = rs_seed(game1, 25, checkpoints=(10, 3, 25, 10))
-        assert sorted(res.avg_profile) == [3, 10, 25]
+        res, played = rs_seed(game1, 25)
+        assert sorted(res.avg_profile) == checkpoint_rounds(25)
         for t, profile in res.avg_profile.items():
             assert np.allclose(profile, played[:t].mean(axis=0), rtol=1e-12)

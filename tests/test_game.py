@@ -79,6 +79,37 @@ class TestGameSpec:
                            match=rf"^{field} must be finite and >=? 0, got {value}$"):
             GameSpec(rho=[[0.9]], eps=[[0.1]], kappa=[[0.1]], **{field: value})
 
+    @pytest.mark.parametrize("field", ["barrier", "noise_std"])
+    @pytest.mark.parametrize("value", [None, "abc", True, [0.1]])
+    def test_rejects_barrier_and_noise_that_are_not_numbers(self, field, value):
+        # None raised a TypeError, "abc" a ValueError naming no field, and
+        # True was read as 1.0
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{field} must be a number, got "):
+            GameSpec(rho=[[0.9]], eps=[[0.1]], kappa=[[0.1]], **{field: value})
+
+    @pytest.mark.parametrize("barrier", [1e-51, 1e-170, 1e-300])
+    def test_rejects_barrier_below_the_floor(self, barrier):
+        with pytest.raises(ConfigurationError,
+                           match=rf"^barrier must be >= 1e-50, got {barrier}$"):
+            GameSpec(rho=[[0.9]], eps=[[0.1]], kappa=[[0.1]], barrier=barrier)
+
+    def test_kernels_are_finite_at_the_barrier_floor(self):
+        # an empty column divides by powers of the barrier: below about
+        # 1e-56 the curvatures were nan there at rho = 1e-100
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            spec = GameSpec(rho=[[1e-100, 1e-50, 0.5, 1.0]], eps=[[0.5] * 4],
+                            kappa=[[0.5] * 4], barrier=1e-50)
+        grid = np.linspace(0.0, 1.0, 101)
+        own, others, rho = np.meshgrid(grid, grid, spec.rho[0], indexing="ij")
+        d = spec.barrier
+        for values in (task_utility(own, others, rho, 0.5, 0.5, d),
+                       task_gradient(own, others, rho, 0.5, 0.5, d),
+                       hessian_own(own, others, rho, d),
+                       hessian_others(own, others, rho, d)):
+            assert np.all(np.isfinite(values))
+
     @pytest.mark.parametrize("rho", [9.9e-101, 1e-300, 1e-310, 5e-324])
     def test_rejects_rho_below_the_floor(self, rho):
         # rho = 1e-308 gave nan kernels, and estimate_bounds failed with H=nan
