@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import POST_FRACTION, checkpoint_rounds, regret_slope, run_seed
-from .errors import ConfigurationError
+from .engine import POST_FRACTION, REGRET_MODES, regret_slope, run_seed
+from .errors import ConfigurationError, require_integer
 from .game import Bounds, GameSpec, estimate_bounds, utility_range
 from .nash import NashSolution, epsilon_gap, solve_nash
 from .strategies.baselines import BrBank, GpBank, RsBank
@@ -97,19 +97,15 @@ class ExperimentConfig:
     T: int = 50_000
     n_seeds: int = 10
     master_seed: int = 0
-    regret_mode: str = "ne_reference"
+    regret_mode: str = REGRET_MODES[0]
     out_dir: Path = None
     trace: bool = False
     post_fraction = POST_FRACTION     # the engine's constant, not a field
 
     def __post_init__(self):
-        for name, low in (("T", 1), ("n_seeds", 1), ("master_seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ConfigurationError(f"{name} must be >= {low}, got {value}")
-        if self.regret_mode not in ("ne_reference", "per_round_br"):
+        for name, least in (("T", 1), ("n_seeds", 1), ("master_seed", 0)):
+            require_integer(name, getattr(self, name), least)
+        if self.regret_mode not in REGRET_MODES:
             raise ConfigurationError(f"unknown regret mode {self.regret_mode!r}")
         if self.trace and self.out_dir is None:
             raise ConfigurationError("trace needs an out_dir to write the traces to")
@@ -175,7 +171,6 @@ def run_campaign(config: ExperimentConfig, progress=None) -> CampaignResult:
                          sc.params, bounds)
         banks.append((bank, [g for _, g in streams], time.monotonic() - t0))
     nash = solve_nash(spec)
-    checkpoints = checkpoint_rounds(config.T)
     u_lo, u_hi = utility_range(spec)
 
     strategies = []
@@ -186,10 +181,12 @@ def run_campaign(config: ExperimentConfig, progress=None) -> CampaignResult:
             trace_sink = _TraceWriter([
                 Path(config.out_dir) / f"trace_{sc.name}_seed{seed}.csv"
                 for seed in seeds])
-        seed_results = run_seed(spec, bank, config.T, noise_rngs, nash,
-                                config.regret_mode, trace_sink)
-        if trace_sink is not None:
-            trace_sink.close()
+        try:
+            seed_results = run_seed(spec, bank, config.T, noise_rngs, nash,
+                                    config.regret_mode, trace_sink)
+        finally:
+            if trace_sink is not None:
+                trace_sink.close()
         if progress:
             for seed in seeds:
                 progress(f"{sc.name}: seed {seed} done")
@@ -199,6 +196,7 @@ def run_campaign(config: ExperimentConfig, progress=None) -> CampaignResult:
         avg = cum / log_t[:, None]
         mean_cum = cum.mean(axis=0)
         ddof = 1 if config.n_seeds > 1 else 0
+        checkpoints = list(seed_results[0].avg_profile)     # in round order
         gaps = epsilon_gap(np.array([[r.avg_profile[t] for r in seed_results]
                                      for t in checkpoints]), spec)
         gap_traj = {t: float(g) for t, g in zip(checkpoints, gaps.mean(axis=1))}

@@ -22,10 +22,10 @@ import numpy as np
 from .campaign import (ExperimentConfig, StrategyConfig, run_campaign,
                        write_outputs, STRATEGY_NAMES)
 from .dataset import builtin_game1, load_dataset, select_subgame
-from .engine import regret_slope
+from .engine import REGRET_MODES, regret_slope
 from .errors import ConfigurationError
 from .game import GameSpec
-from .nash import solve_nash
+from .nash import DEFAULT_STARTS, DEFAULT_TOL, solve_nash
 
 
 def _add_game_args(p):
@@ -38,7 +38,7 @@ def _add_game_args(p):
     p.add_argument("--tasks", type=int, default=None,
                    help="use the first N tasks of the dataset")
     p.add_argument("--noise-std", type=float, default=None,
-                   help="feedback noise std (default 0.01)")
+                   help=f"feedback noise std (default {GameSpec.noise_std})")
     p.add_argument("--spec-json", default=None,
                    help="load the game from a GameSpec JSON document instead")
 
@@ -149,11 +149,11 @@ def make_parser() -> argparse.ArgumentParser:
     _add_game_args(p)
     p.add_argument("--strategy", default="bgam",
                    help=f"comma-separated names from {{{','.join(STRATEGY_NAMES)}}}")
-    p.add_argument("--T", type=int, default=50_000)
-    p.add_argument("--seeds", type=int, default=10)
-    p.add_argument("--master-seed", type=int, default=0)
-    p.add_argument("--regret-mode", choices=["ne_reference", "per_round_br"],
-                   default="ne_reference")
+    p.add_argument("--T", type=int, default=ExperimentConfig.T)
+    p.add_argument("--seeds", type=int, default=ExperimentConfig.n_seeds)
+    p.add_argument("--master-seed", type=int, default=ExperimentConfig.master_seed)
+    p.add_argument("--regret-mode", choices=REGRET_MODES,
+                   default=ExperimentConfig.regret_mode)
     p.add_argument("--out", default="results")
     p.add_argument("--trace", action="store_true",
                    help="also stream per-round traces (large files)")
@@ -165,8 +165,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-nash", help="solve the equilibrium")
     _add_game_args(p)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--starts", type=int, default=20)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--starts", type=int, default=DEFAULT_STARTS)
     p.add_argument("--master-seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve_nash)

@@ -138,7 +138,7 @@ def load_dataset(path=None) -> IndexDataset:
 
 
 def select_subgame(dataset: IndexDataset, nodes, tasks,
-                   noise_std: float = 0.01) -> GameSpec:
+                   noise_std: float = GameSpec.noise_std) -> GameSpec:
     """Build a GameSpec from row/column selections of a dataset."""
     nodes = list(nodes)
     tasks = list(tasks)
@@ -152,7 +152,7 @@ def select_subgame(dataset: IndexDataset, nodes, tasks,
                     kappa=dataset.kappa[sel], noise_std=noise_std)
 
 
-def builtin_game1(noise_std: float = 0.01) -> GameSpec:
+def builtin_game1(noise_std: float = GameSpec.noise_std) -> GameSpec:
     """Two-node, two-task demonstration game: each node is strong on one
     task and keeps a small interior request on the other (at the Nash
     equilibrium node 0 requests about 0.0687 of task 1 and node 1 about

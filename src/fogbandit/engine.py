@@ -40,6 +40,8 @@ HIST_BINS = 20
 # to spread numpy's per-call cost, few enough that the search's arrays stay
 # in cache. Under ne_reference it only bounds the pending rounds' memory.
 BR_BLOCK_ELEMENTS = 8192
+# Regret references, the default first: NE utilities or each round's best response.
+REGRET_MODES = ("ne_reference", "per_round_br")
 
 
 @dataclass
@@ -118,7 +120,7 @@ class SeedResult:
     final_window_avg: np.ndarray      # (K, M), mean action over last rounds
     post_window_avg: np.ndarray       # (K, M), mean action after 90% of T
     histogram: np.ndarray             # (K, M, bins) action counts after 90%
-    avg_profile: dict                 # round -> running mean profile
+    avg_profile: dict                 # checkpoint round -> running mean, in order
 
 
 def checkpoint_rounds(T: int) -> list:
@@ -130,7 +132,7 @@ def checkpoint_rounds(T: int) -> list:
 
 
 def run_seed(spec: GameSpec, bank, T: int, noise_rngs, reference: NashSolution,
-             regret_mode: str = "ne_reference", trace_sink=None) -> list:
+             regret_mode: str = REGRET_MODES[0], trace_sink=None) -> list:
     """Drive a bank of S replicas, one per generator in noise_rngs, for T
     rounds and account each replica's regret along the way; returns one
     SeedResult per replica, in replica order, each holding views into the
@@ -142,7 +144,7 @@ def run_seed(spec: GameSpec, bank, T: int, noise_rngs, reference: NashSolution,
     played profiles are copied, since a bank may act from a buffer it
     updates in place. Every result is the per-round one, bit for bit (see
     the module docstring)."""
-    if regret_mode not in ("ne_reference", "per_round_br"):
+    if regret_mode not in REGRET_MODES:
         raise ConfigurationError(f"unknown regret mode {regret_mode!r}")
     S, K, M = len(noise_rngs), spec.K, spec.M
     log_every = max(1, T // 1000)

@@ -1,8 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer check."""
+
+import numbers
 
 
 class ConfigurationError(ValueError):
     """Invalid game or experiment configuration (bad shapes, ranges, params)."""
+
+
+def require_integer(name: str, value, least: int) -> None:
+    """Reject anything but an integer (numpy's included, bools not) >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class ProtocolError(RuntimeError):

@@ -60,7 +60,8 @@ class GameSpec:
     the constant added to every allocation denominator, at least 1e-50: at
     an empty column the kernels divide by powers of it, and at rho = 1e-100
     the curvatures give nan there from about 1e-56; `noise_std` the std of
-    the Gaussian feedback noise added per (node, task) observation.
+    the Gaussian feedback noise added per (node, task) observation, at most
+    1e100, mirroring rho's floor: llr multiplies a mean by its pull count.
     """
 
     rho: np.ndarray
@@ -90,11 +91,13 @@ class GameSpec:
             raise ConfigurationError(
                 f"barrier must be finite and > 0, got {self.barrier}")
         if self.barrier < 1e-50:
-            raise ConfigurationError(
-                f"barrier must be >= 1e-50, got {self.barrier}")
+            raise ConfigurationError(f"barrier must be >= 1e-50, got {self.barrier}")
         if not (np.isfinite(self.noise_std) and self.noise_std >= 0.0):
             raise ConfigurationError(
                 f"noise_std must be finite and >= 0, got {self.noise_std}")
+        if self.noise_std > 1e100:
+            raise ConfigurationError(
+                f"noise_std must be <= 1e100, got {self.noise_std}")
         low = self.rho <= RHO_CONVEXITY_THRESHOLD
         if np.any(low):
             ks, ms = np.nonzero(low)
@@ -134,13 +137,9 @@ class GameSpec:
         missing = [key for key in ("rho", "eps", "kappa") if key not in doc]
         if missing:
             raise ConfigurationError(f"game spec lacks {', '.join(missing)}")
-        spec = cls(
-            rho=doc["rho"],
-            eps=doc["eps"],
-            kappa=doc["kappa"],
-            barrier=doc.get("barrier", 1e-6),
-            noise_std=doc.get("noise_std", 0.01),
-        )
+        spec = cls(rho=doc["rho"], eps=doc["eps"], kappa=doc["kappa"],
+                   barrier=doc.get("barrier", cls.barrier),
+                   noise_std=doc.get("noise_std", cls.noise_std))
         for key in ("K", "M"):
             if key in doc and doc[key] != getattr(spec, key):
                 raise ConfigurationError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, EquilibriumError
+from .errors import ConfigurationError, EquilibriumError, require_integer
 from .game import GameSpec, task_utility, utility_matrix
 from .strategies.baselines import br_profile
 
@@ -79,10 +79,8 @@ def solve_nash(spec: GameSpec, tol: float = DEFAULT_TOL,
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ConfigurationError(f"tol must be positive and finite, got {tol}")
-    for name, value, least in (("n_starts", n_starts, 1), ("seed", seed, 0)):
-        if not isinstance(value, (int, np.integer)) or value < least:
-            raise ConfigurationError(f"{name} must be an integer >= {least}, "
-                                     f"got {value!r}")
+    require_integer("n_starts", n_starts, 1)
+    require_integer("seed", seed, 0)
     x = np.random.default_rng(seed).random((n_starts, spec.K, spec.M))
     active = np.arange(n_starts)
     for sweeps in range(1, MAX_SWEEPS + 1):

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from ..errors import ConfigurationError, FeedbackError, ProtocolError
+from ..errors import ConfigurationError, FeedbackError, ProtocolError, require_integer
 from ..game import utility_range
 
 DEFAULT_INTERVALS = 10
@@ -68,16 +68,11 @@ class LbwiBank:
     def __init__(self, spec, T: int, rngs, N: int = DEFAULT_INTERVALS,
                  gamma: float = DEFAULT_GAMMA, pulls_per_interval=None,
                  with_init: bool = True):
-        if not isinstance(N, (int, np.integer)) or N < 2:
-            raise ConfigurationError(
-                f"N must be an integer >= 2 (the Lipschitz estimate differences "
-                f"adjacent intervals), got {N!r}")
+        # N >= 2: the Lipschitz estimate differences adjacent intervals
+        require_integer("N", N, 2)
         if pulls_per_interval is None:
             pulls_per_interval = default_pulls_per_interval(T, N)
-        if (not isinstance(pulls_per_interval, (int, np.integer))
-                or pulls_per_interval < 1):
-            raise ConfigurationError(f"pulls_per_interval must be an integer >= 1, "
-                                     f"got {pulls_per_interval!r}")
+        require_integer("pulls_per_interval", pulls_per_interval, 1)
         if not 0.0 < gamma <= 1.0:
             raise ConfigurationError(f"gamma must lie in (0, 1], got {gamma}")
         self.K, self.M = spec.K, spec.M

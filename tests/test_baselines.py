@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fogbandit.errors import ConfigurationError
+from fogbandit.errors import ConfigurationError, ProtocolError
 from fogbandit.game import GameSpec, task_gradient, task_utility
 from fogbandit.strategies import BrBank, GpBank, RsBank, br_profile, golden_max
 
@@ -182,6 +182,13 @@ class TestGradientPlay:
     def test_bank_rejects_non_positive_step(self, game1, eta):
         with pytest.raises(ConfigurationError, match="eta"):
             GpBank(game1, T=100, rngs=[np.random.default_rng(0)], eta=eta)
+
+    def test_observe_needs_a_preceding_act(self, game1):
+        bank = GpBank(game1, T=100, rngs=[np.random.default_rng(0)])
+        bank.act()
+        bank.observe(np.zeros((1, 2, 2)))
+        with pytest.raises(ProtocolError, match="without a preceding act"):
+            bank.observe(np.zeros((1, 2, 2)))
 
     def test_bank_all_play_converges_to_equilibrium(self, game1):
         from fogbandit import solve_nash

@@ -1,7 +1,8 @@
 """Bank construction from strategy configs, the config's checks, the
 campaign's checks before its first round, the CLI's check of per-strategy
-parameter overrides, checkpoint rounds, and replica streams that depend on
-neither strategy order nor seed count."""
+parameter overrides, traces, checkpoint rounds, every strategy at the noise
+ceiling, and replica streams that depend on neither strategy order nor seed
+count."""
 
 import json
 
@@ -12,8 +13,8 @@ from fogbandit import campaign, cli
 from fogbandit.campaign import (STRATEGY_NAMES, ExperimentConfig, make_bank,
                                 run_campaign)
 from fogbandit.engine import checkpoint_rounds
-from fogbandit.errors import ConfigurationError
-from fogbandit.game import estimate_bounds
+from fogbandit.errors import ConfigurationError, ProtocolError
+from fogbandit.game import GameSpec, estimate_bounds
 
 
 @pytest.fixture(scope="module")
@@ -116,10 +117,12 @@ class TestExperimentConfig:
             ExperimentConfig(game1, [{"name": "rs"}, {"name": "gp"}, {"name": "rs"}])
 
     @pytest.mark.parametrize("field,value,message", [
-        ("T", 50.5, "an integer, got 50.5"), ("T", True, "an integer, got True"),
-        ("T", 0, ">= 1, got 0"), ("n_seeds", 2.5, "an integer, got 2.5"),
-        ("n_seeds", 0, ">= 1, got 0"), ("master_seed", 1.5, "an integer, got 1.5"),
-        ("master_seed", -1, ">= 0, got -1"),
+        ("T", 50.5, "an integer >= 1, got 50.5"),
+        ("T", True, "an integer >= 1, got True"), ("T", 0, "an integer >= 1, got 0"),
+        ("n_seeds", 2.5, "an integer >= 1, got 2.5"),
+        ("n_seeds", 0, "an integer >= 1, got 0"),
+        ("master_seed", 1.5, "an integer >= 0, got 1.5"),
+        ("master_seed", -1, "an integer >= 0, got -1"),
     ])
     def test_rejects_counts_that_are_not_integers_in_range(self, game1, field,
                                                             value, message):
@@ -129,6 +132,11 @@ class TestExperimentConfig:
             ExperimentConfig(game1, [{"name": "rs"}], **{field: value})
         config = ExperimentConfig(game1, [{"name": "rs"}], **{field: np.int64(3)})
         assert getattr(config, field) == 3
+
+    def test_rejects_an_unknown_regret_mode(self, game1):
+        with pytest.raises(ConfigurationError,
+                           match=r"^unknown regret mode 'best'$"):
+            ExperimentConfig(game1, [{"name": "rs"}], regret_mode="best")
 
     def test_trace_needs_an_out_dir(self, game1, tmp_path):
         # without one the campaign wrote no trace and raised nothing
@@ -202,6 +210,45 @@ class TestTrace:
             x[k, m] = r["x"]
             assert np.array_equal(r["a"], allocate(x, game1)[k, m])
 
+    def test_a_failing_run_closes_its_trace_files(self, game1, tmp_path,
+                                                  monkeypatch):
+        # every round played before the failure is on disk when it raises
+        class FailsAtRound150:
+            def __init__(self, bank):
+                self.bank, self.t = bank, 0
+                self.feedback_kind = bank.feedback_kind
+
+            def act(self):
+                self.t += 1
+                x = self.bank.act()
+                if self.t == 150:
+                    x[0, 0, 0] = 2.0
+                return x
+
+            def observe(self, *feedback):
+                self.bank.observe(*feedback)
+
+        writers = []
+
+        class RecordedWriter(campaign._TraceWriter):
+            def __init__(self, paths):
+                super().__init__(paths)
+                writers.append(self)
+
+        make = campaign.make_bank
+        monkeypatch.setattr(campaign, "make_bank",
+                            lambda *args: FailsAtRound150(make(*args)))
+        monkeypatch.setattr(campaign, "_TraceWriter", RecordedWriter)
+        config = ExperimentConfig(game1, [{"name": "rs"}], T=200, n_seeds=3,
+                                  out_dir=tmp_path, trace=True)
+        with pytest.raises(ProtocolError, match="^round 150: seed 0 "):
+            run_campaign(config)
+        assert all(fh.closed for fh in writers[0]._fhs)
+        for seed in range(3):
+            lines = (tmp_path / f"trace_rs_seed{seed}.csv").read_text().splitlines()
+            assert len(lines) == 1 + 149 * game1.K * game1.M
+            assert lines[-1].startswith("149,1,1,")
+
 
 class TestCheckpoints:
     @pytest.mark.parametrize("T", [1, 2, 3])
@@ -217,6 +264,19 @@ class TestCheckpoints:
     ])
     def test_long_horizons_keep_their_checkpoints(self, T, expected):
         assert checkpoint_rounds(T) == expected
+
+
+@pytest.mark.filterwarnings("ignore:rho <= 0.5")
+@pytest.mark.filterwarnings("ignore:coarse interval count")
+def test_every_strategy_runs_at_the_noise_ceiling(game1):
+    spec = GameSpec(rho=game1.rho, eps=game1.eps, kappa=game1.kappa,
+                    noise_std=1e100)
+    config = ExperimentConfig(spec, [{"name": n} for n in STRATEGY_NAMES],
+                              T=400, n_seeds=3)
+    for s in run_campaign(config).strategies:
+        assert np.all(np.isfinite(s.mean_cum_regret)), s.name
+        # the gaps are taken at the rounds run_seed recorded
+        assert list(s.eps_gap_trajectory) == checkpoint_rounds(400)
 
 
 class TestReplicaStreams:

@@ -1,5 +1,6 @@
 """Command-line verbs, driven through cli.main."""
 
+import inspect
 import json
 import re
 
@@ -7,7 +8,10 @@ import numpy as np
 import pytest
 
 from fogbandit import campaign, cli
+from fogbandit.campaign import ExperimentConfig
 from fogbandit.engine import regret_slope
+from fogbandit.game import GameSpec
+from fogbandit.nash import solve_nash
 
 
 class TestSolveNash:
@@ -19,6 +23,34 @@ class TestSolveNash:
         assert 0.0 <= doc["eps_gap"] < 1e-6
         assert doc["converged"] is True
         assert len(doc["x_star"]) == 2 and len(doc["x_star"][0]) == 2
+
+    @pytest.mark.filterwarnings("ignore:rho <= 0.5")
+    def test_out_writes_what_it_prints(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["solve-nash", "--out", str(out)]) == 0
+        assert (out / "nash.json").read_text() + "\n" == capsys.readouterr().out
+
+
+class TestDefaults:
+    """Every flag left out takes the library's own default."""
+
+    def test_run(self, game1):
+        args = cli.make_parser().parse_args(["run"])
+        config = ExperimentConfig(game1, [])
+        assert ((args.T, args.seeds, args.master_seed, args.regret_mode)
+                == (config.T, config.n_seeds, config.master_seed, config.regret_mode))
+
+    def test_solve_nash(self):
+        args = cli.make_parser().parse_args(["solve-nash"])
+        defaults = inspect.signature(solve_nash).parameters
+        assert ((args.tol, args.starts, args.master_seed)
+                == tuple(defaults[p].default for p in ("tol", "n_starts", "seed")))
+
+    @pytest.mark.filterwarnings("ignore:rho <= 0.5")
+    @pytest.mark.parametrize("game", ["game1", "dataset"])
+    def test_noise_and_barrier(self, game):
+        spec = cli.build_spec(cli.make_parser().parse_args(["run", "--game", game]))
+        assert (spec.noise_std, spec.barrier) == (GameSpec.noise_std, GameSpec.barrier)
 
 
 @pytest.mark.filterwarnings("ignore:rho <= 0.5")
@@ -114,7 +146,7 @@ class TestBadInput:
         (["solve-nash", "--starts", "0"], "n_starts must be an integer >= 1, got 0"),
         (["solve-nash", "--starts", "-2"], "n_starts must be an integer >= 1, got -2"),
         (["solve-nash", "--master-seed", "-1"], "seed must be an integer >= 0, got -1"),
-        (["run", "--master-seed", "-1"], "master_seed must be >= 0, got -1"),
+        (["run", "--master-seed", "-1"], "master_seed must be an integer >= 0, got -1"),
         (["bench-slope", "--input", "regret.csv", "--window", "2"],
          "--window must lie in [0, 1), got 2.0"),
         (["bench-slope", "--input", "regret.csv", "--window", "nan"],
@@ -125,6 +157,7 @@ class TestBadInput:
          "barrier must be a number, got None"),
         (["run", "--spec-json", "text_noise.json"],
          "noise_std must be a number, got 'abc'"),
+        (["run", "--noise-std", "1e308"], "noise_std must be <= 1e100, got 1e+308"),
     ])
     def test_each_verb_prints_the_error_and_exits_one(self, argv, message,
                                                       tmp_path, capsys,

@@ -85,6 +85,24 @@ class TestBlockFile:
                            match=r"indices\.csv: row 13: repeated block label 'rho'"):
             load_dataset(path)
 
+    def test_label_that_ends_the_file(self, tmp_path):
+        path = tmp_path / "indices.csv"
+        path.write_text(f"rho\n{RHO}eps\n{EPS}kappa\n")
+        with pytest.raises(IngestionError, match=r"indices\.csv: missing 'kappa' block$"):
+            load_dataset(path)
+
+    def test_header_without_rows(self, tmp_path):
+        path = block_file(tmp_path, eps="task_0,task_1\n")
+        with pytest.raises(IngestionError, match="block 'eps' has no data rows"):
+            load_dataset(path)
+
+    def test_block_shapes_disagree(self, tmp_path):
+        path = block_file(tmp_path, eps="task_0,task_1,task_2\n0.1,0.2,0.3\n")
+        with pytest.raises(IngestionError,
+                           match=r"block shapes disagree: rho \(2, 2\), "
+                                 r"eps \(1, 3\), kappa \(2, 2\)$"):
+            load_dataset(path)
+
     def test_missing_path(self, tmp_path):
         with pytest.raises(IngestionError, match="does not exist"):
             load_dataset(tmp_path / "absent.csv")

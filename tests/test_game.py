@@ -4,6 +4,7 @@ mpmath inside each test, independently of the float implementation. The
 allocation is the engine's, read off run_round (the `allocate` fixture)."""
 
 import json
+import re
 import warnings
 
 import mpmath as mp
@@ -65,6 +66,18 @@ class TestGameSpec:
             GameSpec(rho=np.zeros((0, 2)), eps=np.zeros((0, 2)),
                      kappa=np.zeros((0, 2)))
 
+    @pytest.mark.parametrize("rho,shape", [([0.9, 0.8], r"\(2,\)"),
+                                           ([[[0.9]]], r"\(1, 1, 1\)")])
+    def test_rejects_index_matrix_that_is_not_two_dimensional(self, rho, shape):
+        with pytest.raises(ConfigurationError,
+                           match=rf"^rho must be a 2-D matrix, got shape {shape}$"):
+            GameSpec(rho=rho, eps=[[0.1]], kappa=[[0.1]])
+
+    def test_rejects_nan_index_entry(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^eps contains non-finite entries$"):
+            GameSpec(rho=[[0.9]], eps=[[float("nan")]], kappa=[[0.1]])
+
     def test_rejects_bad_barrier_and_noise(self):
         with pytest.raises(ConfigurationError):
             GameSpec(rho=[[0.9]], eps=[[0.1]], kappa=[[0.1]], barrier=0.0)
@@ -93,6 +106,17 @@ class TestGameSpec:
         with pytest.raises(ConfigurationError,
                            match=rf"^barrier must be >= 1e-50, got {barrier}$"):
             GameSpec(rho=[[0.9]], eps=[[0.1]], kappa=[[0.1]], barrier=barrier)
+
+    @pytest.mark.parametrize("noise_std", [1e101, 1e300, 1e308])
+    def test_rejects_noise_above_the_ceiling(self, noise_std):
+        # 1e308 failed mid-run: a FeedbackError for lbwi and llr, and a nan
+        # action for bgam
+        with pytest.raises(ConfigurationError,
+                           match=rf"^noise_std must be <= 1e100, got "
+                                 rf"{re.escape(str(noise_std))}$"):
+            GameSpec(rho=[[0.9]], eps=[[0.1]], kappa=[[0.1]], noise_std=noise_std)
+        assert GameSpec(rho=[[0.9]], eps=[[0.1]], kappa=[[0.1]],
+                        noise_std=1e100).noise_std == 1e100
 
     def test_kernels_are_finite_at_the_barrier_floor(self):
         # an empty column divides by powers of the barrier: below about

@@ -4,7 +4,7 @@ transition, and the exploitation-phase sampling contract."""
 import numpy as np
 import pytest
 
-from fogbandit.errors import ConfigurationError, FeedbackError
+from fogbandit.errors import ConfigurationError, FeedbackError, ProtocolError
 from fogbandit.game import GameSpec, utility_range
 from fogbandit.strategies import LbwiBank
 from fogbandit.strategies.lbwi import default_pulls_per_interval
@@ -46,6 +46,13 @@ class TestConstruction:
     def test_rejects_fractional_pulls_per_interval(self, rng):
         with pytest.raises(ConfigurationError, match="pulls_per_interval .* got 2.5"):
             LbwiBank(tiny_spec(), T=100, rngs=[rng], pulls_per_interval=2.5)
+
+    @pytest.mark.parametrize("field,least", [("N", 2), ("pulls_per_interval", 1)])
+    def test_rejects_a_bool_count(self, rng, field, least):
+        # pulls_per_interval=True was stored as A = True
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{field} must be an integer >= {least}, got True$"):
+            LbwiBank(tiny_spec(), T=100, rngs=[rng], **{field: True})
 
     def test_accepts_numpy_integer_counts(self, rng):
         bank = LbwiBank(tiny_spec(), T=100, rngs=[rng], N=np.int64(4),
@@ -181,6 +188,11 @@ class TestProtocol:
         bank.act()
         with pytest.raises(FeedbackError):
             bank.observe(np.array([[[np.nan]]]))
+
+    def test_observe_needs_a_preceding_act(self, rng):
+        bank = LbwiBank(tiny_spec(), T=100, rngs=[rng], N=4, pulls_per_interval=5)
+        with pytest.raises(ProtocolError, match="without a preceding act"):
+            bank.observe(np.array([[[0.3]]]))
 
     def test_learner_step_protocol(self, rng):
         # Phase I lasts T1 = 20 act/observe steps; the Lipschitz estimate

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fogbandit.errors import ProtocolError
+from fogbandit.errors import FeedbackError, ProtocolError
 from fogbandit.game import GameSpec
 from fogbandit.strategies import LlrBank
 
@@ -148,6 +148,19 @@ class TestLlrBank:
                 assert (x.sum(axis=1) == 1.0).sum() == 1
                 assert (x.sum(axis=1) == 0.0).sum() == 1
             bank.observe(np.full((1, 2, 1), 0.3))
+
+    def test_observe_needs_a_preceding_act(self):
+        bank = bank_for(2, 2)
+        with pytest.raises(ProtocolError, match="without a preceding act"):
+            bank.observe(np.zeros((1, 2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_feedback_rejected(self, bad):
+        bank = bank_for(2, 2, theta_hat=0.5)
+        bank.act()
+        with pytest.raises(FeedbackError, match="must be finite"):
+            bank.observe(np.full((1, 2, 2), bad))
+        assert np.all(bank.theta_hat == 0.5) and np.all(bank.counts == 1)
 
     def test_update_only_touches_played_pairs(self):
         bank = bank_for(3, 2, theta_hat=0.5)

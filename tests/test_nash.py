@@ -53,10 +53,14 @@ class TestSolveNash:
         ({"n_starts": -2}, "n_starts must be an integer >= 1, got -2"),
         ({"n_starts": 2.0}, "n_starts must be an integer >= 1, got 2.0"),
         ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"seed": True}, "seed must be an integer >= 0, got True"),
+        ({"seed": False}, "seed must be an integer >= 0, got False"),
+        ({"n_starts": True}, "n_starts must be an integer >= 1, got True"),
     ])
     def test_rejects_bad_settings_naming_the_field(self, game1, kwargs, message):
         # a nan or inf tol stopped the sweeps at once and certified the
-        # first sweep's profile as converged
+        # first sweep's profile as converged; a bool seed ran silently, and
+        # a bool n_starts failed with a bare TypeError
         with pytest.raises(ConfigurationError, match=f"^{message}$"):
             solve_nash(game1, **kwargs)
 
