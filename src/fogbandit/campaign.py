@@ -37,6 +37,8 @@ STRATEGY_PARAMS = {
     "llr": (), "gp": ("eta",), "br": (), "rs": (),
 }
 STRATEGY_NAMES = tuple(STRATEGY_PARAMS)
+ROWS_PER_WRITE = 1024       # result-CSV rows formatted per write; time is flat
+                            # from 128 rows to a whole file
 
 
 def make_bank(name: str, spec: GameSpec, T: int, rngs, params: dict,
@@ -254,19 +256,25 @@ class _TraceWriter:
             fh.close()
 
 
-def _rows(fmt: str, *columns) -> str:
-    """One `fmt` line per element of the broadcast columns, in C order.
-    "%.17g" prints a float exactly as "{:.17g}" does."""
-    columns = [c.ravel().tolist() for c in np.broadcast_arrays(*columns)]
-    return "".join([fmt % row for row in zip(*columns)])
+def _write_csv(path: Path, header: str, fmt: str, *columns) -> None:
+    """Write `header`, then one `fmt` line per element of the broadcast
+    columns in C order, formatted and written ROWS_PER_WRITE rows at a time
+    so no file's whole text is ever held. "%.17g" prints a float exactly as
+    "{:.17g}" does."""
+    columns = np.broadcast_arrays(*columns)
+    with open(path, "w") as fh:
+        fh.write(header)
+        for r in range(0, columns[0].size, ROWS_PER_WRITE):
+            block = [c.flat[r:r + ROWS_PER_WRITE].tolist() for c in columns]
+            fh.write("".join([fmt % row for row in zip(*block)]))
 
 
 def write_regret_csv(result: StrategyCampaign, path: Path) -> None:
     """Seed-mean regret series: one row per (logged round, node)."""
     K = result.mean_cum_regret.shape[1]
-    Path(path).write_text("t,node,cumulative_regret,average_regret\n" + _rows(
-        "%d,%d,%.17g,%.17g\n", result.log_t[:, None], np.arange(K),
-        result.mean_cum_regret, result.mean_avg_regret))
+    _write_csv(path, "t,node,cumulative_regret,average_regret\n",
+               "%d,%d,%.17g,%.17g\n", result.log_t[:, None], np.arange(K),
+               result.mean_cum_regret, result.mean_avg_regret)
 
 
 def write_histogram_csv(result: StrategyCampaign, path: Path) -> None:
@@ -275,9 +283,9 @@ def write_histogram_csv(result: StrategyCampaign, path: Path) -> None:
     seed = np.array([r.seed for r in result.seeds])[:, None, None, None]
     K, M, B = hist.shape[1:]
     edges = np.linspace(0.0, 1.0, B + 1)
-    Path(path).write_text("seed,node,task,bin_lo,bin_hi,count\n" + _rows(
-        "%d,%d,%d,%.17g,%.17g,%d\n", seed, np.arange(K)[:, None, None],
-        np.arange(M)[:, None], edges[:-1], edges[1:], hist))
+    _write_csv(path, "seed,node,task,bin_lo,bin_hi,count\n",
+               "%d,%d,%d,%.17g,%.17g,%d\n", seed, np.arange(K)[:, None, None],
+               np.arange(M)[:, None], edges[:-1], edges[1:], hist)
 
 
 def write_final_actions_csv(result: StrategyCampaign, path: Path) -> None:
@@ -285,8 +293,9 @@ def write_final_actions_csv(result: StrategyCampaign, path: Path) -> None:
     final = np.mean([r.final_window_avg for r in result.seeds], axis=0)
     post = np.mean([r.post_window_avg for r in result.seeds], axis=0)
     K, M = final.shape
-    Path(path).write_text("node,task,final_window_avg,post_window_avg\n" + _rows(
-        "%d,%d,%.17g,%.17g\n", np.arange(K)[:, None], np.arange(M), final, post))
+    _write_csv(path, "node,task,final_window_avg,post_window_avg\n",
+               "%d,%d,%.17g,%.17g\n", np.arange(K)[:, None], np.arange(M),
+               final, post)
 
 
 def summary_dict(result: CampaignResult) -> dict:

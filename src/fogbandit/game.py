@@ -30,6 +30,11 @@ from .errors import ConfigurationError
 # for efficiency indices above this threshold; lower values get a warning.
 RHO_CONVEXITY_THRESHOLD = 0.5
 GRID_RESOLUTION = 100      # points per axis of estimate_bounds' grid
+# Most grid points one kernel call of estimate_bounds sees; at least one
+# (node, task) plane of GRID_RESOLUTION^2 points. At 100 points per axis a
+# slab is one plane, 80 KB per temporary: the fastest size measured, where
+# slabs of 2 to 6 planes took 1.2-2x as long.
+BOUNDS_SLAB_ELEMENTS = 1 << 14
 
 
 def _as_index_matrix(m, name: str) -> np.ndarray:
@@ -55,13 +60,14 @@ class GameSpec:
     rho, eps, kappa are K x M matrices of efficiency, power-consumption and
     cost indices, all in (0, 1], and rho is at least 1e-100. The kernels
     divide by rho*s and rho*s**4, with s at least the barrier; near the
-    origin these underflow to 0 and give nan from about rho = 1e-300 at the
-    default barrier, so the floor leaves 200 decades to spare. `barrier` is
-    the constant added to every allocation denominator, at least 1e-50: at
-    an empty column the kernels divide by powers of it, and at rho = 1e-100
-    the curvatures give nan there from about 1e-56; `noise_std` the std of
-    the Gaussian feedback noise added per (node, task) observation, at most
-    1e100, mirroring rho's floor: llr multiplies a mean by its pull count.
+    origin these underflow to 0 and give inf or nan from about rho = 1e-300
+    at the default barrier, so the floor leaves 200 decades to spare.
+    `barrier` is the constant added to every allocation denominator, at
+    least 1e-50: at an empty column the kernels divide by powers of it, and
+    at rho = 1e-100 the curvatures are inf or nan there from about 1e-56.
+    `noise_std` is the std of the Gaussian feedback noise added per (node,
+    task) observation, at most 1e100, mirroring rho's floor: llr multiplies
+    a mean by its pull count.
     """
 
     rho: np.ndarray
@@ -185,17 +191,18 @@ def task_gradient(x_own, x_others, rho, eps, kappa, barrier):
 def hessian_own(x_own, x_others, rho, barrier):
     """Second derivative of task_utility in the own action; non-positive
     everywhere (the utility is concave in the own action)."""
-    s = x_own + x_others + barrier
-    return (-np.exp(-x_own / (rho * s))
-            * (2.0 * x_others / s**3 + x_others * x_others / (rho * s**4)))
+    b = x_others + barrier
+    s = x_own + b
+    return -np.exp(-x_own / (rho * s)) * (2.0 * b / s**3 + b * b / (rho * s**4))
 
 
 def hessian_others(x_own, x_others, rho, barrier):
     """Curvature of task_utility in the others' summed action; non-negative
     whenever rho > 0.5 (convexity in others)."""
-    s = x_own + x_others + barrier
+    b = x_others + barrier
+    s = x_own + b
     return (np.exp(-x_own / (rho * s))
-            * (2.0 * x_own * x_others + (2.0 * rho - 1.0) * x_own * x_own)
+            * (2.0 * rho * x_own * b + (2.0 * rho - 1.0) * x_own * x_own)
             / (rho * s**4))
 
 
@@ -220,24 +227,28 @@ def estimate_bounds(spec: GameSpec) -> Bounds:
     because their sensitivity is pinned by the barrier (gradient magnitude
     grows like 1/(column sum + barrier) there) rather than by the
     competition the learners actually face. Results carry a 1.1 safety
-    factor against grid undersampling. One kernel's grid is alive at a time.
+    factor against grid undersampling. The grid is scanned in slabs along
+    the flattened (node, task) axis, so no kernel call sees more than
+    BOUNDS_SLAB_ELEMENTS points and memory does not grow with K*M. A max is
+    exact in any order: every bound is bitwise that of a one-shot scan.
     """
     xg = np.linspace(0.0, 1.0, GRID_RESOLUTION)[:, None, None]
     og = np.linspace(0.5, max(spec.K - 1.0, 0.5), GRID_RESOLUTION)[None, :, None]
-    rho, eps, kap = (a.ravel()[None, None, :]
-                     for a in (spec.rho, spec.eps, spec.kappa))
+    rho, eps, kap = (a.ravel() for a in (spec.rho, spec.eps, spec.kappa))
     d = spec.barrier
-
-    def peak(values) -> float:
-        return float(np.abs(values).max())
-
-    safety = 1.1
-    return Bounds(
-        L=safety * peak(task_gradient(xg, og, rho, eps, kap, d)),
-        U=safety * peak(task_utility(xg, og, rho, eps, kap, d)),
-        H=safety * max(peak(hessian_own(xg, og, rho, d)),
-                       peak(hessian_others(xg, og, rho, d))),
-    )
+    kernels = (lambda r, e, k: task_gradient(xg, og, r, e, k, d),
+               lambda r, e, k: task_utility(xg, og, r, e, k, d),
+               lambda r, e, k: hessian_own(xg, og, r, d),
+               lambda r, e, k: hessian_others(xg, og, r, d))
+    width = max(1, BOUNDS_SLAB_ELEMENTS // GRID_RESOLUTION**2)
+    peaks = np.zeros(len(kernels))
+    for c in range(0, rho.size, width):
+        slab = [a[c:c + width] for a in (rho, eps, kap)]
+        # one kernel's values are alive at a time; np.maximum keeps a nan
+        np.maximum(peaks, [np.abs(kernel(*slab)).max() for kernel in kernels],
+                   out=peaks)
+    L, U, h_own, h_others = (1.1 * float(v) for v in peaks)
+    return Bounds(L=L, U=U, H=max(h_own, h_others))
 
 
 def utility_range(spec: GameSpec) -> tuple[float, float]:

@@ -50,12 +50,14 @@ def lipschitz_estimate(mu_hat, N: int, A: int, T: int):
 
 def phase2_intervals(N: int, l_tilde, T: int):
     """Refined interval count: N * ceil(l_tilde^(2/3) * T^(1/3) / N), always
-    a positive multiple of N."""
+    a positive multiple of N and at most N * ceil(T / N), the first multiple
+    of N that reaches T: no more arms than rounds. The cap is taken in float,
+    so a huge l_tilde (feedback noise sets it) cannot overflow the int cast."""
     lt = np.asarray(l_tilde, dtype=float)
     if np.any(lt <= 0.0) or T <= 0:
         raise ConfigurationError("l_tilde and T must be positive")
-    return np.maximum(N * np.ceil(lt ** (2.0 / 3.0) * T ** (1.0 / 3.0) / N)
-                      .astype(int), N)
+    n = np.ceil(lt ** (2.0 / 3.0) * T ** (1.0 / 3.0) / N)
+    return N * np.clip(n, 1, math.ceil(T / N)).astype(int)
 
 
 class LbwiBank:

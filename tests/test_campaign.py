@@ -279,6 +279,19 @@ def test_every_strategy_runs_at_the_noise_ceiling(game1):
         assert list(s.eps_gap_trajectory) == checkpoint_rounds(400)
 
 
+def test_row_blocks_leave_the_result_files_unchanged(game1, tmp_path, monkeypatch):
+    config = ExperimentConfig(game1, [{"name": "bgam"}, {"name": "rs"}], T=60,
+                              n_seeds=3)
+    result = run_campaign(config)
+    monkeypatch.setattr(campaign, "ROWS_PER_WRITE", 10**9)
+    whole = campaign.write_outputs(result, tmp_path / "whole")
+    monkeypatch.setattr(campaign, "ROWS_PER_WRITE", 7)    # divides no row count
+    blocks = campaign.write_outputs(result, tmp_path / "blocks")
+    for one, split in zip(whole, blocks):
+        if one.suffix == ".csv":
+            assert split.read_bytes() == one.read_bytes(), one.name
+
+
 class TestReplicaStreams:
     """The module's claim: a replica's randomness derives from (master seed,
     strategy, replica index) alone."""

@@ -5,6 +5,7 @@ allocation is the engine's, read off run_round (the `allocate` fixture)."""
 
 import json
 import re
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -34,6 +35,28 @@ def mp_task_utility(x, xo, rho, eps, kappa, d):
     x, xo, rho, eps, kappa, d = map(mp.mpf, map(str, (x, xo, rho, eps, kappa, d)))
     s = x + xo + d
     return rho * (1 - mp.e ** (-x / (rho * s))) + eps * (x + xo) - kappa * x
+
+
+def mp_curvature(own, others, rho, d, wrt):
+    """Second derivative of mp_task_utility in the own action (wrt=0) or in
+    the others' sum (wrt=1), by mpmath's numerical differentiation."""
+    point = [mp.mpf(str(own)), mp.mpf(str(others))]
+
+    def utility(z):
+        args = list(point)
+        args[wrt] = z
+        return mp_task_utility(*args, rho, 0.5, 0.5, d)
+
+    return mp.diff(utility, point[wrt], 2)
+
+
+@pytest.fixture(scope="module")
+def game20():
+    """A random 20 x 20 game: a grid of 400 (node, task) planes."""
+    rng = np.random.default_rng(20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return GameSpec(*(rng.uniform(0.05, 1.0, (20, 20)) for _ in range(3)))
 
 
 class TestGameSpec:
@@ -334,9 +357,7 @@ class TestCurvature:
 
     def test_hessian_own_value(self, game1):
         x = np.array([[0.5, 0.0], [0.5, 0.0]])
-        xo, own, rho = mp.mpf("0.5"), mp.mpf("0.5"), mp.mpf("0.9")
-        s = own + xo + mp.mpf("1e-6")
-        expected = -mp.e ** (-own / (rho * s)) * (2 * xo / s ** 3 + xo ** 2 / (rho * s ** 4))
+        expected = mp_curvature(0.5, 0.5, 0.9, game1.barrier, wrt=0)
         h = curvature(hessian_own, 0, 0, x, game1)
         assert h == pytest.approx(float(expected), rel=1e-12)
         # reference scale: -e^{-5/9} * (1 + 0.25/0.9) in the barrier-free limit
@@ -354,13 +375,26 @@ class TestCurvature:
 
     def test_hessian_others_value(self, game1):
         x = np.array([[0.5, 0.0], [0.5, 0.0]])
-        own, xo, rho = mp.mpf("0.5"), mp.mpf("0.5"), mp.mpf("0.9")
-        s = own + xo + mp.mpf("1e-6")
-        expected = (mp.e ** (-own / (rho * s))
-                    * (2 * own * xo + (2 * rho - 1) * own ** 2) / (rho * s ** 4))
+        expected = mp_curvature(0.5, 0.5, 0.9, game1.barrier, wrt=1)
         h = curvature(hessian_others, 0, 0, x, game1)
         assert h == pytest.approx(float(expected), rel=1e-12)
-        assert h == pytest.approx(0.446253, abs=1e-4)
+        # e^{-5/9} * (2*0.9*0.25 + 0.8*0.25) / 0.9 in the barrier-free limit
+        assert h == pytest.approx(0.414378, abs=1e-4)
+
+    # (0.4, 0.7) and (0.1, 0.0) at rho 0.3, barrier 1e-3 are where a cross
+    # term of 2*x_own*x_others, and x_others in place of x_others + barrier,
+    # gave 0.335 for 0.0704 and 0 for -0.0728
+    @pytest.mark.parametrize("own,others,rho,barrier", [
+        (0.5, 0.5, 0.9, 1e-6), (0.4, 0.7, 0.3, 1e-3), (0.1, 0.0, 0.3, 1e-3),
+        (0.0, 0.8, 0.6, 1e-6), (0.9, 2.5, 0.55, 1e-6), (0.02, 0.0, 0.9, 1e-5),
+        (1.0, 4.0, 0.2, 1e-6),
+    ])
+    def test_kernels_are_second_derivatives_of_the_utility(self, own, others,
+                                                          rho, barrier):
+        for kernel, wrt in ((hessian_own, 0), (hessian_others, 1)):
+            expected = mp_curvature(own, others, rho, barrier, wrt)
+            assert kernel(own, others, rho, barrier) == pytest.approx(
+                float(expected), rel=1e-12, abs=1e-15)
 
     def test_hessian_others_nonnegative_for_high_efficiency(self, rng):
         with warnings.catch_warnings():
@@ -374,10 +408,13 @@ class TestCurvature:
 
 
 def rosen(x0, x1, spec):
-    """Rosen's diagonal-strict-concavity inner product with all-ones
+    """Rosen's diagonal-strict-concavity (DSC) inner product with all-ones
     weights: (x1 - x0) . (grad(x1) - grad(x0)) over every (node, task)
-    own-action coordinate. Negative for every distinct pair certifies
-    equilibrium uniqueness (Rosen, Econometrica 1965)."""
+    own-action coordinate (Rosen, Econometrica 1965). Negative for every
+    distinct pair would certify a unique equilibrium; TestDscGap shows it
+    negative only on the pairs it draws (on a 1/16 grid, one coordinate
+    moved, rows swapped), and game1 has pairs off that grid where it is
+    positive."""
     return float(((x1 - x0) * (gradient_matrix(x1, spec)
                                - gradient_matrix(x0, spec))).sum())
 
@@ -423,6 +460,21 @@ class TestDscGap:
         x1 = x0[::-1].copy()
         assert rosen(x0, x1, game1) < 0.0
 
+    def test_game1_violates_dsc_where_a_node_faces_little_competition(self, game1):
+        # the symmetrised Jacobian of the gradient, by central differences,
+        # has a positive eigenvalue: on task 0 node 1 holds 95% of the
+        # column, so its own curvature (-0.088) cannot outweigh the cross terms
+        x = np.array([[0.0246, 1e-5], [0.4676, 1e-5]])
+        h = 1e-7
+        steps = np.eye(4).reshape(4, 2, 2) * h
+        J = np.stack([(gradient_matrix(x + e, game1)
+                       - gradient_matrix(x - e, game1)).ravel() / (2 * h)
+                      for e in steps], axis=1)
+        values, vectors = np.linalg.eigh((J + J.T) / 2)
+        assert values[-1] == pytest.approx(0.0467, abs=1e-4)
+        # so a short move along that eigenvector gives a positive product
+        assert rosen(x, x + 1e-4 * vectors[:, -1].reshape(2, 2), game1) > 0.0
+
 
 class TestEstimateBounds:
     def test_bounds_dominate_sampled_values(self, game1, rng, monkeypatch):
@@ -452,6 +504,48 @@ class TestEstimateBounds:
         assert b.L == pytest.approx(2.364996, rel=1e-5)
         assert b.U == pytest.approx(0.800788, rel=1e-5)
         assert b.H == pytest.approx(17.599877, rel=1e-5)
+
+    @pytest.mark.parametrize("name", ["game1", "game2", "game20"])
+    def test_slabs_equal_a_one_shot_scan_bitwise(self, name, request):
+        spec = request.getfixturevalue(name)
+        xg = np.linspace(0.0, 1.0, game.GRID_RESOLUTION)[:, None, None]
+        og = np.linspace(0.5, max(spec.K - 1.0, 0.5),
+                         game.GRID_RESOLUTION)[None, :, None]
+        rho, eps, kappa = (a.ravel() for a in (spec.rho, spec.eps, spec.kappa))
+        d = spec.barrier
+
+        def peak(values):
+            return 1.1 * float(np.abs(values).max())
+
+        b = estimate_bounds(spec)
+        assert b.L == peak(task_gradient(xg, og, rho, eps, kappa, d))
+        assert b.U == peak(task_utility(xg, og, rho, eps, kappa, d))
+        assert b.H == max(peak(hessian_own(xg, og, rho, d)),
+                          peak(hessian_others(xg, og, rho, d)))
+
+    def test_no_kernel_call_sees_more_than_a_slab(self, game20, monkeypatch):
+        sizes = []
+        for name in ("task_utility", "task_gradient", "hessian_own",
+                     "hessian_others"):
+            def recorded(*args, kernel=getattr(game, name)):
+                values = kernel(*args)
+                sizes.append(values.size)
+                return values
+            monkeypatch.setattr(game, name, recorded)
+        estimate_bounds(game20)
+        assert sum(sizes) == 4 * game.GRID_RESOLUTION ** 2 * 400
+        assert max(sizes) <= game.BOUNDS_SLAB_ELEMENTS
+
+    def test_peak_memory_does_not_grow_with_the_game(self, game20):
+        # slabs peak near 0.5 MB here; the one-shot 100 x 100 x 400 grid
+        # held 32 MB per temporary and peaked near 92 MB
+        tracemalloc.start()
+        try:
+            estimate_bounds(game20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_lipschitz_bound_holds_on_samples(self, game1, rng):
         b = estimate_bounds(game1)

@@ -1,13 +1,16 @@
 """Two-phase interval learner: exploration bookkeeping, the phase
 transition, and the exploitation-phase sampling contract."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from fogbandit.errors import ConfigurationError, FeedbackError, ProtocolError
 from fogbandit.game import GameSpec, utility_range
 from fogbandit.strategies import LbwiBank
-from fogbandit.strategies.lbwi import default_pulls_per_interval
+from fogbandit.strategies.lbwi import (default_pulls_per_interval,
+                                       phase2_intervals)
 
 
 def tiny_spec():
@@ -120,6 +123,15 @@ class TestPhaseTransition:
         drive(bank, spec, bank.T1 + 1, np.random.default_rng(2))
         assert bank.n_arms[0, 0, 0] % 5 == 0
         assert bank.l_tilde[0, 0, 0] >= bank.l_hat[0, 0, 0]
+
+    def test_refined_count_is_capped_at_the_horizon(self):
+        # the cap is taken in float before the int cast, so a huge Lipschitz
+        # estimate neither overflows the cast nor falls back to N arms
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert phase2_intervals(10, 1e300, 400) == 400
+            assert phase2_intervals(10, 1e11, 405) == 410
+            assert list(phase2_intervals(10, np.array([3.0, 1e30]), 400)) == [20, 400]
 
     def test_plain_variant_starts_uniform(self, rng):
         spec = tiny_spec()
