@@ -4,8 +4,9 @@ of a strategy at once.
 Every round the learner bank emits an (S, K, M) stack of action profiles;
 the engine computes allocations and clean per-(node, task) utilities, adds
 i.i.d. Gaussian observation noise per entry from each replica's own noise
-stream, and routes feedback by strategy class: bandit learners see only
-their own noisy utilities, gradient-play sees the exact gradient at the
+stream (read ahead in chunks: the values one draw per round would give, in
+the same order), and routes feedback by strategy class: bandit learners see
+only their own noisy utilities, gradient-play sees the exact gradient at the
 played profile, best-response sees the best response to it. Regret is
 accounted against a fixed reference (equilibrium utilities by default, or
 the per-round best-response oracle) using clean utilities, so the series
@@ -30,6 +31,7 @@ from .errors import ConfigurationError, ProtocolError
 from .game import GameSpec, gradient_matrix, utility_matrix
 from .nash import NashSolution, deviation_utilities
 from .strategies.baselines import br_profile
+from .streams import ReadAhead
 
 # The final-window average covers the last FINAL_WINDOW rounds; the post-window
 # average and the HIST_BINS-bin histogram the rounds after POST_FRACTION * T.
@@ -72,18 +74,17 @@ def regret_slope(cumulative, t, window=(0.5, 1.0)) -> float:
     return float(np.polyfit(np.log(ts), np.log(ys), 1)[0])
 
 
-def run_round(spec: GameSpec, bank, t: int, noise_rngs) -> RoundRecord:
+def run_round(spec: GameSpec, bank, t: int, noise: np.ndarray) -> RoundRecord:
     """Play one round of every replica: collect the (S, K, M) actions,
-    allocate, compute utilities, add each replica's observation noise, and
-    route each strategy its own feedback."""
+    allocate, compute utilities, add the round's (S, K, M) observation
+    noise, and route each strategy its own feedback."""
     x = np.asarray(bank.act(), dtype=float)
-    shape = (len(noise_rngs), spec.K, spec.M)
-    if x.shape != shape:
+    if x.shape != noise.shape:
         raise ProtocolError(f"round {t}: bank emitted shape {x.shape}, "
-                            f"expected {shape}")
-    bad = (x < 0.0) | (x > 1.0) | ~np.isfinite(x)
-    if np.any(bad):
-        s, k, m = np.argwhere(bad)[0]
+                            f"expected {noise.shape}")
+    # NaN fails both comparisons; the mask is built only to name the culprit
+    if not (x.min() >= 0.0 and x.max() <= 1.0):
+        s, k, m = np.argwhere(~((x >= 0.0) & (x <= 1.0)))[0]
         raise ProtocolError(
             f"round {t}: seed {s} node {k} emitted action {x[s, k, m]!r} for "
             f"task {m}, outside [0, 1]"
@@ -91,8 +92,7 @@ def run_round(spec: GameSpec, bank, t: int, noise_rngs) -> RoundRecord:
     a = x / (x.sum(axis=-2, keepdims=True) + spec.barrier)
     clean = utility_matrix(x, spec)
     # at noise_std 0 every draw is +0.0, so observed equals clean bit for bit
-    observed = clean + np.array([g.normal(0.0, spec.noise_std, shape[1:])
-                                 for g in noise_rngs])
+    observed = clean + noise
 
     kind, br = bank.feedback_kind, None
     if kind == "bandit":
@@ -164,8 +164,9 @@ def run_seed(spec: GameSpec, bank, T: int, noise_rngs, reference: NashSolution,
     block = max(1, BR_BLOCK_ELEMENTS // (S * K * M))
     pending = []                      # (t, x, br, realized) not yet accounted
 
+    noise = ReadAhead(noise_rngs, lambda g, n: g.normal(0.0, spec.noise_std, n))
     for t in range(1, T + 1):
-        rec = run_round(spec, bank, t, noise_rngs)
+        rec = run_round(spec, bank, t, noise.take((K, M)))
         pending.append((t, rec.x.copy(), rec.br, rec.clean_utility.sum(axis=-1)))
         if trace_sink is not None:
             trace_sink(rec)

@@ -9,6 +9,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, ProtocolError
 from ..game import GameSpec, task_utility
+from ..streams import ReadAhead
 
 DEFAULT_ETA = 0.5
 GOLDEN_TOL = 1e-8
@@ -101,11 +102,11 @@ class RsBank:
     feedback_kind = "none"
 
     def __init__(self, spec, T: int, rngs):
-        self.rngs = rngs
+        self._actions = ReadAhead(rngs, lambda g, n: g.random(n))
         self.shape = (spec.K, spec.M)
 
     def act(self) -> np.ndarray:
-        return np.array([g.random(self.shape) for g in self.rngs])
+        return self._actions.take(self.shape)
 
     def observe(self, _=None) -> None:
         pass

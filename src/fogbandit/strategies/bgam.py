@@ -18,6 +18,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, ProtocolError
 from ..game import Bounds
+from ..streams import ReadAhead
 
 DEFAULT_XI = 0.5
 DEFAULT_BETA = 0.95
@@ -44,7 +45,8 @@ def perturbation_radius(T: int, bounds: Bounds, xi: float) -> tuple[float, float
 class BgamBank:
     """All K x M independent learners of S replicas of one game, updated as
     (S, K, M) arrays; each replica draws its signs from its own generator
-    (one sign draw per learner per round)."""
+    (one sign draw per learner per round, read ahead in chunks: the same
+    values from the same stream, in the same order)."""
 
     feedback_kind = "bandit"
 
@@ -58,7 +60,7 @@ class BgamBank:
         self.xi = xi
         self.beta = beta
         self.nu = nu
-        self.rngs = rngs
+        self._signs = ReadAhead(rngs, lambda g, n: g.integers(0, 2, n))
         self.shape = (spec.K, spec.M)
         self.y = np.zeros((len(rngs),) + self.shape)
         self.v = np.zeros_like(self.y)
@@ -66,11 +68,12 @@ class BgamBank:
         self._c = None
 
     def act(self) -> np.ndarray:
-        c = np.array([g.integers(0, 2, self.shape) for g in self.rngs]) * 2.0 - 1.0
-        self._c = c
+        up = self._signs.take(self.shape)
+        self._c = np.where(up, 1.0, -1.0)
         # exact arithmetic keeps this in [0, 1]; the clip absorbs the rounding
         # of (1 - alpha) * xi, which can leave -1e-17 at the lower bound
-        return np.clip(self.y + self.sigma * c + self.xi, 0.0, 1.0)
+        return np.clip(self.y + np.where(up, self.sigma, -self.sigma) + self.xi,
+                       0.0, 1.0)
 
     def observe(self, observed: np.ndarray) -> None:
         if self._c is None:

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, FeedbackError, ProtocolError, require_integer
 from ..game import utility_range
+from ..streams import ReadAhead
 
 DEFAULT_INTERVALS = 10
 DEFAULT_GAMMA = 0.05
@@ -63,7 +64,8 @@ def phase2_intervals(N: int, l_tilde, T: int):
 class LbwiBank:
     """All K x M independent interval learners of S replicas of one game,
     held as (S, K, M) arrays; each replica draws its sweep orders, arms and
-    in-interval offsets from its own generator, in that order."""
+    in-interval offsets from its own generator, in that order (read ahead in
+    chunks: the same values from the same stream, in the same order)."""
 
     feedback_kind = "bandit"
 
@@ -84,18 +86,20 @@ class LbwiBank:
         self.A = pulls_per_interval
         self.T1 = min(self.A * N, T)
         self.with_init = with_init
-        self.rngs = rngs
+        self._uniform = ReadAhead(rngs, lambda g, n: g.random(n))
         self.u_lo, self.u_hi = utility_range(spec)
 
         shape = (len(rngs), self.K, self.M)
         self.mu_hat = np.zeros(shape + (N,))
         self.weights = np.ones(shape + (N,))
         self.n_arms = np.full(shape, N, dtype=int)   # per-learner arm count
+        self._cells = np.arange(math.prod(shape)).reshape(shape)   # flat (s, k, m)
         self.l_hat = None
         self.l_tilde = None
         self.t = 1
         self._sweep = None
         self._arm = None
+        self._wsum = None
 
     # -- helpers ----------------------------------------------------------
 
@@ -103,16 +107,18 @@ class LbwiBank:
         return np.clip((observed - self.u_lo) / (self.u_hi - self.u_lo), 0.0, 1.0)
 
     def _draw(self, *tail):
-        """One uniform draw of shape (K, M) + tail per replica, stacked."""
-        return np.array([g.random((self.K, self.M) + tail) for g in self.rngs])
+        """Every replica's next uniform values, shaped (S, K, M) + tail."""
+        return self._uniform.take((self.K, self.M) + tail)
 
     def _probs(self):
         """EXP3's mixing distribution over the padded arm axis. Padded arms
         j >= n hold weight 0 (`_refine` writes it, `observe` scales only the
         played arm j < n); their floor gamma/n lifts the cumsum only past arm
-        n - 1, so `act`'s sampler, clipped to n - 1, never returns one."""
+        n - 1, so `act`'s sampler, clipped to n - 1, never returns one.
+        Keeps the row sums for `observe`, which sees the same weights."""
         w, n = self.weights, self.n_arms[..., None]
-        return (1.0 - self.gamma) * w / w.sum(axis=-1, keepdims=True) + self.gamma / n
+        self._wsum = w.sum(axis=-1)
+        return (1.0 - self.gamma) * w / self._wsum[..., None] + self.gamma / n
 
     # -- act / observe ----------------------------------------------------
 
@@ -122,6 +128,7 @@ class LbwiBank:
             if j == 0:
                 self._sweep = np.argsort(self._draw(self.N), axis=-1)
             arm = self._sweep[..., j]
+            self._wsum = self.weights.sum(axis=-1)   # for observe, as `_probs` keeps it
         else:
             draw = self._draw()
             arm = np.minimum((draw[..., None] > self._probs().cumsum(axis=-1))
@@ -134,17 +141,19 @@ class LbwiBank:
             raise ProtocolError("observe called without a preceding act")
         if not np.all(np.isfinite(observed)):
             raise FeedbackError("observed utilities must be finite")
-        arm = self._arm[..., None]
+        # flat index of each learner's played arm; in Phase I mu_hat and the
+        # weights both have N arms
+        i = self._cells * self.weights.shape[-1] + self._arm
         if self.t <= self.T1:
             c0 = (self.t - 1) // self.N   # each sweep pulls every arm once
-            m0 = np.take_along_axis(self.mu_hat, arm, -1)
-            np.put_along_axis(self.mu_hat, arm,
-                              (m0 * c0 + observed[..., None]) / (c0 + 1), -1)
+            mu = self.mu_hat.reshape(-1)
+            mu[i] = (mu[i] * c0 + observed) / (c0 + 1)
         w, n = self.weights, self.n_arms
-        w0 = np.take_along_axis(w, arm, -1)[..., 0]
-        p0 = (1.0 - self.gamma) * w0 / w.sum(axis=-1) + self.gamma / n
+        flat = w.reshape(-1)
+        w0 = flat[i]
+        p0 = (1.0 - self.gamma) * w0 / self._wsum + self.gamma / n
         w1 = w0 * np.exp(self.gamma * self._normalize(observed) / (n * p0))
-        np.put_along_axis(w, arm, w1[..., None], -1)
+        flat[i] = w1
         w /= np.maximum(w1, 1.0)[..., None]   # row max was 1.0, multiplier >= 1
         if self.t == self.T1:
             self._refine()
@@ -157,14 +166,20 @@ class LbwiBank:
         Refined arm j < n inherits the weight of coarse arm (j * N) // n,
         scaled by N / n (each coarse arm gets n / N children, so the
         heaviest one's children stay heaviest); the plain variant refines
-        uniform coarse weights, and padded arms j >= n get 0."""
-        self.l_hat, self.l_tilde = lipschitz_estimate(self.mu_hat, self.N,
-                                                      self.A, self.T)
-        self.n_arms = phase2_intervals(self.N, self.l_tilde, self.T)
+        uniform coarse weights, and padded arms j >= n get 0.
+        The padded arms' parent is an extra coarse arm N of weight 0, so the
+        only (S, K, M, max n) arrays are the parent indices and the result."""
+        N = self.N
+        self.l_hat, self.l_tilde = lipschitz_estimate(self.mu_hat, N, self.A, self.T)
+        self.n_arms = phase2_intervals(N, self.l_tilde, self.T)
         n = self.n_arms[..., None]
-        j = np.arange(int(n.max()))
-        coarse = self.weights if self.with_init else np.ones_like(self.weights)
-        parents = np.minimum((j * self.N) // n, self.N - 1)
-        fine = np.where(j < n, (self.N / n) * np.take_along_axis(coarse, parents, -1),
-                        0.0)
-        self.weights = fine / fine.max(axis=-1, keepdims=True)
+        coarse = np.zeros(self.n_arms.shape + (N + 1,))
+        coarse[..., :N] = self.weights if self.with_init else 1.0
+        # (j * N) // n is below N for j < n and at least N for j >= n
+        parents = (np.arange(int(n.max())) * N) // n
+        np.minimum(parents, N, out=parents)
+        parents += self._cells[..., None] * (N + 1)
+        fine = coarse.reshape(-1)[parents]
+        fine *= N / n
+        fine /= fine.max(axis=-1, keepdims=True)
+        self.weights = fine

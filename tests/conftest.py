@@ -43,4 +43,4 @@ def allocate():
             pass
 
     return lambda x, spec: run_round(spec, Fixed(x), 1,
-                                     [np.random.default_rng(0)]).a[0]
+                                     np.zeros((1, spec.K, spec.M))).a[0]

@@ -17,17 +17,18 @@ mp.mp.dps = 40
 
 
 class _FixedSign:
-    """Stand-in generator yielding a prescribed sign sequence."""
+    """Stand-in generator whose flat integers(0, 2, n) draws read a
+    prescribed sign sequence, 1 for +1 and 0 for -1; the last sign repeats
+    past its end."""
 
     def __init__(self, signs):
-        self.signs = list(signs)
+        self.bits = [1 if s > 0 else 0 for s in signs]
 
-    def integers(self, lo, hi, size=None):
-        s = self.signs.pop(0)
-        v = 1 if s > 0 else 0
-        if size is None:
-            return v
-        return np.full(size, v, dtype=int)
+    def integers(self, lo, hi, size):
+        assert (lo, hi) == (0, 2)
+        bits = self.bits[:size] + self.bits[-1:] * (size - len(self.bits))
+        self.bits = self.bits[size:] or self.bits[-1:]
+        return np.array(bits, dtype=int)
 
 
 def single(T, bounds, rng=None, **params):

@@ -29,6 +29,12 @@ def rngs(*seeds):
     return [np.random.default_rng(s) for s in seeds]
 
 
+def noise(spec):
+    """One round's (S, K, M) noise for the replicas of XS, each drawn from
+    its own stream."""
+    return np.stack([g.normal(0.0, spec.noise_std, X.shape) for g in rngs(0, 1)])
+
+
 class Stub:
     """A bank that plays a fixed stack of profiles and records every
     observe call."""
@@ -110,42 +116,58 @@ class TestActionContract:
 
     def test_wrong_shape_is_protocol_error(self, game1):
         with pytest.raises(ProtocolError, match=r"round 7: .*shape \(3, 2\)"):
-            run_round(game1, Stub(x=np.zeros((3, 2))), 7, rngs(0, 1))
+            run_round(game1, Stub(x=np.zeros((3, 2))), 7, noise(game1))
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan])
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan, np.inf, -np.inf])
     def test_action_outside_unit_interval_names_node_and_task(self, game1, bad):
         x = XS.copy()
         x[1, 1, 0] = bad
         with pytest.raises(ProtocolError, match="seed 1 node 1 .* task 0"):
-            run_round(game1, Stub(x=x), 1, rngs(0, 1))
+            run_round(game1, Stub(x=x), 1, noise(game1))
+
+    @pytest.mark.parametrize("edge", [-0.0, 0.0, 1.0])
+    def test_actions_on_the_unit_interval_bounds_are_accepted(self, game1, edge):
+        x = XS.copy()
+        x[1, 1, 0] = edge
+        rec = run_round(game1, Stub(x=x), 1, noise(game1))
+        assert rec.x[1, 1, 0] == edge
 
     def test_unknown_feedback_kind(self, game1):
         with pytest.raises(ConfigurationError, match="feedback kind 'oracle'"):
-            run_round(game1, Stub(kind="oracle"), 1, rngs(0, 1))
+            run_round(game1, Stub(kind="oracle"), 1, noise(game1))
 
 
 class TestFeedbackRouting:
     def test_bandit_sees_its_noisy_utilities(self, game1):
         bank = Stub("bandit")
-        rec = run_round(game1, bank, 1, rngs(0, 1))
+        rec = run_round(game1, bank, 1, noise(game1))
         [(observed,)] = bank.received
         assert np.array_equal(observed, rec.observed_utility)
         assert np.array_equal(rec.clean_utility, utility_matrix(XS, game1))
-        # each replica's noise comes from its own stream
-        noise = np.stack([g.normal(0.0, game1.noise_std, X.shape)
-                          for g in rngs(0, 1)])
-        assert np.array_equal(observed, rec.clean_utility + noise)
+        assert np.array_equal(observed, rec.clean_utility + noise(game1))
+
+    def test_each_replica_draws_its_noise_from_its_own_stream(self, game1):
+        # run_seed reads the noise ahead in chunks; every round still sees
+        # one normal draw per replica, in round order, across 4 refills
+        records = []
+        run_seed(game1, Stub(), 800, rngs(0, 1), reference(game1),
+                 trace_sink=records.append)
+        streams = rngs(0, 1)
+        for rec in records:
+            draw = np.stack([g.normal(0.0, game1.noise_std, X.shape)
+                             for g in streams])
+            assert np.array_equal(rec.observed_utility, rec.clean_utility + draw)
 
     def test_gradient_play_sees_the_exact_gradient(self, game1):
         bank = Stub("gradient")
-        run_round(game1, bank, 1, rngs(0, 1))
+        run_round(game1, bank, 1, noise(game1))
         [(gradient,)] = bank.received
         for s, x in enumerate(XS):
             assert np.array_equal(gradient[s], gradient_matrix(x, game1))
 
     def test_best_response_sees_the_best_response(self, game1):
         bank = Stub("best_response")
-        rec = run_round(game1, bank, 1, rngs(0, 1))
+        rec = run_round(game1, bank, 1, noise(game1))
         [(best_response,)] = bank.received
         assert np.array_equal(best_response, br_profile(XS, game1))
         assert rec.br is best_response
@@ -154,13 +176,13 @@ class TestFeedbackRouting:
     def test_noiseless_observation_is_the_clean_utility(self, game1):
         # a normal draw with std 0 is +0.0, so noise_std = 0 needs no branch
         spec = dataclasses.replace(game1, noise_std=0.0)
-        rec = run_round(spec, Stub(), 1, rngs(0, 1))
+        rec = run_round(spec, Stub(), 1, noise(spec))
         assert rec.observed_utility.tobytes() == rec.clean_utility.tobytes()
         assert not np.shares_memory(rec.observed_utility, rec.clean_utility)
 
     def test_random_selection_sees_nothing(self, game1):
         bank = Stub("none")
-        run_round(game1, bank, 1, rngs(0, 1))
+        run_round(game1, bank, 1, noise(game1))
         assert bank.received == [()]
 
 

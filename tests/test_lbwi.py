@@ -1,13 +1,15 @@
 """Two-phase interval learner: exploration bookkeeping, the phase
 transition, and the exploitation-phase sampling contract."""
 
+import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from fogbandit.errors import ConfigurationError, FeedbackError, ProtocolError
-from fogbandit.game import GameSpec, utility_range
+from fogbandit.game import GameSpec, utility_matrix, utility_range
 from fogbandit.strategies import LbwiBank
 from fogbandit.strategies.lbwi import (default_pulls_per_interval,
                                        phase2_intervals)
@@ -15,6 +17,18 @@ from fogbandit.strategies.lbwi import (default_pulls_per_interval,
 
 def tiny_spec():
     return GameSpec(rho=[[0.9]], eps=[[0.1]], kappa=[[0.1]])
+
+
+def refined_reference(coarse, n_arms, N, with_init):
+    """Phase-II weights as a gather through clipped parents and a mask:
+    refined arm j < n takes (N / n) times coarse arm (j * N) // n, padded
+    arms 0, each row divided by its max."""
+    n = n_arms[..., None]
+    j = np.arange(int(n.max()))
+    coarse = coarse if with_init else np.ones_like(coarse)
+    parents = np.minimum((j * N) // n, N - 1)
+    fine = np.where(j < n, (N / n) * np.take_along_axis(coarse, parents, -1), 0.0)
+    return fine / fine.max(axis=-1, keepdims=True)
 
 
 def drive(bank, spec, T, rng, log=None):
@@ -156,6 +170,56 @@ class TestPhaseTransition:
         # children of the heaviest coarse interval stay heaviest
         top = int(np.argmax(coarse))
         assert np.all(fine[top * ratio:(top + 1) * ratio] == fine.max())
+
+
+    @pytest.mark.parametrize("with_init", [True, False])
+    def test_refined_weights_with_mixed_arm_counts(self, with_init):
+        # learners refine to different counts, so most rows are padded
+        spec = GameSpec(rho=np.full((3, 4), 0.9), eps=np.full((3, 4), 0.1),
+                        kappa=np.full((3, 4), 0.1))
+        rng = np.random.default_rng(4)
+        bank = LbwiBank(spec, T=5000, rngs=[rng, rng], N=5, pulls_per_interval=10,
+                        with_init=with_init)
+        bank.mu_hat = rng.random(bank.mu_hat.shape) * np.geomspace(
+            1e-3, 30.0, 24).reshape(2, 3, 4, 1)
+        coarse = rng.random(bank.weights.shape)
+        bank.weights = coarse / coarse.max(axis=-1, keepdims=True)
+        coarse = bank.weights.copy()
+        bank._refine()
+        assert len(np.unique(bank.n_arms)) > 3
+        want = refined_reference(coarse, bank.n_arms, 5, with_init)
+        assert bank.weights.tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:rho <= 0.5")
+    @pytest.mark.parametrize("with_init", [True, False])
+    def test_refinement_at_the_arm_cap_holds_one_temporary(self, game1, with_init):
+        # at noise_std 1e3 every learner's count reaches the cap
+        # N * ceil(T / N) = 2000; building the weights holds them and one
+        # index array of the same size, plus a fixed few tens of kB
+        spec = dataclasses.replace(game1, noise_std=1e3)
+        bank = LbwiBank(spec, T=2000, with_init=with_init,
+                        rngs=[np.random.default_rng(s) for s in range(10)])
+        refine, seen = bank._refine, {}
+
+        def traced_refine():
+            seen["coarse"] = bank.weights.copy()
+            tracemalloc.start()
+            try:
+                refine()
+                seen["peak"] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        bank._refine = traced_refine
+        noise = np.random.default_rng(9)
+        for _ in range(bank.T1):
+            x = bank.act()
+            bank.observe(utility_matrix(x, spec)
+                         + noise.normal(0.0, spec.noise_std, x.shape))
+        assert np.all(bank.n_arms == 2000)
+        want = refined_reference(seen["coarse"], bank.n_arms, bank.N, with_init)
+        assert bank.weights.tobytes() == want.tobytes()
+        assert seen["peak"] < 2.25 * bank.weights.nbytes
 
 
 class TestPhaseTwo:
