@@ -16,9 +16,9 @@ Both regret modes are accounted in blocks of about BR_BLOCK_ELEMENTS
 (s, k, m) elements. A block's reference is the equilibrium utilities or one
 deviation_utilities call on its (B, S, K, M) stack, and one pass in round
 order adds its gains and updates the running sums, the histogram and the
-checkpoint profiles. This is bitwise the per-round accounting: every element
-of golden_max's search shares one bracket width, and the additions happen
-in the same order on the same values.
+checkpoint profiles. This is bitwise the per-round accounting: the best
+response is elementwise (task_best_response answers each (node, task) on
+its own), and the additions happen in the same order on the same values.
 """
 
 from __future__ import annotations
@@ -38,9 +38,11 @@ from .streams import ReadAhead
 FINAL_WINDOW = 1000
 POST_FRACTION = 0.9
 HIST_BINS = 20
-# Elements per accounting block, measured under per_round_br: enough rounds
-# to spread numpy's per-call cost, few enough that the search's arrays stay
-# in cache. Under ne_reference it only bounds the pending rounds' memory.
+# Elements per accounting block, enough rounds to spread numpy's per-call
+# cost over a block's one best-response call under per_round_br. Measured
+# with closed-form best responses (gp on 10 x 10 at S = 1), blocks of 4096
+# to 32768 elements cost the same within noise; 1024 cost about 20% more.
+# Under ne_reference it only bounds the pending rounds' memory.
 BR_BLOCK_ELEMENTS = 8192
 # Regret references, the default first: NE utilities or each round's best response.
 REGRET_MODES = ("ne_reference", "per_round_br")

@@ -10,9 +10,10 @@ evaluated on the node's own request, the column sum of all requests and
 that node's per-task indices (rho, eps, kappa). Utilities are additive over
 tasks. Everything in this module is a pure function of its inputs.
 
-The per-task utility, its own-action gradient and its two curvatures are
-written once each, in the kernels task_utility, task_gradient, hessian_own
-and hessian_others; every other evaluation in the package calls them.
+The per-task utility, its own-action gradient, its two curvatures and its
+best response are written once each, in the kernels task_utility,
+task_gradient, hessian_own, hessian_others and task_best_response; every
+other evaluation in the package calls them.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import wrightomega
 
 from .errors import ConfigurationError
 
@@ -35,6 +37,9 @@ GRID_RESOLUTION = 100      # points per axis of estimate_bounds' grid
 # slab is one plane, 80 KB per temporary: the fastest size measured, where
 # slabs of 2 to 6 planes took 1.2-2x as long.
 BOUNDS_SLAB_ELEMENTS = 1 << 14
+# The open unit interval's end points: task_best_response keeps an interior
+# root off 0 and 1, which it returns only where the slopes say so.
+_ABOVE_0, _BELOW_1 = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
 
 
 def _as_index_matrix(m, name: str) -> np.ndarray:
@@ -169,7 +174,7 @@ class Bounds:
             raise ConfigurationError(f"bounds must be strictly positive, got {self}")
 
 
-# The four per-task kernels: x_own is a node's request for one task and
+# The five per-task kernels: x_own is a node's request for one task and
 # x_others the other nodes' summed request for it. Every argument broadcasts.
 
 def task_utility(x_own, x_others, rho, eps, kappa, barrier):
@@ -204,6 +209,33 @@ def hessian_others(x_own, x_others, rho, barrier):
     return (np.exp(-x_own / (rho * s))
             * (2.0 * rho * x_own * b + (2.0 * rho - 1.0) * x_own * x_own)
             / (rho * s**4))
+
+
+def task_best_response(x_others, rho, eps, kappa, barrier):
+    """The x_own in [0, 1] that maximizes task_utility against x_others, in
+    closed form; every element is answered on its own.
+
+    With b = x_others + barrier, w = x_own + b and c = kappa - eps,
+    task_gradient = 0 reads b*exp(-(w - b)/(rho*w))/w**2 = c. In
+    v = b/(rho*w) that is (v/2)*exp(v/2) = sqrt(c*b)*exp(1/(2*rho))/(2*rho),
+    whose left side decreases strictly in w, so for c > 0 there is exactly
+    one root:
+        x_own = b/(rho*v) - b,  v = 2*omega(ln(c*b)/2 + 1/(2*rho) - ln(2*rho))
+    with omega the Wright omega function, omega(t) = W(exp(t)) for the
+    Lambert W (Corless et al., "On the Lambert W function", 1996), which
+    does not overflow even at rho = 1e-100. The utility is concave in x_own,
+    so its maximizer on [0, 1] is 0 where the slope at 0 is <= 0, 1 where
+    the slope at 1 is >= 0 (always when c <= 0), and otherwise the root,
+    kept inside (0, 1) against rounding. ln(c) is taken only where c > 0.
+    """
+    b = x_others + barrier
+    c = np.asarray(kappa - eps, dtype=float)
+    log_c = np.log(c, out=np.zeros(c.shape), where=c > 0.0)
+    v = 2.0 * wrightomega(0.5 * (log_c + np.log(b)) + 0.5 / rho - np.log(2.0 * rho))
+    root = np.minimum(np.maximum(b / (rho * v) - b, _ABOVE_0), _BELOW_1)
+    at_0 = task_gradient(0.0, x_others, rho, eps, kappa, barrier) <= 0.0
+    at_1 = task_gradient(1.0, x_others, rho, eps, kappa, barrier) >= 0.0
+    return np.where(at_0, 0.0, np.where(at_1, 1.0, root))
 
 
 def utility_matrix(x: np.ndarray, spec: GameSpec) -> np.ndarray:

@@ -3,7 +3,9 @@
 The game is concave in each node's own action and the equilibrium is
 unique, so synchronous best-response sweeps from independent random starts
 all land on the same profile; the spread across starts doubles as a
-uniqueness certificate. The starts are swept together as one stacked
+uniqueness certificate. The sweeps use the closed-form best response
+(br_profile); the gap that certifies their end point searches by golden
+section instead (epsilon_gap). The starts are swept together as one stacked
 (n_starts, K, M) array; deviation_utilities and epsilon_gap likewise take
 (..., K, M) stacks and answer each profile on its own.
 """
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EquilibriumError, require_integer
 from .game import GameSpec, task_utility, utility_matrix
-from .strategies.baselines import br_profile
+from .strategies.baselines import br_profile, golden_br_profile
 
 DEFAULT_TOL = 1e-6
 DEFAULT_STARTS = 20
@@ -42,7 +44,9 @@ class NashSolution:
 def deviation_utilities(x, spec: GameSpec, br=None) -> np.ndarray:
     """Per-node utility of unilaterally best-responding to profile x while
     everyone else stays put: shape (..., K) for x of shape (..., K, M).
-    `br` is br_profile(x) when the caller has already computed it."""
+    `br` is br_profile(x) when the caller has already computed it, or any
+    other deviation profile. br_profile is elementwise, so a stack of
+    profiles is answered as each profile alone, bit for bit."""
     x = np.asarray(x, dtype=float)
     return task_utility(br_profile(x, spec) if br is None else br,
                         x.sum(axis=-2, keepdims=True) - x,
@@ -53,10 +57,14 @@ def epsilon_gap(x, spec: GameSpec):
     """Largest utility any single node can gain by deviating unilaterally
     from profile x: 0 at an equilibrium, never negative (staying put is a
     deviation). x of shape (..., K, M) gives shape (...), a float for one
-    K x M profile and one gap per profile of a stack."""
+    K x M profile and one gap per profile of a stack.
+    The deviations are found by golden-section search (golden_br_profile),
+    not by the closed form of br_profile, so the gap certifies a profile
+    independently of the formula that solve_nash iterated."""
     x = np.asarray(x, dtype=float)
     u_cur = utility_matrix(x, spec).sum(axis=-1)
-    return np.maximum(0.0, (deviation_utilities(x, spec) - u_cur).max(axis=-1))
+    dev = deviation_utilities(x, spec, golden_br_profile(x, spec))
+    return np.maximum(0.0, (dev - u_cur).max(axis=-1))
 
 
 def solve_nash(spec: GameSpec, tol: float = DEFAULT_TOL,

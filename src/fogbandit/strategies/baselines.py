@@ -1,5 +1,6 @@
 """Full-information and random baselines: projected gradient play, best
-response, and uniform random selection."""
+response, and uniform random selection; and the golden-section search that
+certifies best responses."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import math
 import numpy as np
 
 from ..errors import ConfigurationError, ProtocolError
-from ..game import GameSpec, task_utility
+from ..game import GameSpec, task_best_response, task_utility
 from ..streams import ReadAhead
 
 DEFAULT_ETA = 0.5
@@ -40,11 +41,20 @@ def br_profile(x: np.ndarray, spec: GameSpec) -> np.ndarray:
     """Synchronous best response of every node against the given profile;
     x may be a (..., K, M) stack of profiles, each answered on its own.
     Row k depends only on the other rows: each task is an independent 1-D
-    concave maximization on [0, 1], solved by golden section to absolute
-    tolerance 1e-8. A task's best response is 0 exactly when the slope at
-    zero, 1/(o + barrier) + eps - kappa with o the others' summed request,
-    is <= 0. The search runs on flat copies of the operands, so no probe
-    broadcasts the (K, M) index matrices against the stack."""
+    concave maximization on [0, 1], solved in closed form elementwise by
+    task_best_response. A task's best response is 0 exactly when the slope
+    at zero, 1/(o + barrier) + eps - kappa with o the others' summed
+    request, is <= 0."""
+    return task_best_response(x.sum(axis=-2, keepdims=True) - x, spec.rho,
+                              spec.eps, spec.kappa, spec.barrier)
+
+
+def golden_br_profile(x: np.ndarray, spec: GameSpec) -> np.ndarray:
+    """br_profile found by golden-section search on task_utility alone, to
+    absolute tolerance GOLDEN_TOL: epsilon_gap's certificate, which uses
+    nothing of the closed form it certifies. The search runs on flat copies
+    of the operands, so no probe broadcasts the (K, M) index matrices
+    against the stack."""
     others_sum = (x.sum(axis=-2, keepdims=True) - x).ravel()
     rho, eps, kappa = ((np.zeros(x.shape) + a).ravel()
                        for a in (spec.rho, spec.eps, spec.kappa))

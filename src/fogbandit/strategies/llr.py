@@ -33,6 +33,8 @@ class LlrBank:
         self.theta_hat = np.zeros((len(rngs), self.K, self.M))
         self.counts = np.zeros(self.theta_hat.shape, dtype=int)
         self.xi = min(self.K, self.M)
+        # (S, 1): replica s's first row in the flat (S * K, M) layout
+        self._replica_base = np.arange(len(rngs))[:, None] * self.K
         self.t = 1
         self._played = None
 
@@ -45,13 +47,14 @@ class LlrBank:
     def act(self) -> np.ndarray:
         if self.t <= self.M:
             rows = np.arange(self.K)
-            pairs = [(rows, (rows + self.t - 1) % self.M)] * len(self.theta_hat)
+            cols = (rows + self.t - 1) % self.M
         else:
-            pairs = [linear_sum_assignment(w, maximize=True)
-                     for w in self.ucb_weights()]
-        # flat indices of the played pairs, distinct because the nodes are
-        self._played = np.concatenate([(s * self.K + rows) * self.M + cols
-                                       for s, (rows, cols) in enumerate(pairs)])
+            pairs = np.array([linear_sum_assignment(w, maximize=True)
+                              for w in self.ucb_weights()])       # (S, 2, n)
+            rows, cols = pairs[:, 0], pairs[:, 1]
+        # flat indices of the played pairs, replica by replica, distinct
+        # because the nodes are; warm-up rows broadcast over the replicas
+        self._played = ((self._replica_base + rows) * self.M + cols).ravel()
         x = np.zeros(self.theta_hat.shape)
         x.ravel()[self._played] = 1.0
         return x

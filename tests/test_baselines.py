@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fogbandit.errors import ConfigurationError, ProtocolError
-from fogbandit.game import GameSpec, task_gradient, task_utility
+from fogbandit.game import GameSpec, task_best_response, task_gradient, task_utility
 from fogbandit.strategies import BrBank, GpBank, RsBank, br_profile, golden_max
 
 
@@ -146,6 +146,32 @@ class TestBestResponse:
         moved[k] = row
         assert np.allclose(br_profile(x, spec)[k], br_profile(moved, spec)[k],
                            atol=1e-12)
+
+
+class TestClosedFormBestResponse:
+    """task_best_response against a golden-section search of the same
+    utility, over GameSpec's domain with up to ten nodes."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(others=st.floats(0.0, 9.0), rho=st.floats(1e-100, 1.0),
+           eps=st.floats(0.0, 1.0, exclude_min=True),
+           kappa=st.floats(0.0, 1.0, exclude_min=True),
+           barrier=st.floats(1e-50, 1e-2))
+    def test_maximizes_the_utility_on_the_unit_interval(self, others, rho, eps,
+                                                        kappa, barrier):
+        args = (rho, eps, kappa, barrier)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = float(task_best_response(others, *args))
+        assert 0.0 <= z <= 1.0
+        # golden's z may differ where the utility is flat; its value may not
+        searched = golden_max(lambda y: task_utility(y, others, *args), ())
+        assert (task_utility(z, others, *args)
+                >= task_utility(searched, others, *args) - 1e-14)
+        # the corners are decided by the slopes alone
+        assert (z == 0.0) == (task_gradient(0.0, others, *args) <= 0.0)
+        assert (z == 1.0) == (task_gradient(1.0, others, *args) >= 0.0
+                              or kappa <= eps)
 
 
 def gp_single(x0, eta=0.5):

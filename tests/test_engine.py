@@ -19,7 +19,7 @@ from fogbandit.engine import (HIST_BINS, POST_FRACTION, checkpoint_rounds, run_r
 from fogbandit.errors import ConfigurationError, ProtocolError
 from fogbandit.game import GameSpec, estimate_bounds, gradient_matrix, utility_matrix
 from fogbandit.nash import NashSolution, deviation_utilities
-from fogbandit.strategies import BrBank, GpBank, RsBank, baselines, br_profile
+from fogbandit.strategies import BrBank, GpBank, RsBank, br_profile
 
 X = np.array([[0.2, 0.7], [0.6, 0.1]])
 XS = np.stack([X, X[::-1]])           # two replicas
@@ -56,6 +56,19 @@ def reference(spec):
     return NashSolution(x_star=np.zeros((spec.K, spec.M)),
                         utilities=np.zeros(spec.K), eps_gap=0.0, iterations=0,
                         converged=True)
+
+
+def count_br_profile_calls(monkeypatch):
+    """Record the shape of every br_profile call the engine and
+    deviation_utilities make from now on; returns the list of shapes."""
+    calls = []
+
+    def counted(x, spec):
+        calls.append(x.shape)
+        return br_profile(x, spec)
+    monkeypatch.setattr(engine, "br_profile", counted)
+    monkeypatch.setattr("fogbandit.nash.br_profile", counted)
+    return calls
 
 
 def rs_seed(spec, T, **kwargs):
@@ -203,16 +216,13 @@ class TestAccounting:
 
     def test_best_response_solved_once_per_round(self, game1, monkeypatch):
         # br's feedback is the best response its per_round_br regret needs:
-        # one golden-section search per round serves both, for all replicas
-        calls, golden_max = [], baselines.golden_max
-        monkeypatch.setattr(baselines, "golden_max",
-                            lambda f, shape: calls.append(shape) or golden_max(f, shape))
+        # one br_profile call per round serves both, for all replicas
+        calls = count_br_profile_calls(monkeypatch)
         T, played = 12, []
         results = run_seed(game1, BrBank(game1, T, rngs(1, 2)), T, rngs(3, 4),
                            reference(game1), "per_round_br",
                            trace_sink=lambda rec: played.append(rec.x))
         assert len(calls) == T
-        monkeypatch.setattr(baselines, "golden_max", golden_max)
         played = np.array(played)                                 # (T, S, K, M)
         gain = (deviation_utilities(played, game1)
                 - utility_matrix(played, game1).sum(axis=-1))
@@ -234,9 +244,7 @@ class TestAccounting:
         # its last round. T = 2003 logs every second round, inside the blocks.
         S = 2
         monkeypatch.setattr(engine, "BR_BLOCK_ELEMENTS", B * S * game1.K * game1.M)
-        calls, golden_max = [], baselines.golden_max
-        monkeypatch.setattr(baselines, "golden_max",
-                            lambda f, shape: calls.append(shape) or golden_max(f, shape))
+        calls = count_br_profile_calls(monkeypatch)
         nash = NashSolution(x_star=X, utilities=utility_matrix(X, game1).sum(axis=-1),
                             eps_gap=0.0, iterations=0, converged=True)
         played = []
@@ -244,11 +252,10 @@ class TestAccounting:
                            nash, mode,
                            trace_sink=lambda rec: played.append(
                                (rec.x.copy(), rec.br, rec.clean_utility.sum(axis=-1))))
-        # br's own best responses serve the accounting; the others search
+        # br's own best responses serve the accounting; the others solve
         # once per per_round_br block, the last one cut at T
-        searches = 0 if mode == "ne_reference" else -(-T // B)
-        assert len(calls) == (T if bank is BrBank else searches)
-        monkeypatch.setattr(baselines, "golden_max", golden_max)
+        solves = 0 if mode == "ne_reference" else -(-T // B)
+        assert len(calls) == (T if bank is BrBank else solves)
         # the per-round gains, (T, S, K), summed in round order
         xs, brs, realized = zip(*played)
         if mode == "ne_reference":

@@ -349,6 +349,30 @@ class TestGradient:
                     game1.kappa[k, m], game1.barrier), rel=1e-12)
 
 
+class TestBestResponseKernel:
+    # the interior root of the 40-digit gradient, found by bisection: the
+    # Wright-omega form is exact up to rounding, not to a search tolerance
+    @pytest.mark.parametrize("others,rho,eps,kappa,barrier", [
+        (1.0, 0.6, 0.05, 0.75, 1e-6), (0.3, 0.9, 0.1, 0.5, 1e-6),
+        (2.5, 0.05, 0.2, 0.3, 1e-3), (0.0, 1e-3, 0.01, 0.02, 1e-6),
+        (0.01, 0.5, 0.0001, 0.9, 1e-2),
+    ])
+    def test_interior_root_matches_high_precision(self, others, rho, eps, kappa,
+                                                  barrier):
+        z = float(game.task_best_response(others, rho, eps, kappa, barrier))
+        xo, r, e, k, d = (mp.mpf(str(v)) for v in (others, rho, eps, kappa, barrier))
+        lo, hi = mp.mpf(0), mp.mpf(1)
+        for _ in range(140):
+            mid = (lo + hi) / 2
+            s = mid + xo + d
+            if (xo + d) * mp.e ** (-mid / (r * s)) / s**2 + e - k > 0:
+                lo = mid
+            else:
+                hi = mid
+        assert 0.0 < float(lo) < 1.0
+        assert z == pytest.approx(float(lo), rel=1e-13, abs=1e-15)
+
+
 class TestCurvature:
     def test_hessian_own_zero_without_others(self, game1):
         x = np.array([[0.7, 0.0], [0.0, 0.0]])

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from fogbandit.errors import FeedbackError, ProtocolError
 from fogbandit.game import GameSpec
@@ -135,6 +136,31 @@ class TestLlrBank:
                 counts[k, m] = c + 1
             assert np.array_equal(bank.theta_hat[0], theta)
             assert np.array_equal(bank.counts[0], counts)
+
+    @pytest.mark.parametrize("K,M", [(6, 4), (3, 5), (4, 4)])
+    def test_replicas_match_one_assignment_each(self, K, M, rng):
+        # the flat indices of all replicas' pairs come from one expression;
+        # the reference assigns and marks one replica at a time
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            spec = GameSpec(rho=np.full((K, M), 0.9), eps=np.full((K, M), 0.1),
+                            kappa=np.full((K, M), 0.1))
+        S = 3
+        bank = LlrBank(spec, T=100, rngs=[np.random.default_rng(s) for s in range(S)])
+        for t in range(1, M + 6):
+            expected = np.zeros((S, K, M))
+            if t <= M:
+                for s in range(S):
+                    expected[s, np.arange(K), (np.arange(K) + t - 1) % M] = 1.0
+            else:
+                for s, w in enumerate(bank.ucb_weights()):
+                    expected[s][linear_sum_assignment(w, maximize=True)] = 1.0
+            x = bank.act()
+            assert np.array_equal(x, expected)
+            bank.observe(rng.normal(0.5, 0.2, (S, K, M)))
+            # every node plays in the warm-up, min(K, M) of them after it
+            pulls = min(t, M) * K + max(0, t - M) * min(K, M)
+            assert np.all(bank.counts.sum(axis=(1, 2)) == pulls)
 
     def test_more_nodes_than_tasks_idles_someone(self):
         with warnings.catch_warnings():

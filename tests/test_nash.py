@@ -38,6 +38,25 @@ class TestEpsilonGap:
         assert epsilon_gap(sol.x_star, game) < 1e-6
         assert sol.eps_gap < 1e-6
 
+    def test_certificate_never_uses_the_closed_form(self, game, rng, monkeypatch):
+        # the gap is found by golden-section search on the utility alone,
+        # so it certifies the profile the closed-form sweeps reached
+        sol = solve_nash(game)
+        x = rng.random((3, game.K, game.M))
+        before = epsilon_gap(x, game)
+
+        def closed_form(*args):
+            raise AssertionError("the certificate called the closed form")
+        for target in ("fogbandit.nash.br_profile",
+                       "fogbandit.strategies.baselines.br_profile",
+                       "fogbandit.strategies.baselines.task_best_response",
+                       "fogbandit.game.task_best_response"):
+            monkeypatch.setattr(target, closed_form)
+        assert epsilon_gap(sol.x_star, game) == sol.eps_gap < 1e-6
+        assert np.array_equal(epsilon_gap(x, game), before)
+        with pytest.raises(AssertionError, match="closed form"):
+            solve_nash(game)
+
 
 class TestSolveNash:
     def test_one_sweep_cannot_certify_uniqueness(self, game1, monkeypatch):
