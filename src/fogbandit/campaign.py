@@ -16,6 +16,7 @@ import time
 import warnings
 import zlib
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -259,14 +260,15 @@ class _TraceWriter:
 def _write_csv(path: Path, header: str, fmt: str, *columns) -> None:
     """Write `header`, then one `fmt` line per element of the broadcast
     columns in C order, formatted and written ROWS_PER_WRITE rows at a time
-    so no file's whole text is ever held. "%.17g" prints a float exactly as
-    "{:.17g}" does."""
+    so no file's whole text is ever held: each block is one `%` over `fmt`
+    repeated once per row. "%.17g" prints a float exactly as "{:.17g}"
+    does."""
     columns = np.broadcast_arrays(*columns)
     with open(path, "w") as fh:
         fh.write(header)
         for r in range(0, columns[0].size, ROWS_PER_WRITE):
             block = [c.flat[r:r + ROWS_PER_WRITE].tolist() for c in columns]
-            fh.write("".join([fmt % row for row in zip(*block)]))
+            fh.write(fmt * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
 
 
 def write_regret_csv(result: StrategyCampaign, path: Path) -> None:
@@ -278,14 +280,16 @@ def write_regret_csv(result: StrategyCampaign, path: Path) -> None:
 
 
 def write_histogram_csv(result: StrategyCampaign, path: Path) -> None:
-    """Post-window action-selection counts, one row per (seed, node, task, bin)."""
+    """Post-window action-selection counts, one row per (seed, node, task, bin).
+    The bin-edge pairs are formatted once per file."""
     hist = np.stack([r.histogram for r in result.seeds])    # (S, K, M, B)
     seed = np.array([r.seed for r in result.seeds])[:, None, None, None]
     K, M, B = hist.shape[1:]
-    edges = np.linspace(0.0, 1.0, B + 1)
+    edges = np.linspace(0.0, 1.0, B + 1).tolist()
+    bins = np.array(["%.17g,%.17g" % pair for pair in zip(edges[:-1], edges[1:])])
     _write_csv(path, "seed,node,task,bin_lo,bin_hi,count\n",
-               "%d,%d,%d,%.17g,%.17g,%d\n", seed, np.arange(K)[:, None, None],
-               np.arange(M)[:, None], edges[:-1], edges[1:], hist)
+               "%d,%d,%d,%s,%d\n", seed, np.arange(K)[:, None, None],
+               np.arange(M)[:, None], bins, hist)
 
 
 def write_final_actions_csv(result: StrategyCampaign, path: Path) -> None:

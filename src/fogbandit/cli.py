@@ -25,7 +25,7 @@ from .dataset import builtin_game1, load_dataset, select_subgame
 from .engine import REGRET_MODES, regret_slope
 from .errors import ConfigurationError
 from .game import GameSpec
-from .nash import DEFAULT_STARTS, DEFAULT_TOL, solve_nash
+from .nash import DEFAULT_SEED, DEFAULT_STARTS, DEFAULT_TOL, solve_nash
 
 
 def _add_game_args(p):
@@ -167,7 +167,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_game_args(p)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--starts", type=int, default=DEFAULT_STARTS)
-    p.add_argument("--master-seed", type=int, default=0)
+    p.add_argument("--master-seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve_nash)
 

@@ -33,9 +33,11 @@ from .errors import ConfigurationError
 RHO_CONVEXITY_THRESHOLD = 0.5
 GRID_RESOLUTION = 100      # points per axis of estimate_bounds' grid
 # Most grid points one kernel call of estimate_bounds sees; at least one
-# (node, task) plane of GRID_RESOLUTION^2 points. At 100 points per axis a
-# slab is one plane, 80 KB per temporary: the fastest size measured, where
-# slabs of 2 to 6 planes took 1.2-2x as long.
+# grid row of GRID_RESOLUTION points. At 100 points per axis a call is one
+# own-action row across up to 163 (node, task) planes, or several rows when
+# fewer planes are scanned, 128 KB per temporary. Measured on 2 vCPUs, caps
+# of 24576 to 40960 were as fast within noise; 4096, 8192 and 65536 took
+# 1.3-1.4x as long on the 10 x 10 dataset and on a random 20 x 20 game.
 BOUNDS_SLAB_ELEMENTS = 1 << 14
 # The open unit interval's end points: task_best_response keeps an interior
 # root off 0 and 1, which it returns only where the slopes say so.
@@ -259,28 +261,41 @@ def estimate_bounds(spec: GameSpec) -> Bounds:
     because their sensitivity is pinned by the barrier (gradient magnitude
     grows like 1/(column sum + barrier) there) rather than by the
     competition the learners actually face. Results carry a 1.1 safety
-    factor against grid undersampling. The grid is scanned in slabs along
-    the flattened (node, task) axis, so no kernel call sees more than
-    BOUNDS_SLAB_ELEMENTS points and memory does not grow with K*M. A max is
-    exact in any order: every bound is bitwise that of a one-shot scan.
+    factor against grid undersampling.
+
+    The (node, task) planes come first and the grid is scanned in bands of
+    own-action rows across many planes, so each kernel call computes its
+    rho-free terms once per band and no call sees more than
+    BOUNDS_SLAB_ELEMENTS points; memory does not grow with K*M. The two
+    curvatures read only rho, so they run once per distinct rho. Every
+    kernel is elementwise and a max is exact in any order: every bound is
+    bitwise that of a one-shot scan.
     """
-    xg = np.linspace(0.0, 1.0, GRID_RESOLUTION)[:, None, None]
-    og = np.linspace(0.5, max(spec.K - 1.0, 0.5), GRID_RESOLUTION)[None, :, None]
-    rho, eps, kap = (a.ravel() for a in (spec.rho, spec.eps, spec.kappa))
+    G = GRID_RESOLUTION
+    xg = np.linspace(0.0, 1.0, G)[None, :, None]
+    og = np.linspace(0.5, max(spec.K - 1.0, 0.5), G)[None, None, :]
     d = spec.barrier
-    kernels = (lambda r, e, k: task_gradient(xg, og, r, e, k, d),
-               lambda r, e, k: task_utility(xg, og, r, e, k, d),
-               lambda r, e, k: hessian_own(xg, og, r, d),
-               lambda r, e, k: hessian_others(xg, og, r, d))
-    width = max(1, BOUNDS_SLAB_ELEMENTS // GRID_RESOLUTION**2)
-    peaks = np.zeros(len(kernels))
-    for c in range(0, rho.size, width):
-        slab = [a[c:c + width] for a in (rho, eps, kap)]
-        # one kernel's values are alive at a time; np.maximum keeps a nan
-        np.maximum(peaks, [np.abs(kernel(*slab)).max() for kernel in kernels],
-                   out=peaks)
-    L, U, h_own, h_others = (1.1 * float(v) for v in peaks)
-    return Bounds(L=L, U=U, H=max(h_own, h_others))
+
+    def peak(kernel, *indices):
+        n = indices[0].shape[0]
+        per_call = max(BOUNDS_SLAB_ELEMENTS // G, 1)     # rows x planes
+        width = min(n, per_call)
+        rows = per_call // width
+        top = 0.0
+        for p in range(0, n, width):
+            planes = [a[p:p + width] for a in indices]
+            for r in range(0, G, rows):
+                # np.maximum keeps a nan
+                top = np.maximum(top, np.abs(
+                    kernel(xg[:, r:r + rows], og, *planes, d)).max())
+        return 1.1 * float(top)
+
+    rho, eps, kap = (a.reshape(-1, 1, 1) for a in (spec.rho, spec.eps, spec.kappa))
+    rho_distinct = np.unique(spec.rho).reshape(-1, 1, 1)
+    return Bounds(L=peak(task_gradient, rho, eps, kap),
+                  U=peak(task_utility, rho, eps, kap),
+                  H=max(peak(hessian_own, rho_distinct),
+                        peak(hessian_others, rho_distinct)))
 
 
 def utility_range(spec: GameSpec) -> tuple[float, float]:

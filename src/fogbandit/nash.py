@@ -22,6 +22,7 @@ from .strategies.baselines import br_profile, golden_br_profile
 
 DEFAULT_TOL = 1e-6
 DEFAULT_STARTS = 20
+DEFAULT_SEED = 0
 MAX_SWEEPS = 10_000
 DAMPING = 0.5
 
@@ -68,7 +69,8 @@ def epsilon_gap(x, spec: GameSpec):
 
 
 def solve_nash(spec: GameSpec, tol: float = DEFAULT_TOL,
-               n_starts: int = DEFAULT_STARTS, seed: int = 0) -> NashSolution:
+               n_starts: int = DEFAULT_STARTS,
+               seed: int = DEFAULT_SEED) -> NashSolution:
     """Iterate damped synchronous best-response sweeps
     x <- (1 - DAMPING) * x + DAMPING * BR(x) from n_starts random profiles
     until the largest per-coordinate change drops below tol, for at most

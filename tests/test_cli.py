@@ -11,7 +11,7 @@ from fogbandit import campaign, cli
 from fogbandit.campaign import ExperimentConfig
 from fogbandit.engine import regret_slope
 from fogbandit.game import GameSpec
-from fogbandit.nash import solve_nash
+from fogbandit.nash import DEFAULT_SEED, DEFAULT_STARTS, DEFAULT_TOL, solve_nash
 
 
 class TestSolveNash:
@@ -45,6 +45,8 @@ class TestDefaults:
         defaults = inspect.signature(solve_nash).parameters
         assert ((args.tol, args.starts, args.master_seed)
                 == tuple(defaults[p].default for p in ("tol", "n_starts", "seed")))
+        assert (args.tol, args.starts, args.master_seed) == (DEFAULT_TOL, DEFAULT_STARTS,
+                                                             DEFAULT_SEED)
 
     @pytest.mark.filterwarnings("ignore:rho <= 0.5")
     @pytest.mark.parametrize("game", ["game1", "dataset"])

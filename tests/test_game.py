@@ -31,6 +31,23 @@ def curvature(kernel, k, m, x, spec):
                   spec.barrier)
 
 
+def one_shot_bounds(spec):
+    """estimate_bounds' grid scanned in one kernel call per bound, every
+    (node, task) plane on the last axis."""
+    xg = np.linspace(0.0, 1.0, game.GRID_RESOLUTION)[:, None, None]
+    og = np.linspace(0.5, max(spec.K - 1.0, 0.5), game.GRID_RESOLUTION)[None, :, None]
+    rho, eps, kappa = (a.ravel() for a in (spec.rho, spec.eps, spec.kappa))
+    d = spec.barrier
+
+    def peak(values):
+        return 1.1 * float(np.abs(values).max())
+
+    return game.Bounds(L=peak(task_gradient(xg, og, rho, eps, kappa, d)),
+                       U=peak(task_utility(xg, og, rho, eps, kappa, d)),
+                       H=max(peak(hessian_own(xg, og, rho, d)),
+                             peak(hessian_others(xg, og, rho, d))))
+
+
 def mp_task_utility(x, xo, rho, eps, kappa, d):
     x, xo, rho, eps, kappa, d = map(mp.mpf, map(str, (x, xo, rho, eps, kappa, d)))
     s = x + xo + d
@@ -532,33 +549,42 @@ class TestEstimateBounds:
     @pytest.mark.parametrize("name", ["game1", "game2", "game20"])
     def test_slabs_equal_a_one_shot_scan_bitwise(self, name, request):
         spec = request.getfixturevalue(name)
-        xg = np.linspace(0.0, 1.0, game.GRID_RESOLUTION)[:, None, None]
-        og = np.linspace(0.5, max(spec.K - 1.0, 0.5),
-                         game.GRID_RESOLUTION)[None, :, None]
-        rho, eps, kappa = (a.ravel() for a in (spec.rho, spec.eps, spec.kappa))
-        d = spec.barrier
+        assert estimate_bounds(spec) == one_shot_bounds(spec)
 
-        def peak(values):
-            return 1.1 * float(np.abs(values).max())
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 5), st.integers(1, 5), st.data())
+    def test_repeated_rho_planes_equal_a_one_shot_scan_bitwise(self, K, M, data):
+        # rho from a pool of three, so planes repeat and the curvatures run
+        # on fewer planes than the gradient; K = 1 collapses the others' axis
+        pool = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=3, max_size=3))
+        rho = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=K * M,
+                                          max_size=K * M))).reshape(K, M)
+        eps, kappa = (data.draw(hnp.arrays(float, (K, M), elements=st.floats(1e-3, 1.0)))
+                      for _ in range(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            spec = GameSpec(rho=rho, eps=eps, kappa=kappa)
+        assert estimate_bounds(spec) == one_shot_bounds(spec)
 
-        b = estimate_bounds(spec)
-        assert b.L == peak(task_gradient(xg, og, rho, eps, kappa, d))
-        assert b.U == peak(task_utility(xg, og, rho, eps, kappa, d))
-        assert b.H == max(peak(hessian_own(xg, og, rho, d)),
-                          peak(hessian_others(xg, og, rho, d)))
-
-    def test_no_kernel_call_sees_more_than_a_slab(self, game20, monkeypatch):
-        sizes = []
-        for name in ("task_utility", "task_gradient", "hessian_own",
-                     "hessian_others"):
-            def recorded(*args, kernel=getattr(game, name)):
-                values = kernel(*args)
-                sizes.append(values.size)
+    def test_no_kernel_call_sees_more_than_a_slab(self, game2, game20, monkeypatch):
+        kernels = ("task_utility", "task_gradient", "hessian_own", "hessian_others")
+        sizes = {}
+        for kernel in kernels:
+            def recorded(*args, kernel=kernel, evaluate=getattr(game, kernel)):
+                values = evaluate(*args)
+                sizes[kernel].append(values.size)
                 return values
-            monkeypatch.setattr(game, name, recorded)
-        estimate_bounds(game20)
-        assert sum(sizes) == 4 * game.GRID_RESOLUTION ** 2 * 400
-        assert max(sizes) <= game.BOUNDS_SLAB_ELEMENTS
+            monkeypatch.setattr(game, kernel, recorded)
+        plane = game.GRID_RESOLUTION ** 2
+        # the 10 x 10 dataset has 54 distinct rho in its 100 planes
+        for spec, distinct_rho in ((game2, 54), (game20, 400)):
+            sizes.update((kernel, []) for kernel in kernels)
+            estimate_bounds(spec)
+            assert (sum(sizes["task_gradient"]) + sum(sizes["task_utility"])
+                    == 2 * plane * spec.rho.size)
+            assert (sum(sizes["hessian_own"]) + sum(sizes["hessian_others"])
+                    == 2 * plane * distinct_rho)
+            assert max(max(s) for s in sizes.values()) <= game.BOUNDS_SLAB_ELEMENTS
 
     def test_peak_memory_does_not_grow_with_the_game(self, game20):
         # slabs peak near 0.5 MB here; the one-shot 100 x 100 x 400 grid
