@@ -13,7 +13,8 @@ tasks. Everything in this module is a pure function of its inputs.
 The per-task utility, its own-action gradient, its two curvatures and its
 best response are written once each, in the kernels task_utility,
 task_gradient, hessian_own, hessian_others and task_best_response; every
-other evaluation in the package calls them.
+other evaluation in the package calls them. estimate_bounds also bounds
+the first four over blocks of its grid in closed form, to skip blocks.
 """
 
 from __future__ import annotations
@@ -32,12 +33,17 @@ from .errors import ConfigurationError
 # for efficiency indices above this threshold; lower values get a warning.
 RHO_CONVEXITY_THRESHOLD = 0.5
 GRID_RESOLUTION = 100      # points per axis of estimate_bounds' grid
-# Most grid points one kernel call of estimate_bounds sees; at least one
-# grid row of GRID_RESOLUTION points. At 100 points per axis a call is one
-# own-action row across up to 163 (node, task) planes, or several rows when
-# fewer planes are scanned, 128 KB per temporary. Measured on 2 vCPUs, caps
-# of 24576 to 40960 were as fast within noise; 4096, 8192 and 65536 took
-# 1.3-1.4x as long on the 10 x 10 dataset and on a random 20 x 20 game.
+BOUNDS_BLOCK = 10          # grid points per axis of one block of that grid
+# Each block ceiling adds this much of the summed magnitudes of its terms:
+# the float kernels and ceilings round by a few ulps of those, which is
+# more than a relative margin when the terms cancel.
+_CEILING_SLACK = 1e-6
+# Most points one kernel call of estimate_bounds sees, and most planes x
+# blocks in one ceiling array; at least one lattice row and one block. At
+# 100 points per axis a call covers the block-corner lattice of up to 135
+# (node, task) planes, or up to 163 blocks, 128 KB per temporary. Measured
+# on 2 vCPUs, caps of 8192 to 32768 were as fast within noise; 4096 took
+# 1.4x as long and 65536 1.2-1.3x on random 20 x 20 and 50 x 50 games.
 BOUNDS_SLAB_ELEMENTS = 1 << 14
 # The open unit interval's end points: task_best_response keeps an interior
 # root off 0 and 1, which it returns only where the slopes say so.
@@ -253,9 +259,54 @@ def gradient_matrix(x: np.ndarray, spec: GameSpec) -> np.ndarray:
                          spec.eps, spec.kappa, spec.barrier)
 
 
+# Ceilings on the float |kernel| over one block of estimate_bounds' grid,
+# x_own in [x0, x1] and x_others in [o0, o1] (derivations there). With
+# b = x_others + barrier and s = x_own + b, the decay exp(-x_own/(rho*s)) is
+# largest at (x0, o1) and smallest at (x1, o0): x_own/s rises in x_own and
+# falls in x_others.
+
+def _decay(x_own, x_others, rho, barrier):
+    return np.exp(-x_own / (rho * (x_own + x_others + barrier)))
+
+
+def _gradient_ceiling(x0, x1, o0, o1, rho, eps, kappa, barrier):
+    """task_gradient's first term b*decay/s**2 lies in [0, top]."""
+    c = eps - kappa
+    top = ((o1 + barrier) * _decay(x0, o1, rho, barrier)
+           / (x0 + o0 + barrier) ** 2)
+    return (np.maximum(np.abs(c), np.abs(top + c))
+            + _CEILING_SLACK * (top + eps + kappa))
+
+
+def _utility_ceiling(x0, x1, o0, o1, rho, eps, kappa, barrier):
+    """task_utility's reward rho*(1 - decay) rises in x_own and falls in
+    x_others; its linear part (eps - kappa)*x_own + eps*x_others has its
+    extremes at the block's corners."""
+    c = eps - kappa
+    top = (rho * (1.0 - _decay(x1, o0, rho, barrier))
+           + np.maximum(c * x0, c * x1) + eps * o1)
+    bottom = (rho * (1.0 - _decay(x0, o1, rho, barrier))
+              + np.minimum(c * x0, c * x1) + eps * o0)
+    return (np.maximum(np.abs(top), np.abs(bottom))
+            + _CEILING_SLACK * (rho + eps * (x1 + o1) + kappa * x1))
+
+
+def _hessian_own_ceiling(x0, x1, o0, o1, rho, barrier):
+    b, s = o1 + barrier, x0 + o0 + barrier
+    return ((1.0 + _CEILING_SLACK) * _decay(x0, o1, rho, barrier)
+            * (2.0 * b / s**3 + b * b / (rho * s**4)))
+
+
+def _hessian_others_ceiling(x0, x1, o0, o1, rho, barrier):
+    b, s = o1 + barrier, x0 + o0 + barrier
+    return ((1.0 + _CEILING_SLACK) * _decay(x0, o1, rho, barrier)
+            * (2.0 * rho * x1 * b + np.abs(2.0 * rho - 1.0) * x1 * x1)
+            / (rho * s**4))
+
+
 def estimate_bounds(spec: GameSpec) -> Bounds:
-    """Estimate (L, U, H) by scanning a uniform grid of (own action,
-    others' sum) pairs for every (node, task) index triple.
+    """Estimate (L, U, H) as the largest |kernel| on a uniform grid of (own
+    action, others' sum) pairs for every (node, task) index triple.
 
     The others'-sum axis spans [0.5, K-1]: near-empty columns are excluded
     because their sensitivity is pinned by the barrier (gradient magnitude
@@ -263,39 +314,83 @@ def estimate_bounds(spec: GameSpec) -> Bounds:
     competition the learners actually face. Results carry a 1.1 safety
     factor against grid undersampling.
 
-    The (node, task) planes come first and the grid is scanned in bands of
-    own-action rows across many planes, so each kernel call computes its
-    rho-free terms once per band and no call sees more than
-    BOUNDS_SLAB_ELEMENTS points; memory does not grow with K*M. The two
-    curvatures read only rho, so they run once per distinct rho. Every
-    kernel is elementwise and a max is exact in any order: every bound is
-    bitwise that of a one-shot scan.
-    """
-    G = GRID_RESOLUTION
-    xg = np.linspace(0.0, 1.0, G)[None, :, None]
-    og = np.linspace(0.5, max(spec.K - 1.0, 0.5), G)[None, None, :]
-    d = spec.barrier
+    The grid is scanned by branch and bound. It is cut into blocks of
+    BOUNDS_BLOCK points per axis, the last one shorter where
+    GRID_RESOLUTION is not a multiple of it.
+    - The floor is the largest |kernel| on the lattice of block corners
+      (every BOUNDS_BLOCK-th grid point and the last, on both axes) over
+      all planes: a grid value, so never above the grid's max.
+    - Each (plane, block) gets a closed-form ceiling on |kernel| over the
+      block's box x_own in [x0, x1], x_others in [o0, o1]. With
+      E = exp(-x0/(rho*(x0 + o1 + barrier))) bounding the decay,
+      b = o1 + barrier and s = x0 + o0 + barrier:
+        task_gradient   max(|eps - kappa|, |b*E/s**2 + eps - kappa|);
+        task_utility    max(|R(x1, o0) + lin_max|, |R(x0, o1) + lin_min|),
+                        R = rho*(1 - decay), lin the linear part's corners;
+        hessian_own     E*(2*b/s**3 + b**2/(rho*s**4));
+        hessian_others  E*(2*rho*x1*b + |2*rho - 1|*x1**2)/(rho*s**4).
+      To each it adds _CEILING_SLACK times the summed magnitudes of its
+      terms (for the curvatures, whose terms are non-negative, a relative
+      slack). That covers the rounding of the float kernel and ceiling
+      even where eps - kappa cancels the rest.
+    - A block is skipped only when its ceiling is below the running floor,
+      so a nan floor or ceiling skips nothing. Every other block is
+      evaluated with the same kernel on the same linspace floats and
+      raises the floor.
+    Every skipped block holds only values below the floor, the kernels are
+    elementwise and a max is exact in any order: L, U and H are bitwise
+    those of the full scan. On the 10 x 10 dataset 2% of the grid's points
+    are evaluated.
 
-    def peak(kernel, *indices):
+    The planes come first in every call, and no kernel call sees more than
+    BOUNDS_SLAB_ELEMENTS points, so memory does not grow with K*M. The two
+    curvatures read only rho, so they run once per distinct rho; H is their
+    joint max, so hessian_own's max is hessian_others' first floor.
+    """
+    G, B = GRID_RESOLUTION, BOUNDS_BLOCK
+    xg = np.linspace(0.0, 1.0, G)
+    og = np.linspace(0.5, max(spec.K - 1.0, 0.5), G)
+    d = spec.barrier
+    first = np.arange(0, G, B)
+    # each block's grid indices, the last block padded with its last point
+    block = np.minimum(first[:, None] + np.arange(B), G - 1)
+    x0, x1 = xg[first, None], xg[block[:, -1], None]
+    o0, o1 = og[first], og[block[:, -1]]
+    corner = np.append(first, G - 1)
+    x_corner, o_corner = xg[corner][None, :, None], og[corner][None, None, :]
+
+    def peak(kernel, ceiling, indices, top=0.0):
         n = indices[0].shape[0]
-        per_call = max(BOUNDS_SLAB_ELEMENTS // G, 1)     # rows x planes
+        per_call = max(BOUNDS_SLAB_ELEMENTS // o_corner.size, 1)  # rows x planes
         width = min(n, per_call)
         rows = per_call // width
-        top = 0.0
         for p in range(0, n, width):
             planes = [a[p:p + width] for a in indices]
-            for r in range(0, G, rows):
+            for r in range(0, x_corner.size, rows):
                 # np.maximum keeps a nan
                 top = np.maximum(top, np.abs(
-                    kernel(xg[:, r:r + rows], og, *planes, d)).max())
-        return 1.1 * float(top)
+                    kernel(x_corner[:, r:r + rows], o_corner, *planes, d)).max())
+        width = max(BOUNDS_SLAB_ELEMENTS // first.size**2, 1)
+        per_call = max(BOUNDS_SLAB_ELEMENTS // B**2, 1)          # blocks
+        for p in range(0, n, width):
+            planes = [a[p:p + width] for a in indices]
+            ceilings = ceiling(x0, x1, o0, o1, *planes, d)
+            plane, i, j = np.nonzero(~(ceilings < top))
+            for q in range(0, plane.size, per_call):
+                at = slice(q, q + per_call)
+                top = np.maximum(top, np.abs(kernel(
+                    xg[block[i[at]], None], og[block[j[at]]][:, None, :],
+                    *(a[plane[at]] for a in planes), d)).max())
+        return top
 
     rho, eps, kap = (a.reshape(-1, 1, 1) for a in (spec.rho, spec.eps, spec.kappa))
-    rho_distinct = np.unique(spec.rho).reshape(-1, 1, 1)
-    return Bounds(L=peak(task_gradient, rho, eps, kap),
-                  U=peak(task_utility, rho, eps, kap),
-                  H=max(peak(hessian_own, rho_distinct),
-                        peak(hessian_others, rho_distinct)))
+    rho_distinct = (np.unique(spec.rho).reshape(-1, 1, 1),)
+    curvature = peak(hessian_own, _hessian_own_ceiling, rho_distinct)
+    return Bounds(
+        L=1.1 * float(peak(task_gradient, _gradient_ceiling, (rho, eps, kap))),
+        U=1.1 * float(peak(task_utility, _utility_ceiling, (rho, eps, kap))),
+        H=1.1 * float(peak(hessian_others, _hessian_others_ceiling,
+                           rho_distinct, curvature)))
 
 
 def utility_range(spec: GameSpec) -> tuple[float, float]:

@@ -48,6 +48,17 @@ def one_shot_bounds(spec):
                              peak(hessian_others(xg, og, rho, d))))
 
 
+def log_uniform(low, high=1.0):
+    """Floats spread evenly in log scale over [low, high]."""
+    return st.floats(np.log10(low), np.log10(high)).map(
+        lambda e: min(max(10.0 ** e, low), high))
+
+
+def unit_index():
+    """eps and kappa values: anywhere in (0, 1], near 0 included."""
+    return st.one_of(st.floats(0.0, 1.0, exclude_min=True), log_uniform(1e-300))
+
+
 def mp_task_utility(x, xo, rho, eps, kappa, d):
     x, xo, rho, eps, kappa, d = map(mp.mpf, map(str, (x, xo, rho, eps, kappa, d)))
     s = x + xo + d
@@ -551,19 +562,64 @@ class TestEstimateBounds:
         spec = request.getfixturevalue(name)
         assert estimate_bounds(spec) == one_shot_bounds(spec)
 
-    @settings(deadline=None, max_examples=40)
-    @given(st.integers(1, 5), st.integers(1, 5), st.data())
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
     def test_repeated_rho_planes_equal_a_one_shot_scan_bitwise(self, K, M, data):
-        # rho from a pool of three, so planes repeat and the curvatures run
-        # on fewer planes than the gradient; K = 1 collapses the others' axis
-        pool = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=3, max_size=3))
+        # GameSpec's whole domain; rho from a pool of at most three, so planes
+        # repeat and the curvatures run on fewer planes than the gradient;
+        # K = 1 collapses the others' axis
+        pool = data.draw(st.lists(log_uniform(1e-100), min_size=1, max_size=3))
         rho = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=K * M,
                                           max_size=K * M))).reshape(K, M)
-        eps, kappa = (data.draw(hnp.arrays(float, (K, M), elements=st.floats(1e-3, 1.0)))
+        eps, kappa = (data.draw(hnp.arrays(float, (K, M), elements=unit_index()))
                       for _ in range(2))
+        barrier = data.draw(log_uniform(1e-50, 1e-2))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            spec = GameSpec(rho=rho, eps=eps, kappa=kappa)
+            spec = GameSpec(rho=rho, eps=eps, kappa=kappa, barrier=barrier)
+        assert estimate_bounds(spec) == one_shot_bounds(spec)
+
+    @pytest.mark.parametrize("kernel,ceiling,n_indices", [
+        (task_gradient, game._gradient_ceiling, 3),
+        (task_utility, game._utility_ceiling, 3),
+        (hessian_own, game._hessian_own_ceiling, 1),
+        (hessian_others, game._hessian_others_ceiling, 1),
+    ])
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_ceiling_bounds_every_point_of_its_block(self, kernel, ceiling,
+                                                     n_indices, data):
+        # what a skipped block relies on, checked on blocks the floor may
+        # never skip: the ceiling is at least the float |kernel| throughout
+        G, B = game.GRID_RESOLUTION, game.BOUNDS_BLOCK
+        K = data.draw(st.integers(1, 6))
+        xg = np.linspace(0.0, 1.0, G)
+        og = np.linspace(0.5, max(K - 1.0, 0.5), G)
+        i, j = (B * data.draw(st.integers(0, (G - 1) // B)) for _ in range(2))
+        x, o = xg[i:i + B], og[j:j + B]
+        indices = (data.draw(log_uniform(1e-100)), data.draw(unit_index()),
+                   data.draw(unit_index()))[:n_indices]
+        d = data.draw(log_uniform(1e-50, 1e-2))
+        values = np.abs(kernel(x[:, None], o[None, :], *indices, d))
+        top = ceiling(x[0], x[-1], o[0], o[-1], *indices, d)
+        assert top >= values.max()
+
+    @pytest.mark.parametrize("name", ["game1", "game2"])
+    def test_a_grid_of_partial_blocks_equals_a_one_shot_scan_bitwise(
+            self, name, request, monkeypatch):
+        # 57 points per axis: the last block of each axis holds 7
+        monkeypatch.setattr(game, "GRID_RESOLUTION", 57)
+        spec = request.getfixturevalue(name)
+        assert estimate_bounds(spec) == one_shot_bounds(spec)
+
+    @pytest.mark.parametrize("cap", [100, 2**20])
+    @pytest.mark.parametrize("name", ["game1", "game2"])
+    def test_any_slab_cap_equals_a_one_shot_scan_bitwise(self, name, cap, request,
+                                                         monkeypatch):
+        # 100 is one block per call; 2**20 takes the 10 x 10 dataset's
+        # lattice, ceilings and survivors whole
+        monkeypatch.setattr(game, "BOUNDS_SLAB_ELEMENTS", cap)
+        spec = request.getfixturevalue(name)
         assert estimate_bounds(spec) == one_shot_bounds(spec)
 
     def test_no_kernel_call_sees_more_than_a_slab(self, game2, game20, monkeypatch):
@@ -575,19 +631,29 @@ class TestEstimateBounds:
                 sizes[kernel].append(values.size)
                 return values
             monkeypatch.setattr(game, kernel, recorded)
-        plane = game.GRID_RESOLUTION ** 2
-        # the 10 x 10 dataset has 54 distinct rho in its 100 planes
-        for spec, distinct_rho in ((game2, 54), (game20, 400)):
+
+        def evaluations(spec):
             sizes.update((kernel, []) for kernel in kernels)
             estimate_bounds(spec)
-            assert (sum(sizes["task_gradient"]) + sum(sizes["task_utility"])
-                    == 2 * plane * spec.rho.size)
-            assert (sum(sizes["hessian_own"]) + sum(sizes["hessian_others"])
-                    == 2 * plane * distinct_rho)
             assert max(max(s) for s in sizes.values()) <= game.BOUNDS_SLAB_ELEMENTS
+            return {kernel: sum(s) for kernel, s in sizes.items()}
+
+        G, B = game.GRID_RESOLUTION, game.BOUNDS_BLOCK
+        evaluations(game20)
+        # game20's 400 planes given one rho: each curvature scans one plane's
+        # corner lattice and at most all of its blocks
+        one_rho = evaluations(GameSpec(np.full((20, 20), 0.7), game20.eps,
+                                       game20.kappa))
+        one_plane = (len(range(0, G, B)) + 1) ** 2 + G**2
+        assert one_rho["hessian_own"] <= one_plane
+        assert one_rho["hessian_others"] <= one_plane
+        # the 10 x 10 dataset has 54 distinct rho in its 100 planes; its full
+        # grid is G**2 points per plane for each of the four kernels
+        full = G**2 * 2 * (game2.rho.size + 54)
+        assert sum(evaluations(game2).values()) <= 0.1 * full
 
     def test_peak_memory_does_not_grow_with_the_game(self, game20):
-        # slabs peak near 0.5 MB here; the one-shot 100 x 100 x 400 grid
+        # slabs peak near 0.9 MB here; the one-shot 100 x 100 x 400 grid
         # held 32 MB per temporary and peaked near 92 MB
         tracemalloc.start()
         try:
