@@ -16,7 +16,6 @@ import time
 import warnings
 import zlib
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +28,7 @@ from .strategies.baselines import BrBank, GpBank, RsBank
 from .strategies.bgam import BgamBank
 from .strategies.lbwi import LbwiBank
 from .strategies.llr import LlrBank
+from .text import csv_rows
 
 # Parameter keys each strategy accepts; make_bank rejects any other key.
 STRATEGY_PARAMS = {
@@ -38,8 +38,11 @@ STRATEGY_PARAMS = {
     "llr": (), "gp": ("eta",), "br": (), "rs": (),
 }
 STRATEGY_NAMES = tuple(STRATEGY_PARAMS)
-ROWS_PER_WRITE = 1024       # result-CSV rows formatted per write; time is flat
-                            # from 128 rows to a whole file
+# Rows formatted per block of a result CSV, and per replica of a trace: the
+# trace's 4 float columns then make kernel calls of at most 4096 floats. On
+# the 10 x 10 result files, blocks of 256 rows took 1.5-1.9x as long, and
+# of 2048 or 4096 rows 0.7-0.9x at up to four times the memory.
+ROWS_PER_WRITE = 1024
 
 
 def make_bank(name: str, spec: GameSpec, T: int, rngs, params: dict,
@@ -234,62 +237,95 @@ def run_campaign(config: ExperimentConfig, progress=None) -> CampaignResult:
 # ---------------------------------------------------------------------------
 
 class _TraceWriter:
-    HEADER = "t,node,task,x,a,clean_utility,observed_utility\n"
+    """Per-round traces, one file per replica. Each round is copied when it
+    is handed over, since a bank may update its profile in place, and
+    written once a replica has ROWS_PER_WRITE rows waiting, or at close."""
+
+    HEADER = b"t,node,task,x,a,clean_utility,observed_utility\n"
 
     def __init__(self, paths):
-        self._fhs = []
-        for path in paths:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            self._fhs.append(open(path, "w"))
-            self._fhs[-1].write(self.HEADER)
+        self._fhs, self._t, self._rounds = [], [], []
+        try:
+            for path in paths:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                self._fhs.append(open(path, "wb"))
+                self._fhs[-1].write(self.HEADER)
+        except BaseException:
+            self.close()
+            raise
 
     def __call__(self, rec):
-        S, K, M = rec.x.shape
-        template = "".join(f"{rec.t},{k},{m},%.17g,%.17g,%.17g,%.17g\n"
-                           for k, m in np.ndindex(K, M))
-        values = np.stack([rec.x, rec.a, rec.clean_utility,
-                           rec.observed_utility], axis=-1).reshape(S, -1)
-        for fh, row in zip(self._fhs, values.tolist()):
-            fh.write(template % tuple(row))
+        self._t.append(rec.t)
+        self._rounds.append(np.array([rec.x, rec.a, rec.clean_utility,
+                                      rec.observed_utility]))
+        if len(self._rounds) >= max(1, ROWS_PER_WRITE // rec.x[0].size):
+            self._flush()
+
+    def _flush(self):
+        if not self._rounds:
+            return
+        t = np.array(self._t)[:, None, None]
+        rounds = np.array(self._rounds)                  # (R, 4, S, K, M)
+        self._t, self._rounds = [], []
+        K, M = rounds.shape[-2:]
+        for s, fh in enumerate(self._fhs):
+            _write_rows(fh, t, np.arange(K)[:, None], np.arange(M),
+                        *rounds[:, :, s].swapaxes(0, 1))
 
     def close(self):
-        for fh in self._fhs:
-            fh.close()
+        try:
+            self._flush()
+        finally:
+            for fh in self._fhs:
+                fh.close()
 
 
-def _write_csv(path: Path, header: str, fmt: str, *columns) -> None:
-    """Write `header`, then one `fmt` line per element of the broadcast
-    columns in C order, formatted and written ROWS_PER_WRITE rows at a time
-    so no file's whole text is ever held: each block is one `%` over `fmt`
-    repeated once per row. "%.17g" prints a float exactly as "{:.17g}"
-    does."""
-    columns = np.broadcast_arrays(*columns)
-    with open(path, "w") as fh:
-        fh.write(header)
-        for r in range(0, columns[0].size, ROWS_PER_WRITE):
-            block = [c.flat[r:r + ROWS_PER_WRITE].tolist() for c in columns]
-            fh.write(fmt * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
+def _write_rows(fh, *columns) -> None:
+    """Write one CSV row per element of the broadcast columns, in C order,
+    "%d" for integer columns and "%.17g" for float ones. Rows go out in
+    blocks of at most ROWS_PER_WRITE (or one row), each cut along one axis
+    so that every column is formatted at its own shape: a column broadcast
+    along an axis is formatted once per block, not once per row."""
+    shape = np.broadcast_shapes(*(c.shape for c in columns))
+    columns = [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in columns]
+    axis = next(a for a in range(len(shape))
+                if np.prod(shape[a + 1:]) <= ROWS_PER_WRITE)
+    step = max(1, ROWS_PER_WRITE // int(np.prod(shape[axis + 1:])))
+    for outer in np.ndindex(shape[:axis]):
+        for lo in range(0, shape[axis], step):
+            cut = slice(lo, lo + step)
+            block = [c[tuple(i if n > 1 else 0 for i, n in zip(outer, c.shape))
+                       + ((cut if c.shape[axis] > 1 else slice(None)),)]
+                     for c in columns]
+            rows = (min(step, shape[axis] - lo),) + shape[axis + 1:]
+            fh.write(csv_rows(rows, block))
+
+
+def _write_csv(path: Path, header: str, *columns) -> None:
+    """Write `header`, then the rows of `columns` as _write_rows writes
+    them, so no file's whole text is ever held."""
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        _write_rows(fh, *columns)
 
 
 def write_regret_csv(result: StrategyCampaign, path: Path) -> None:
     """Seed-mean regret series: one row per (logged round, node)."""
     K = result.mean_cum_regret.shape[1]
     _write_csv(path, "t,node,cumulative_regret,average_regret\n",
-               "%d,%d,%.17g,%.17g\n", result.log_t[:, None], np.arange(K),
+               result.log_t[:, None], np.arange(K),
                result.mean_cum_regret, result.mean_avg_regret)
 
 
 def write_histogram_csv(result: StrategyCampaign, path: Path) -> None:
-    """Post-window action-selection counts, one row per (seed, node, task, bin).
-    The bin-edge pairs are formatted once per file."""
+    """Post-window action-selection counts, one row per (seed, node, task, bin)."""
     hist = np.stack([r.histogram for r in result.seeds])    # (S, K, M, B)
     seed = np.array([r.seed for r in result.seeds])[:, None, None, None]
     K, M, B = hist.shape[1:]
-    edges = np.linspace(0.0, 1.0, B + 1).tolist()
-    bins = np.array(["%.17g,%.17g" % pair for pair in zip(edges[:-1], edges[1:])])
+    edges = np.linspace(0.0, 1.0, B + 1)
     _write_csv(path, "seed,node,task,bin_lo,bin_hi,count\n",
-               "%d,%d,%d,%s,%d\n", seed, np.arange(K)[:, None, None],
-               np.arange(M)[:, None], bins, hist)
+               seed, np.arange(K)[:, None, None], np.arange(M)[:, None],
+               edges[:-1], edges[1:], hist)
 
 
 def write_final_actions_csv(result: StrategyCampaign, path: Path) -> None:
@@ -298,7 +334,7 @@ def write_final_actions_csv(result: StrategyCampaign, path: Path) -> None:
     post = np.mean([r.post_window_avg for r in result.seeds], axis=0)
     K, M = final.shape
     _write_csv(path, "node,task,final_window_avg,post_window_avg\n",
-               "%d,%d,%.17g,%.17g\n", np.arange(K)[:, None], np.arange(M),
+               np.arange(K)[:, None], np.arange(M),
                final, post)
 
 

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from fogbandit import campaign, cli
+from fogbandit import campaign, cli, load_dataset, select_subgame
 from fogbandit.campaign import (STRATEGY_NAMES, ExperimentConfig, make_bank,
                                 run_campaign)
 from fogbandit.engine import checkpoint_rounds
@@ -248,6 +248,82 @@ class TestTrace:
             lines = (tmp_path / f"trace_rs_seed{seed}.csv").read_text().splitlines()
             assert len(lines) == 1 + 149 * game1.K * game1.M
             assert lines[-1].startswith("149,1,1,")
+
+    def test_a_failed_open_closes_the_files_already_open(self, tmp_path,
+                                                         monkeypatch):
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(campaign, "open", recording_open, raising=False)
+        (tmp_path / "b.csv").mkdir()
+        with pytest.raises(IsADirectoryError):
+            campaign._TraceWriter([tmp_path / name
+                                   for name in ("a.csv", "b.csv", "c.csv")])
+        assert len(opened) == 1 and opened[0].closed
+
+
+class TemplateTraceWriter:
+    """The per-round trace writer that the block writer replaced, kept as
+    the oracle for its bytes: one "%.17g" template per round."""
+
+    HEADER = "t,node,task,x,a,clean_utility,observed_utility\n"
+
+    def __init__(self, paths):
+        self._fhs = []
+        for path in paths:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            self._fhs.append(open(path, "w"))
+            self._fhs[-1].write(self.HEADER)
+
+    def __call__(self, rec):
+        S, K, M = rec.x.shape
+        template = "".join(f"{rec.t},{k},{m},%.17g,%.17g,%.17g,%.17g\n"
+                           for k, m in np.ndindex(K, M))
+        values = np.stack([rec.x, rec.a, rec.clean_utility,
+                           rec.observed_utility], axis=-1).reshape(S, -1)
+        for fh, row in zip(self._fhs, values.tolist()):
+            fh.write(template % tuple(row))
+
+    def close(self):
+        for fh in self._fhs:
+            fh.close()
+
+
+@pytest.mark.filterwarnings("ignore:rho <= 0.5")
+@pytest.mark.filterwarnings("ignore:coarse interval count")
+class TestTraceBytes:
+    """The block trace writer writes the per-round template's bytes."""
+
+    def assert_traces_equal_the_template(self, spec, strategies, T, tmp_path,
+                                         monkeypatch):
+        def traces(out):
+            run_campaign(ExperimentConfig(spec, [{"name": n} for n in strategies],
+                                          T=T, n_seeds=2, out_dir=out, trace=True))
+            return {p.name: p.read_bytes() for p in sorted(out.glob("trace_*"))}
+
+        blocks = traces(tmp_path / "blocks")
+        monkeypatch.setattr(campaign, "_TraceWriter", TemplateTraceWriter)
+        assert blocks == traces(tmp_path / "template")
+        assert len(blocks) == 2 * len(strategies)
+
+    @pytest.mark.parametrize("rows_per_write", [None, 7, 10**9])
+    def test_subgame(self, rows_per_write, tmp_path, monkeypatch):
+        # T = 150 rounds of 9 rows: 113 rounds per block at the default
+        if rows_per_write is not None:
+            monkeypatch.setattr(campaign, "ROWS_PER_WRITE", rows_per_write)
+        spec = select_subgame(load_dataset(), range(3), range(3))
+        self.assert_traces_equal_the_template(spec, STRATEGY_NAMES, 150,
+                                              tmp_path, monkeypatch)
+
+    def test_noise_ceiling(self, game1, tmp_path, monkeypatch):
+        # every observed utility near 1e100 takes the "%.17g" fallback
+        spec = GameSpec(rho=game1.rho, eps=game1.eps, kappa=game1.kappa,
+                        noise_std=1e100)
+        self.assert_traces_equal_the_template(spec, ["rs"], 300, tmp_path,
+                                              monkeypatch)
 
 
 class TestCheckpoints:
