@@ -52,7 +52,8 @@ def make_bank(name: str, spec: GameSpec, T: int, rngs, params: dict,
     Raises ConfigurationError for an unknown strategy, a parameter block
     that is not a dict, an unknown parameter key, or a parameter value that
     is not a real number (bools included), not finite or out of range,
-    naming the strategy."""
+    naming the strategy. The bank's `params` holds the settings as checked,
+    in Python numbers."""
     if name not in STRATEGY_PARAMS:
         raise ConfigurationError(f"unknown strategy {name!r}; "
                                  f"supported: {', '.join(STRATEGY_NAMES)}")
@@ -64,6 +65,7 @@ def make_bank(name: str, spec: GameSpec, T: int, rngs, params: dict,
         raise ConfigurationError(
             f"strategy {name!r} has no parameter {', '.join(map(repr, unknown))}; "
             f"accepted: {', '.join(STRATEGY_PARAMS[name]) or 'none'}")
+    checked = {}
     for key, value in params.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ConfigurationError(f"strategy {name!r}: {key} must be a number, "
@@ -71,8 +73,9 @@ def make_bank(name: str, spec: GameSpec, T: int, rngs, params: dict,
         if not np.isfinite(value):
             raise ConfigurationError(f"strategy {name!r}: {key} must be finite, "
                                      f"got {value!r}")
-    if name == "bgd":
-        params = dict(params, beta=0.0)
+        # a Python number, numpy's included, so that summary.json can hold it
+        checked[key] = int(value) if isinstance(value, numbers.Integral) else float(value)
+    params = dict(checked, beta=0.0) if name == "bgd" else checked
     try:
         if name in ("bgam", "bgd"):
             bank = BgamBank(spec, T, bounds, rngs, **params)
@@ -87,6 +90,7 @@ def make_bank(name: str, spec: GameSpec, T: int, rngs, params: dict,
         warnings.warn(f"coarse interval count N={bank.N} is below 8*H/L~="
                       f"{8.0 * bounds.H / bounds.L:.1f}; the refinement guarantee "
                       "may not hold", stacklevel=2)
+    bank.params = checked             # what summary.json records
     return bank
 
 
@@ -110,11 +114,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name, least in (("T", 1), ("n_seeds", 1), ("master_seed", 0)):
-            require_integer(name, getattr(self, name), least)
+            setattr(self, name, require_integer(name, getattr(self, name), least))
         if self.regret_mode not in REGRET_MODES:
             raise ConfigurationError(f"unknown regret mode {self.regret_mode!r}")
         if self.trace and self.out_dir is None:
             raise ConfigurationError("trace needs an out_dir to write the traces to")
+        if not self.strategies:
+            raise ConfigurationError("strategies must list at least one strategy")
         self.strategies = [
             s if isinstance(s, StrategyConfig) else StrategyConfig(**s)
             for s in self.strategies
@@ -144,7 +150,9 @@ class StrategyCampaign:
     std_cum_regret: np.ndarray
     mean_avg_regret: np.ndarray
     std_avg_regret: np.ndarray
-    slope: float
+    slope: float                      # regret_slope of the node-mean series
+    node_slopes: list                 # of each node's seed-mean series
+    seed_slopes: list                 # of each replica's node-mean series
     eps_gap_trajectory: dict          # round -> mean eps-gap of averaged profile
     runtime: float
 
@@ -206,16 +214,14 @@ def run_campaign(config: ExperimentConfig, progress=None) -> CampaignResult:
         gaps = epsilon_gap(np.array([[r.avg_profile[t] for r in seed_results]
                                      for t in checkpoints]), spec)
         gap_traj = {t: float(g) for t, g in zip(checkpoints, gaps.mean(axis=1))}
-        node_mean_cum = mean_cum.mean(axis=1)
-        try:
-            slope = regret_slope(node_mean_cum, t=log_t)
-        except ValueError:
-            slope = float("nan")
         strategies.append(StrategyCampaign(
-            name=sc.name, params=sc.params, seeds=seed_results, log_t=log_t,
+            name=sc.name, params=bank.params, seeds=seed_results, log_t=log_t,
             mean_cum_regret=mean_cum, std_cum_regret=cum.std(axis=0, ddof=ddof),
             mean_avg_regret=avg.mean(axis=0), std_avg_regret=avg.std(axis=0, ddof=ddof),
-            slope=slope, eps_gap_trajectory=gap_traj,
+            slope=regret_slope(mean_cum.mean(axis=1), log_t),
+            node_slopes=[regret_slope(series, log_t) for series in mean_cum.T],
+            seed_slopes=[regret_slope(c.mean(axis=1), log_t) for c in cum],
+            eps_gap_trajectory=gap_traj,
             runtime=build_s + time.monotonic() - t0))   # its build counts too
 
     metadata = {
@@ -338,6 +344,10 @@ def write_final_actions_csv(result: StrategyCampaign, path: Path) -> None:
                final, post)
 
 
+def _finite_or_null(slope: float):
+    return slope if np.isfinite(slope) else None
+
+
 def summary_dict(result: CampaignResult) -> dict:
     cfg = result.config
     out = {
@@ -360,7 +370,9 @@ def summary_dict(result: CampaignResult) -> dict:
             "final_average_regret_mean": s.mean_avg_regret[-1].tolist(),
             "final_average_regret_std": s.std_avg_regret[-1].tolist(),
             "final_average_regret_node_mean": s.final_avg_regret_node_mean(),
-            "regret_slope": s.slope if np.isfinite(s.slope) else None,
+            "regret_slope": _finite_or_null(s.slope),
+            "regret_slope_per_node": [_finite_or_null(v) for v in s.node_slopes],
+            "regret_slope_per_seed": [_finite_or_null(v) for v in s.seed_slopes],
             "eps_gap_trajectory": {str(t): g for t, g in
                                    s.eps_gap_trajectory.items()},
             "runtime_seconds": s.runtime,

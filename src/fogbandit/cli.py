@@ -4,7 +4,6 @@ Verbs:
   run            run a learning campaign and write plot-ready CSV/JSON files
   solve-nash     solve the game's equilibrium and print it as JSON
   validate-spec  check a game parameterization and report warnings
-  bench-slope    fit the log-log regret growth exponent from a regret CSV
 
 Any module error exits nonzero after printing a machine-readable error JSON.
 """
@@ -17,12 +16,10 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from .campaign import (ExperimentConfig, StrategyConfig, run_campaign,
                        write_outputs, STRATEGY_NAMES)
 from .dataset import builtin_game1, load_dataset, select_subgame
-from .engine import REGRET_MODES, regret_slope
+from .engine import REGRET_MODES
 from .errors import ConfigurationError
 from .game import GameSpec
 from .nash import DEFAULT_SEED, DEFAULT_STARTS, DEFAULT_TOL, solve_nash
@@ -119,28 +116,6 @@ def cmd_validate_spec(args) -> int:
     return 0
 
 
-def cmd_bench_slope(args) -> int:
-    if not 0.0 <= args.window < 1.0:          # nan fails too
-        raise ConfigurationError(f"--window must lie in [0, 1), got {args.window}")
-    rows = np.genfromtxt(args.input, delimiter=",", names=True, ndmin=1)
-    K = len(np.unique(rows["node"]))
-    if len(rows) % K or np.any(rows["node"] != np.tile(np.arange(K), len(rows) // K)):
-        raise ConfigurationError(f"{args.input}: the node column must repeat "
-                                 f"0..{K - 1} per logged round as `run` writes it")
-    cum = rows["cumulative_regret"].reshape(-1, K)       # (L, K)
-    t, window = rows["t"][::K], (args.window, 1.0)
-
-    def slope(series):
-        try:
-            return regret_slope(series, window=window, t=t)
-        except ValueError:            # undefined: null, as summary.json has it
-            return None
-    slopes = {str(k): slope(cum[:, k]) for k in range(K)}
-    slopes["node_mean"] = slope(cum.mean(axis=1))
-    print(json.dumps({"slopes": slopes, "window": [args.window, 1.0]}, indent=2))
-    return 0
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fogbandit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -174,12 +149,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate-spec", help="validate a game parameterization")
     _add_game_args(p)
     p.set_defaults(func=cmd_validate_spec)
-
-    p = sub.add_parser("bench-slope", help="fit regret growth exponent")
-    p.add_argument("--input", required=True, help="regret CSV from `run`")
-    p.add_argument("--window", type=float, default=0.5,
-                   help="fit from this fraction of the horizon onward")
-    p.set_defaults(func=cmd_bench_slope)
     return parser
 
 

@@ -58,21 +58,15 @@ class RoundRecord:
     br: np.ndarray = None             # br_profile(x) if the round solved it
 
 
-def regret_slope(cumulative, t, window=(0.5, 1.0)) -> float:
+def regret_slope(cumulative, t) -> float:
     """Least-squares slope of log(cumulative regret) against log(round t)
-    over the given fractional window of the horizon."""
-    series = np.asarray(cumulative, dtype=float)
+    over the second half of the horizon; nan where it is undefined, that is
+    where the half holds fewer than two logged rounds or a regret <= 0."""
     t = np.asarray(t, dtype=float)
-    horizon = t[-1]
-    sel = (t >= window[0] * horizon) & (t <= window[1] * horizon)
-    if sel.sum() < 2:
-        raise ValueError("window holds fewer than two points")
-    ts, ys = t[sel], series[sel]
-    if np.any(ys <= 0.0):
-        raise ValueError(
-            "cumulative regret not positive on the window; slope undefined "
-            "(report the gap to zero instead)"
-        )
+    sel = t >= 0.5 * t[-1]
+    ts, ys = t[sel], np.asarray(cumulative, dtype=float)[sel]
+    if len(ts) < 2 or not np.all(ys > 0.0):
+        return float("nan")
     return float(np.polyfit(np.log(ts), np.log(ys), 1)[0])
 
 

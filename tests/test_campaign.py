@@ -11,8 +11,8 @@ import pytest
 
 from fogbandit import campaign, cli, load_dataset, select_subgame
 from fogbandit.campaign import (STRATEGY_NAMES, ExperimentConfig, make_bank,
-                                run_campaign)
-from fogbandit.engine import checkpoint_rounds
+                                run_campaign, write_outputs)
+from fogbandit.engine import checkpoint_rounds, regret_slope
 from fogbandit.errors import ConfigurationError, ProtocolError
 from fogbandit.game import GameSpec, estimate_bounds
 
@@ -132,6 +132,12 @@ class TestExperimentConfig:
             ExperimentConfig(game1, [{"name": "rs"}], **{field: value})
         config = ExperimentConfig(game1, [{"name": "rs"}], **{field: np.int64(3)})
         assert getattr(config, field) == 3
+
+    def test_rejects_an_empty_strategy_list(self, game1):
+        # it solved the equilibrium and wrote a summary.json with no strategy
+        with pytest.raises(ConfigurationError,
+                           match="^strategies must list at least one strategy$"):
+            ExperimentConfig(game1, [])
 
     def test_rejects_an_unknown_regret_mode(self, game1):
         with pytest.raises(ConfigurationError,
@@ -353,6 +359,34 @@ def test_every_strategy_runs_at_the_noise_ceiling(game1):
         assert np.all(np.isfinite(s.mean_cum_regret)), s.name
         # the gaps are taken at the rounds run_seed recorded
         assert list(s.eps_gap_trajectory) == checkpoint_rounds(400)
+
+
+@pytest.mark.filterwarnings("ignore:coarse interval count")
+@pytest.mark.parametrize("field", ["T", "n_seeds", "master_seed", "N"])
+def test_numpy_integers_write_the_summary_of_python_ones(game1, tmp_path, field):
+    # each passed its check, then json.dump raised after the CSVs were written
+    def summary(cast, out):
+        settings = {"T": 20, "n_seeds": 2, "master_seed": 1, "N": 4}
+        settings[field] = cast(settings[field])
+        N = settings.pop("N")
+        config = ExperimentConfig(game1, [{"name": "lbwi", "params": {"N": N}}],
+                                  **settings)
+        write_outputs(run_campaign(config), out)
+        written = json.loads((out / "summary.json").read_text())
+        del written["strategies"]["lbwi"]["runtime_seconds"]
+        return written
+
+    assert summary(np.int64, tmp_path / "numpy") == summary(int, tmp_path / "python")
+
+
+@pytest.mark.filterwarnings("ignore:rho <= 0.5")
+def test_per_seed_slopes_fit_each_replica(game1):
+    config = ExperimentConfig(game1, [{"name": "bgam"}, {"name": "gp"}],
+                              T=2000, n_seeds=3)
+    for s in run_campaign(config).strategies:
+        assert s.seed_slopes == [regret_slope(r.cum_regret.mean(axis=1), r.log_t)
+                                 for r in s.seeds]
+        assert np.all(np.isfinite(s.seed_slopes)), s.name
 
 
 def test_row_blocks_leave_the_result_files_unchanged(game1, tmp_path, monkeypatch):

@@ -36,7 +36,7 @@ class TestDefaults:
 
     def test_run(self, game1):
         args = cli.make_parser().parse_args(["run"])
-        config = ExperimentConfig(game1, [])
+        config = ExperimentConfig(game1, [{"name": "bgam"}])
         assert ((args.T, args.seeds, args.master_seed, args.regret_mode)
                 == (config.T, config.n_seeds, config.master_seed, config.regret_mode))
 
@@ -119,7 +119,7 @@ class TestBadInput:
         (["run", "--strategy", "ucb", "--T", "10"], "unknown strategy 'ucb'"),
         (["solve-nash", "--tol", "0"], "tol must be positive"),
         (["validate-spec", "--game", "dataset", "--nodes", "0"], "rho is empty"),
-        (["bench-slope", "--input", "regret.csv"], "node column must repeat"),
+        (["run", "--strategy", "gp,rs,gp"], "strategy 'gp' is listed more than once"),
         (["validate-spec", "--spec-json", "spec.json"],
          "rho must be a matrix of numbers: could not convert string to float: 'a'"),
         (["run", "--strategy", "gp", "--params", '{"gp": {"eta": "x"}}'],
@@ -149,12 +149,10 @@ class TestBadInput:
         (["solve-nash", "--starts", "-2"], "n_starts must be an integer >= 1, got -2"),
         (["solve-nash", "--master-seed", "-1"], "seed must be an integer >= 0, got -1"),
         (["run", "--master-seed", "-1"], "master_seed must be an integer >= 0, got -1"),
-        (["bench-slope", "--input", "regret.csv", "--window", "2"],
-         "--window must lie in [0, 1), got 2.0"),
-        (["bench-slope", "--input", "regret.csv", "--window", "nan"],
-         "--window must lie in [0, 1), got nan"),
-        (["bench-slope", "--input", "regret.csv", "--window", "-0.5"],
-         "--window must lie in [0, 1), got -0.5"),
+        (["run", "--T", "0"], "T must be an integer >= 1, got 0"),
+        (["run", "--seeds", "0"], "n_seeds must be an integer >= 1, got 0"),
+        (["run", "--params", '{"gp": {"eta": 0.1}}'],
+         "--params names gp, which --strategy does not list"),
         (["validate-spec", "--spec-json", "null_barrier.json"],
          "barrier must be a number, got None"),
         (["run", "--spec-json", "text_noise.json"],
@@ -166,10 +164,6 @@ class TestBadInput:
                                                       monkeypatch):
         monkeypatch.setattr(campaign, "solve_nash", went_past_the_checks)
         monkeypatch.chdir(tmp_path)
-        # node-major rows: not the round-major layout `run` writes
-        (tmp_path / "regret.csv").write_text(
-            "t,node,cumulative_regret,average_regret\n"
-            "1,0,1,1\n2,0,2,1\n1,1,1,1\n2,1,2,1\n")
         (tmp_path / "spec.json").write_text(json.dumps(
             {"rho": [["a"]], "eps": [[0.1]], "kappa": [[0.1]]}))
         (tmp_path / "game.json").write_text(json.dumps(
@@ -278,36 +272,32 @@ class TestResultFiles:
         solved = json.loads(capsys.readouterr().out)
         assert json.loads((out / "summary.json").read_text())["nash"] == solved
 
-    def test_bench_slope_reads_the_regret_csv_of_run(self, tmp_path, capsys):
+    def test_per_node_slopes_fit_the_regret_csv_of_run(self, tmp_path):
         # on the 10 x 10 dataset a node mean summed in order would round
         # differently from the campaign's at one of the 1000 logged rounds
         for game, K in (("game1", 2), ("dataset", 10)):
             out = tmp_path / game
             assert cli.main(["run", "--game", game, "--strategy", "bgam",
                              "--T", "2000", "--seeds", "3", "--out", str(out)]) == 0
-            capsys.readouterr()
-            assert cli.main(["bench-slope", "--input",
-                             str(out / "regret_bgam.csv")]) == 0
-            slopes = json.loads(capsys.readouterr().out)["slopes"]
-            summary = json.loads((out / "summary.json").read_text())
-            assert slopes["node_mean"] == summary["strategies"]["bgam"]["regret_slope"]
-            assert sorted(slopes) == sorted([str(k) for k in range(K)] + ["node_mean"])
+            rows = np.genfromtxt(out / "regret_bgam.csv", delimiter=",", names=True)
+            summary = json.loads((out / "summary.json").read_text())["strategies"]
+            nodes = [rows[rows["node"] == k] for k in range(K)]
+            assert summary["bgam"]["regret_slope_per_node"] == [
+                regret_slope(node["cumulative_regret"], node["t"]) for node in nodes]
+            cum = rows["cumulative_regret"].reshape(-1, K)
+            assert summary["bgam"]["regret_slope"] == regret_slope(cum.mean(axis=1),
+                                                                   rows["t"][::K])
 
-    def test_bench_slope_writes_null_where_a_slope_is_undefined(self, tmp_path,
-                                                                capsys):
+    def test_per_node_slopes_are_null_where_undefined(self, tmp_path):
         # gp's regret on this 3 x 3 game is not positive on the window for
-        # nodes 0 and 2: bench-slope exited 1 where run wrote null
+        # nodes 0 and 2, nor is its node mean
         out = tmp_path / "out"
         assert cli.main(["run", "--game", "dataset", "--nodes", "3", "--tasks",
                          "3", "--strategy", "gp", "--T", "1200", "--seeds", "2",
                          "--out", str(out)]) == 0
-        capsys.readouterr()
-        csv = out / "regret_gp.csv"
-        assert cli.main(["bench-slope", "--input", str(csv)]) == 0
-        slopes = json.loads(capsys.readouterr().out)["slopes"]
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["strategies"]["gp"]["regret_slope"] is None
-        assert [slopes[k] for k in ("0", "2", "node_mean")] == [None] * 3
-        rows = np.genfromtxt(csv, delimiter=",", names=True)
+        gp = json.loads((out / "summary.json").read_text())["strategies"]["gp"]
+        assert gp["regret_slope"] is None
+        rows = np.genfromtxt(out / "regret_gp.csv", delimiter=",", names=True)
         node1 = rows[rows["node"] == 1]
-        assert slopes["1"] == regret_slope(node1["cumulative_regret"], t=node1["t"])
+        assert gp["regret_slope_per_node"] == [
+            None, regret_slope(node1["cumulative_regret"], node1["t"]), None]

@@ -1,7 +1,7 @@
 """Round loop and replica accounting: the (S, K, M) action contract,
 feedback routing by strategy class, per-replica noise streams, regret
-against the fixed reference, the post-window histogram, the regret log and
-the checkpoint profiles."""
+against the fixed reference, the post-window histogram, the regret log,
+the checkpoint profiles and the regret slope."""
 
 import dataclasses
 import warnings
@@ -14,8 +14,8 @@ from hypothesis.extra import numpy as hnp
 
 from fogbandit import engine
 from fogbandit.campaign import STRATEGY_NAMES, make_bank, replica_streams
-from fogbandit.engine import (HIST_BINS, POST_FRACTION, checkpoint_rounds, run_round,
-                              run_seed)
+from fogbandit.engine import (HIST_BINS, POST_FRACTION, checkpoint_rounds,
+                              regret_slope, run_round, run_seed)
 from fogbandit.errors import ConfigurationError, ProtocolError
 from fogbandit.game import GameSpec, estimate_bounds, gradient_matrix, utility_matrix
 from fogbandit.nash import NashSolution, deviation_utilities
@@ -297,3 +297,28 @@ class TestAccounting:
         assert list(res.avg_profile) == checkpoint_rounds(25)   # in round order
         for t, profile in res.avg_profile.items():
             assert np.allclose(profile, played[:t].mean(axis=0), rtol=1e-12)
+
+
+class TestRegretSlope:
+    def test_exact_power_law(self):
+        t = np.arange(1, 1001)
+        assert regret_slope(t ** 0.75, t) == pytest.approx(0.75, abs=1e-12)
+
+    @pytest.mark.parametrize("cumulative,undefined", [
+        ([1.0, 2.0, 3.0, 0.0, 5.0], True),
+        ([1.0, 2.0, 3.0, 4.0, -1e-300], True),
+        ([-1.0, -2.0, 3.0, 4.0, 5.0], False),     # rounds 3 to 5 are the window
+    ])
+    def test_nan_where_the_window_holds_a_regret_at_or_below_zero(self, cumulative,
+                                                                  undefined):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slope = regret_slope(cumulative, np.arange(1, 6))
+        assert np.isnan(slope) == undefined
+
+    def test_horizon_one_is_nan(self, game1):
+        res, _ = rs_seed(game1, 1)
+        assert res.log_t.tolist() == [1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(regret_slope(res.cum_regret[:, 0], res.log_t))
