@@ -5,7 +5,7 @@ equilibrium verification."""
 from .game import (Bounds, GameSpec, estimate_bounds, gradient_matrix,
                    hessian_others, hessian_own, task_utility, utility_matrix,
                    utility_range)
-from .dataset import IndexDataset, builtin_game1, load_dataset, select_subgame
+from .dataset import GAME1, load_dataset, select_subgame
 from .nash import NashSolution, epsilon_gap, solve_nash
 from .engine import RoundRecord, SeedResult, regret_slope, run_round, run_seed
 from .campaign import (CampaignResult, ExperimentConfig, StrategyConfig,

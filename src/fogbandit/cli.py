@@ -5,6 +5,10 @@ Verbs:
   solve-nash     solve the game's equilibrium and print it as JSON
   validate-spec  check a game parameterization and report warnings
 
+Every verb takes the same game flags: --game is game1, dataset or the path
+of a game document (see fogbandit.dataset), and --nodes, --tasks and
+--noise-std apply to any of them.
+
 Any module error exits nonzero after printing a machine-readable error JSON.
 """
 
@@ -18,7 +22,7 @@ from pathlib import Path
 
 from .campaign import (ExperimentConfig, StrategyConfig, run_campaign,
                        write_outputs, STRATEGY_NAMES)
-from .dataset import builtin_game1, load_dataset, select_subgame
+from .dataset import GAME1, load_dataset, select_subgame
 from .engine import REGRET_MODES
 from .errors import ConfigurationError
 from .game import GameSpec
@@ -26,41 +30,29 @@ from .nash import DEFAULT_SEED, DEFAULT_STARTS, DEFAULT_TOL, solve_nash
 
 
 def _add_game_args(p):
-    p.add_argument("--game", choices=["game1", "dataset"], default="game1",
-                   help="built-in two-node game or the bundled index dataset")
-    p.add_argument("--dataset", default=None,
-                   help="dataset path (defaults to the bundled file)")
+    p.add_argument("--game", default="game1",
+                   help="game1 (the built-in 2 x 2 game), dataset (the bundled "
+                        "10 x 10 network) or the path of a game document: a JSON "
+                        "object with rho, eps and kappa and optional barrier and "
+                        "noise_std, as GameSpec.to_json writes it")
     p.add_argument("--nodes", type=int, default=None,
-                   help="use the first N nodes of the dataset")
+                   help="use the first N nodes of the game")
     p.add_argument("--tasks", type=int, default=None,
-                   help="use the first N tasks of the dataset")
+                   help="use the first N tasks of the game")
     p.add_argument("--noise-std", type=float, default=None,
-                   help=f"feedback noise std (default {GameSpec.noise_std})")
-    p.add_argument("--spec-json", default=None,
-                   help="load the game from a GameSpec JSON document instead")
-
-
-def _reject_given(flags: dict, reason: str) -> None:
-    for flag, value in flags.items():
-        if value is not None:
-            raise ConfigurationError(f"{flag} cannot be combined with {reason}")
+                   help="feedback noise std (default: the document's, else "
+                        f"{GameSpec.noise_std})")
 
 
 def build_spec(args) -> GameSpec:
-    dataset_flags = {"--nodes": args.nodes, "--tasks": args.tasks,
-                     "--dataset": args.dataset}
-    if args.spec_json:
-        _reject_given({"--noise-std": args.noise_std, **dataset_flags},
-                      "--spec-json, which sets the whole game")
-        return GameSpec.from_json(Path(args.spec_json).read_text())
-    noise = {} if args.noise_std is None else {"noise_std": args.noise_std}
+    """The GameSpec the game flags describe: --nodes and --tasks keep the
+    first N rows and columns of any game, --noise-std overrides its noise."""
     if args.game == "game1":
-        _reject_given(dataset_flags, "--game game1, which uses no dataset")
-        return builtin_game1(**noise)
-    ds = load_dataset(args.dataset)
-    nodes = range(ds.K if args.nodes is None else args.nodes)
-    tasks = range(ds.M if args.tasks is None else args.tasks)
-    return select_subgame(ds, nodes, tasks, **noise)
+        doc = GAME1
+    else:
+        doc = load_dataset(None if args.game == "dataset" else args.game)
+    nodes, tasks = (None if n is None else range(n) for n in (args.nodes, args.tasks))
+    return select_subgame(doc, nodes, tasks, args.noise_std)
 
 
 def cmd_run(args) -> int:

@@ -23,9 +23,5 @@ class FeedbackError(ValueError):
     """Non-finite or otherwise unusable feedback handed to a learner."""
 
 
-class IngestionError(ValueError):
-    """Malformed dataset file; message carries row/column location."""
-
-
 class EquilibriumError(RuntimeError):
     """Equilibrium solver diagnostics, e.g. independent starts disagree."""

@@ -147,25 +147,6 @@ class GameSpec:
         }
         return json.dumps(doc, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "GameSpec":
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ConfigurationError("a game spec must be a JSON object, got "
-                                     f"a JSON {type(doc).__name__}")
-        missing = [key for key in ("rho", "eps", "kappa") if key not in doc]
-        if missing:
-            raise ConfigurationError(f"game spec lacks {', '.join(missing)}")
-        spec = cls(rho=doc["rho"], eps=doc["eps"], kappa=doc["kappa"],
-                   barrier=doc.get("barrier", cls.barrier),
-                   noise_std=doc.get("noise_std", cls.noise_std))
-        for key in ("K", "M"):
-            if key in doc and doc[key] != getattr(spec, key):
-                raise ConfigurationError(
-                    f"declared {key}={doc[key]} does not match matrix shape"
-                )
-        return spec
-
 
 @dataclass
 class Bounds:

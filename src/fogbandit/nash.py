@@ -12,6 +12,7 @@ section instead (epsilon_gap). The starts are swept together as one stacked
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,8 @@ def solve_nash(spec: GameSpec, tol: float = DEFAULT_TOL,
     (a game outside the proven uniqueness regime, e.g. low efficiency
     indices, can surface here).
     """
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+        raise ConfigurationError(f"tol must be a number, got {tol!r}")
     if not (np.isfinite(tol) and tol > 0):
         raise ConfigurationError(f"tol must be positive and finite, got {tol}")
     require_integer("n_starts", n_starts, 1)

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fogbandit import builtin_game1, load_dataset, select_subgame
+from fogbandit import GAME1, load_dataset, select_subgame
 from fogbandit.engine import run_round
 
 
@@ -11,14 +11,14 @@ from fogbandit.engine import run_round
 def game1():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return builtin_game1()
+        return select_subgame(GAME1)
 
 
 @pytest.fixture(scope="session")
 def game2():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return select_subgame(load_dataset(), range(10), range(10))
+        return select_subgame(load_dataset())
 
 
 @pytest.fixture()

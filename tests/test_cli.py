@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from fogbandit import campaign, cli
+from fogbandit import GAME1, campaign, cli
 from fogbandit.campaign import ExperimentConfig
 from fogbandit.engine import regret_slope
 from fogbandit.game import GameSpec
@@ -113,51 +113,68 @@ def error_of(argv, capsys) -> dict:
     return error
 
 
+def case(n, argv, message):
+    """A bad-input case with the id it had when ids were positional, so
+    that removing a case renames no other."""
+    return pytest.param(argv, message, id=f"argv{n}-{message}")
+
+
 @pytest.mark.filterwarnings("ignore:rho <= 0.5")
 class TestBadInput:
     @pytest.mark.parametrize("argv,message", [
-        (["run", "--strategy", "ucb", "--T", "10"], "unknown strategy 'ucb'"),
-        (["solve-nash", "--tol", "0"], "tol must be positive"),
-        (["validate-spec", "--game", "dataset", "--nodes", "0"], "rho is empty"),
-        (["run", "--strategy", "gp,rs,gp"], "strategy 'gp' is listed more than once"),
-        (["validate-spec", "--spec-json", "spec.json"],
-         "rho must be a matrix of numbers: could not convert string to float: 'a'"),
-        (["run", "--strategy", "gp", "--params", '{"gp": {"eta": "x"}}'],
-         "strategy 'gp': eta must be a number, got 'x'"),
-        (["run", "--strategy", "lbwi", "--params", '{"lbwi": {"gamma": null}}'],
-         "strategy 'lbwi': gamma must be a number, got None"),
-        (["run", "--strategy", "gp", "--params", '{"gp": {"eta": true}}'],
-         "strategy 'gp': eta must be a number, got True"),
-        (["run", "--strategy", "gp", "--params", '{"gp": 5}'],
-         "strategy 'gp': parameters must be a JSON object, got 5"),
-        (["run", "--strategy", "gp", "--params", '[5]'],
-         "--params must be a JSON object, got [5]"),
-        (["run", "--spec-json", "game.json", "--noise-std", "0.5"],
-         "--noise-std cannot be combined with --spec-json"),
-        (["run", "--noise-std", "nan"], "noise_std must be finite and >= 0, got nan"),
-        (["run", "--noise-std", "inf"], "noise_std must be finite and >= 0, got inf"),
-        (["validate-spec", "--noise-std", "nan"], "noise_std must be finite"),
-        (["validate-spec", "--spec-json", "nan_barrier.json"],
-         "barrier must be finite and > 0, got nan"),
-        (["run", "--strategy", "gp", "--params", '{"gp": {"eta": Infinity}}'],
-         "strategy 'gp': eta must be finite, got inf"),
-        (["run", "--strategy", "bgam", "--params", '{"bgam": {"nu": Infinity}}'],
-         "strategy 'bgam': nu must be finite, got inf"),
-        (["solve-nash", "--tol", "nan"], "tol must be positive and finite, got nan"),
-        (["solve-nash", "--tol", "inf"], "tol must be positive and finite, got inf"),
-        (["solve-nash", "--starts", "0"], "n_starts must be an integer >= 1, got 0"),
-        (["solve-nash", "--starts", "-2"], "n_starts must be an integer >= 1, got -2"),
-        (["solve-nash", "--master-seed", "-1"], "seed must be an integer >= 0, got -1"),
-        (["run", "--master-seed", "-1"], "master_seed must be an integer >= 0, got -1"),
-        (["run", "--T", "0"], "T must be an integer >= 1, got 0"),
-        (["run", "--seeds", "0"], "n_seeds must be an integer >= 1, got 0"),
-        (["run", "--params", '{"gp": {"eta": 0.1}}'],
-         "--params names gp, which --strategy does not list"),
-        (["validate-spec", "--spec-json", "null_barrier.json"],
-         "barrier must be a number, got None"),
-        (["run", "--spec-json", "text_noise.json"],
-         "noise_std must be a number, got 'abc'"),
-        (["run", "--noise-std", "1e308"], "noise_std must be <= 1e100, got 1e+308"),
+        case(0, ["run", "--strategy", "ucb", "--T", "10"], "unknown strategy 'ucb'"),
+        case(1, ["solve-nash", "--tol", "0"], "tol must be positive"),
+        case(2, ["validate-spec", "--game", "dataset", "--nodes", "0"], "rho is empty"),
+        case(3, ["run", "--strategy", "gp,rs,gp"],
+             "strategy 'gp' is listed more than once"),
+        case(4, ["validate-spec", "--game", "spec.json"],
+             "rho must be a matrix of numbers: could not convert string to float: 'a'"),
+        case(5, ["run", "--strategy", "gp", "--params", '{"gp": {"eta": "x"}}'],
+             "strategy 'gp': eta must be a number, got 'x'"),
+        case(6, ["run", "--strategy", "lbwi", "--params", '{"lbwi": {"gamma": null}}'],
+             "strategy 'lbwi': gamma must be a number, got None"),
+        case(7, ["run", "--strategy", "gp", "--params", '{"gp": {"eta": true}}'],
+             "strategy 'gp': eta must be a number, got True"),
+        case(8, ["run", "--strategy", "gp", "--params", '{"gp": 5}'],
+             "strategy 'gp': parameters must be a JSON object, got 5"),
+        case(9, ["run", "--strategy", "gp", "--params", "[5]"],
+             "--params must be a JSON object, got [5]"),
+        case(11, ["run", "--noise-std", "nan"],
+             "noise_std must be finite and >= 0, got nan"),
+        case(12, ["run", "--noise-std", "inf"],
+             "noise_std must be finite and >= 0, got inf"),
+        case(13, ["validate-spec", "--noise-std", "nan"], "noise_std must be finite"),
+        case(14, ["validate-spec", "--game", "nan_barrier.json"],
+             "barrier must be finite and > 0, got nan"),
+        case(15, ["run", "--strategy", "gp", "--params", '{"gp": {"eta": Infinity}}'],
+             "strategy 'gp': eta must be finite, got inf"),
+        case(16, ["run", "--strategy", "bgam", "--params", '{"bgam": {"nu": Infinity}}'],
+             "strategy 'bgam': nu must be finite, got inf"),
+        case(17, ["solve-nash", "--tol", "nan"],
+             "tol must be positive and finite, got nan"),
+        case(18, ["solve-nash", "--tol", "inf"],
+             "tol must be positive and finite, got inf"),
+        case(19, ["solve-nash", "--starts", "0"],
+             "n_starts must be an integer >= 1, got 0"),
+        case(20, ["solve-nash", "--starts", "-2"],
+             "n_starts must be an integer >= 1, got -2"),
+        case(21, ["solve-nash", "--master-seed", "-1"],
+             "seed must be an integer >= 0, got -1"),
+        case(22, ["run", "--master-seed", "-1"],
+             "master_seed must be an integer >= 0, got -1"),
+        case(23, ["run", "--T", "0"], "T must be an integer >= 1, got 0"),
+        case(24, ["run", "--seeds", "0"], "n_seeds must be an integer >= 1, got 0"),
+        case(25, ["run", "--params", '{"gp": {"eta": 0.1}}'],
+             "--params names gp, which --strategy does not list"),
+        case(26, ["validate-spec", "--game", "null_barrier.json"],
+             "barrier must be a number, got None"),
+        case(27, ["run", "--game", "text_noise.json"],
+             "noise_std must be a number, got 'abc'"),
+        case(28, ["run", "--noise-std", "1e308"],
+             "noise_std must be <= 1e100, got 1e+308"),
+        case(29, ["run", "--game", "absent.json"],
+             "cannot read game document absent.json"),
+        case(30, ["solve-nash", "--game", "game.csv"], "game.csv is not a JSON document"),
     ])
     def test_each_verb_prints_the_error_and_exits_one(self, argv, message,
                                                       tmp_path, capsys,
@@ -166,14 +183,13 @@ class TestBadInput:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "spec.json").write_text(json.dumps(
             {"rho": [["a"]], "eps": [[0.1]], "kappa": [[0.1]]}))
-        (tmp_path / "game.json").write_text(json.dumps(
-            {"rho": [[0.9]], "eps": [[0.1]], "kappa": [[0.1]]}))
         (tmp_path / "nan_barrier.json").write_text(json.dumps(
             {"rho": [[0.9]], "eps": [[0.1]], "kappa": [[0.1]], "barrier": float("nan")}))
         (tmp_path / "null_barrier.json").write_text(json.dumps(
             {"rho": [[0.9]], "eps": [[0.1]], "kappa": [[0.1]], "barrier": None}))
         (tmp_path / "text_noise.json").write_text(json.dumps(
             {"rho": [[0.9]], "eps": [[0.1]], "kappa": [[0.1]], "noise_std": "abc"}))
+        (tmp_path / "game.csv").write_text("rho\ntask_0\n0.9\n")
         error = error_of(argv, capsys)
         assert error["error"] == "ConfigurationError"
         assert message in error["message"]
@@ -200,44 +216,46 @@ class TestBuildSpec:
     def test_spec_json_round_trip(self, game1, tmp_path, capsys):
         path = tmp_path / "game1.json"
         path.write_text(game1.to_json())
-        assert cli.main(["solve-nash", "--spec-json", str(path)]) == 0
+        assert cli.main(["solve-nash", "--game", str(path)]) == 0
         from_json = capsys.readouterr().out
         assert cli.main(["solve-nash", "--game", "game1"]) == 0
         assert from_json == capsys.readouterr().out
 
-    @pytest.mark.parametrize("verb", ["run", "validate-spec", "solve-nash"])
-    @pytest.mark.parametrize("flag,value", [
-        ("--noise-std", "0.5"), ("--nodes", "1"), ("--tasks", "1"),
-        ("--dataset", "other.txt"), ("--noise-std", "0.01")])
-    def test_spec_json_takes_no_other_game_flag(self, verb, flag, value, game1,
-                                                tmp_path, capsys, monkeypatch):
-        # the spec document sets the whole game: these flags used to be
-        # dropped silently, and an explicit default is rejected too
-        monkeypatch.setattr(cli, "solve_nash", went_past_the_checks)
-        monkeypatch.setattr(campaign, "solve_nash", went_past_the_checks)
-        path = tmp_path / "game1.json"
-        path.write_text(game1.to_json())
-        error = error_of([verb, "--spec-json", str(path), flag, value,
-                          *(["--out", str(tmp_path / "out")] if verb == "run" else [])],
-                         capsys)
-        assert error == {"error": "ConfigurationError",
-                         "message": f"{flag} cannot be combined with --spec-json, "
-                                    "which sets the whole game"}
+    @pytest.mark.filterwarnings("ignore:rho <= 0.5")
+    def test_nodes_and_tasks_select_from_any_game(self, game2, tmp_path):
+        path = tmp_path / "game2.json"
+        path.write_text(game2.to_json())
+        for game, full in (("game1", GAME1), (str(path), json.loads(path.read_text()))):
+            for flags, sel in ((["--nodes", "1"], np.s_[:1]),
+                               (["--tasks", "1"], np.s_[:, :1]),
+                               (["--nodes", "2", "--tasks", "1"], np.s_[:2, :1])):
+                args = cli.make_parser().parse_args(["validate-spec", "--game", game,
+                                                     *flags])
+                spec = cli.build_spec(args)
+                for name in ("rho", "eps", "kappa"):
+                    assert np.array_equal(getattr(spec, name),
+                                          np.asarray(full[name])[sel])
 
-    @pytest.mark.parametrize("verb", ["run", "validate-spec", "solve-nash"])
-    @pytest.mark.parametrize("flag,value", [
-        ("--nodes", "1"), ("--tasks", "1"), ("--dataset", "nope.txt")])
-    def test_game1_takes_no_dataset_flag(self, verb, flag, value, tmp_path,
-                                         capsys, monkeypatch):
-        # these flags select from the dataset and were dropped silently
-        monkeypatch.setattr(cli, "solve_nash", went_past_the_checks)
-        monkeypatch.setattr(campaign, "solve_nash", went_past_the_checks)
-        error = error_of([verb, "--game", "game1", flag, value,
-                          *(["--out", str(tmp_path / "out")] if verb == "run" else [])],
-                         capsys)
+    @pytest.mark.filterwarnings("ignore:rho <= 0.5")
+    def test_noise_std_overrides_a_document(self, game1, tmp_path):
+        path = tmp_path / "game1.json"
+        path.write_text(json.dumps({**json.loads(game1.to_json()), "noise_std": 0.2}))
+        parse = cli.make_parser().parse_args
+        assert cli.build_spec(parse(["run", "--game", str(path)])).noise_std == 0.2
+        spec = cli.build_spec(parse(["run", "--game", str(path), "--noise-std", "0.5"]))
+        assert spec.noise_std == 0.5
+
+    @pytest.mark.parametrize("flags", [[], ["--nodes", "1"], ["--tasks", "1"]])
+    def test_matrices_that_disagree_in_shape(self, flags, tmp_path, capsys):
+        # a selection must not cut the matrices down to one shape first
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps({"rho": [[0.9, 0.8], [0.7, 0.6]],
+                                    "eps": [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]],
+                                    "kappa": [[0.5, 0.5], [0.25, 0.75]]}))
+        error = error_of(["validate-spec", "--game", str(path), *flags], capsys)
         assert error == {"error": "ConfigurationError",
-                         "message": f"{flag} cannot be combined with --game game1, "
-                                    "which uses no dataset"}
+                         "message": "index matrices disagree in shape: rho (2, 2), "
+                                    "eps (3, 2), kappa (2, 2)"}
 
     @pytest.mark.filterwarnings("ignore:rho <= 0.5")
     def test_noise_std_defaults_to_one_hundredth(self, capsys):
@@ -255,9 +273,9 @@ class TestBuildSpec:
         del doc["rho"]
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))
-        error = error_of(["validate-spec", "--spec-json", str(path)], capsys)
+        error = error_of(["validate-spec", "--game", str(path)], capsys)
         assert error == {"error": "ConfigurationError",
-                         "message": "game spec lacks rho"}
+                         "message": f"{path}: game document lacks rho"}
 
 
 @pytest.mark.filterwarnings("ignore:rho <= 0.5")

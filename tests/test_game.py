@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fogbandit import (GameSpec, estimate_bounds, game, gradient_matrix,
-                       hessian_others, hessian_own, task_utility,
-                       utility_matrix)
+                       hessian_others, hessian_own, load_dataset, select_subgame,
+                       task_utility, utility_matrix)
 from fogbandit.errors import ConfigurationError
 from fogbandit.game import task_gradient
 
@@ -212,36 +212,43 @@ class TestGameSpec:
             spec = GameSpec(rho=[[0.5]], eps=[[0.1]], kappa=[[0.1]])
         assert spec.K == 1 and spec.M == 1
 
-    def test_json_round_trip_is_identity(self, game1):
-        doc = game1.to_json()
+    def test_json_round_trip_is_identity(self, game1, tmp_path):
+        path = tmp_path / "game1.json"
+        path.write_text(game1.to_json())
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            back = GameSpec.from_json(doc)
+            back = select_subgame(load_dataset(path))
         assert np.array_equal(back.rho, game1.rho)
         assert np.array_equal(back.eps, game1.eps)
         assert np.array_equal(back.kappa, game1.kappa)
         assert back.barrier == game1.barrier
         assert back.noise_std == game1.noise_std
-        assert json.loads(doc)["K"] == 2 and json.loads(doc)["M"] == 2
+        assert json.loads(path.read_text())["K"] == 2
+        assert json.loads(path.read_text())["M"] == 2
 
-    def test_json_names_a_missing_field(self, game1):
+    def test_json_names_a_missing_field(self, game1, tmp_path):
         doc = json.loads(game1.to_json())
         del doc["rho"], doc["kappa"]
-        with pytest.raises(ConfigurationError, match="lacks rho, kappa"):
-            GameSpec.from_json(json.dumps(doc))
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError, match="lacks rho, kappa$"):
+            load_dataset(path)
 
-    def test_json_must_be_an_object(self, game1):
+    def test_json_must_be_an_object(self, game1, tmp_path):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps([json.loads(game1.to_json())]))
         with pytest.raises(ConfigurationError, match="must be a JSON object, "
                                                      "got a JSON list"):
-            GameSpec.from_json(json.dumps([json.loads(game1.to_json())]))
+            load_dataset(path)
 
-    def test_json_rejects_inconsistent_shape_declaration(self, game1):
-        doc = json.loads(game1.to_json())
-        doc["K"] = 5
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(ConfigurationError):
-                GameSpec.from_json(json.dumps(doc))
+    def test_json_rejects_inconsistent_shape_declaration(self, game1, tmp_path):
+        # checked against the full matrices, before any selection
+        path = tmp_path / "game.json"
+        for key in ("K", "M"):
+            path.write_text(json.dumps({**json.loads(game1.to_json()), key: 5}))
+            with pytest.raises(ConfigurationError,
+                               match=f"declared {key}=5 does not match matrix shape"):
+                load_dataset(path)
 
 
 class TestAllocate:

@@ -1,5 +1,7 @@
 """Equilibrium solving and the unilateral-deviation gap."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,15 @@ class TestSolveNash:
         # a bool n_starts failed with a bare TypeError
         with pytest.raises(ConfigurationError, match=f"^{message}$"):
             solve_nash(game1, **kwargs)
+
+    @pytest.mark.parametrize("tol", [True, False, "x", None, [1e-6]],
+                             ids=["True", "False", "str", "None", "list"])
+    def test_rejects_a_tol_that_is_not_a_number(self, game1, tol):
+        # True ran as tol = 1.0 and stopped after one sweep; the others
+        # failed with a bare TypeError
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"tol must be a number, got {tol!r}")):
+            solve_nash(game1, tol=tol)
 
     def test_start_count_does_not_move_x_star(self, game):
         # x* is the first start's end point, and each start is swept as if
