@@ -1,9 +1,12 @@
-"""Game documents: load_dataset's checks of a document, the bundled 10 x 10
-document, and select_subgame's selection, index checks and warning."""
+"""Game documents: load_dataset's checks of a document and of the matrix
+blocks it holds, the bundled 10 x 10 document, and select_subgame's
+selection, index checks and warning."""
 
 import hashlib
+import json
 import re
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -34,6 +37,21 @@ class TestDocument:
             with pytest.raises(ConfigurationError,
                                match=f"^cannot read game document {re.escape(str(path))}: "):
                 load_dataset(path)
+
+
+class TestBlockFile:
+    """The three matrix blocks a game document must hold: rho, eps and kappa."""
+
+    def test_missing_block(self, tmp_path):
+        # the bundled document with its kappa block taken out
+        doc = json.loads(resources.files("fogbandit")
+                         .joinpath("data/cloud_fog_indices.json").read_text())
+        del doc["kappa"]
+        path = tmp_path / "indices.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError,
+                           match=f"^{re.escape(str(path))}: game document lacks kappa$"):
+            load_dataset(path)
 
 
 class TestSelectSubgame:
