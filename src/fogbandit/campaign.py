@@ -382,7 +382,10 @@ def summary_dict(result: CampaignResult) -> dict:
 
 def write_outputs(result: CampaignResult, out_dir) -> list:
     """Write the regret, histogram, final-actions CSVs and the summary JSON;
-    returns the paths written."""
+    returns the paths written. The summary's text is built before any file
+    is written, so a value it cannot hold leaves no file behind."""
+    summary = json.dumps(summary_dict(result), indent=2, sort_keys=True,
+                         allow_nan=False)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -393,6 +396,5 @@ def write_outputs(result: CampaignResult, out_dir) -> list:
             written.append(out_dir / f"{prefix}_{s.name}.csv")
             writer(s, written[-1])
     written.append(out_dir / "summary.json")
-    with open(written[-1], "w") as fh:
-        json.dump(summary_dict(result), fh, indent=2, sort_keys=True, allow_nan=False)
+    written[-1].write_text(summary)
     return written

@@ -2,15 +2,23 @@
 of a strategy at once.
 
 Every round the learner bank emits an (S, K, M) stack of action profiles;
-the engine computes allocations and clean per-(node, task) utilities, adds
-i.i.d. Gaussian observation noise per entry from each replica's own noise
-stream (read ahead in chunks: the values one draw per round would give, in
-the same order), and routes feedback by strategy class: bandit learners see
-only their own noisy utilities, gradient-play sees the exact gradient at the
-played profile, best-response sees the best response to it. Regret is
-accounted against a fixed reference (equilibrium utilities by default, or
-the per-round best-response oracle) using clean utilities, so the series
-reflects decisions rather than noise draws.
+the engine computes clean per-(node, task) utilities and routes feedback by
+strategy class: bandit learners see only their own noisy utilities,
+gradient-play sees the exact gradient at the played profile, best-response
+sees the best response to it. Regret is accounted against a fixed reference
+(equilibrium utilities by default, or the per-round best-response oracle)
+using clean utilities, so the series reflects decisions rather than noise
+draws.
+
+The game's index matrices and the best response's game-only terms are
+broadcast to (S, K, M) once per run (game.stack_game), and each round takes
+one column sum, whose others' sums the utility, the gradient and the best
+response share. The i.i.d. Gaussian observation noise per entry, from each
+replica's own noise stream (read ahead in chunks: the values one draw per
+round would give, in the same order), and the allocations are formed only
+where something reads them: under bandit feedback, or when a trace sink is
+attached. Elsewhere a round draws no noise, and its record's `a` and
+`observed_utility` are None.
 
 Both regret modes are accounted in blocks of about BR_BLOCK_ELEMENTS
 (s, k, m) elements. A block's reference is the equilibrium utilities or one
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ProtocolError
-from .game import GameSpec, gradient_matrix, utility_matrix
+from .game import GameSpec, gradient_matrix, stack_game, utility_matrix
 from .nash import NashSolution, deviation_utilities
 from .strategies.baselines import br_profile
 from .streams import ReadAhead
@@ -50,6 +58,10 @@ REGRET_MODES = ("ne_reference", "per_round_br")
 
 @dataclass
 class RoundRecord:
+    """One round of every replica, each field (S, K, M). `a` (the
+    allocations) and `observed_utility` are None where the round read no
+    noise: feedback other than bandit with no trace sink attached."""
+
     t: int
     x: np.ndarray
     a: np.ndarray
@@ -70,14 +82,20 @@ def regret_slope(cumulative, t) -> float:
     return float(np.polyfit(np.log(ts), np.log(ys), 1)[0])
 
 
-def run_round(spec: GameSpec, bank, t: int, noise: np.ndarray) -> RoundRecord:
+def run_round(spec: GameSpec, bank, t: int, noise: np.ndarray = None,
+              game=None) -> RoundRecord:
     """Play one round of every replica: collect the (S, K, M) actions,
-    allocate, compute utilities, add the round's (S, K, M) observation
-    noise, and route each strategy its own feedback."""
+    compute utilities from one column sum, and route each strategy its own
+    feedback. `game` is spec's stack_game for the round's S, built from
+    noise's shape when not given. With the round's (S, K, M) observation
+    noise the round also forms the allocations and the observed utilities;
+    without it both are None, and a bandit bank cannot be fed."""
+    if game is None:
+        game = stack_game(spec, noise.shape[0])
     x = np.asarray(bank.act(), dtype=float)
-    if x.shape != noise.shape:
+    if x.shape != game.rho.shape:
         raise ProtocolError(f"round {t}: bank emitted shape {x.shape}, "
-                            f"expected {noise.shape}")
+                            f"expected {game.rho.shape}")
     # NaN fails both comparisons; the mask is built only to name the culprit
     if not (x.min() >= 0.0 and x.max() <= 1.0):
         s, k, m = np.argwhere(~((x >= 0.0) & (x <= 1.0)))[0]
@@ -85,18 +103,24 @@ def run_round(spec: GameSpec, bank, t: int, noise: np.ndarray) -> RoundRecord:
             f"round {t}: seed {s} node {k} emitted action {x[s, k, m]!r} for "
             f"task {m}, outside [0, 1]"
         )
-    a = x / (x.sum(axis=-2, keepdims=True) + spec.barrier)
-    clean = utility_matrix(x, spec)
-    # at noise_std 0 every draw is +0.0, so observed equals clean bit for bit
-    observed = clean + noise
+    column = x.sum(axis=-2, keepdims=True)
+    others = column - x
+    clean = utility_matrix(x, game, others)
+    a = observed = None
+    if noise is not None:
+        a = x / (column + game.barrier)
+        # at noise_std 0 every draw is +0.0, so observed equals clean bit for bit
+        observed = clean + noise
 
     kind, br = bank.feedback_kind, None
     if kind == "bandit":
+        if observed is None:
+            raise ProtocolError(f"round {t}: bandit feedback needs the round's noise")
         bank.observe(observed)
     elif kind == "gradient":
-        bank.observe(gradient_matrix(x, spec))
+        bank.observe(gradient_matrix(x, game, others))
     elif kind == "best_response":
-        br = br_profile(x, spec)
+        br = br_profile(x, game, others)
         bank.observe(br)
     elif kind == "none":
         bank.observe()
@@ -139,7 +163,8 @@ def run_seed(spec: GameSpec, bank, T: int, noise_rngs, reference: NashSolution,
     reference; one pass in round order then does all the accounting. The
     played profiles are copied, since a bank may act from a buffer it
     updates in place. Every result is the per-round one, bit for bit (see
-    the module docstring)."""
+    the module docstring). The noise streams are read only under bandit
+    feedback or with a trace sink, the only readers of the noise."""
     if regret_mode not in REGRET_MODES:
         raise ConfigurationError(f"unknown regret mode {regret_mode!r}")
     S, K, M = len(noise_rngs), spec.K, spec.M
@@ -160,9 +185,12 @@ def run_seed(spec: GameSpec, bank, T: int, noise_rngs, reference: NashSolution,
     block = max(1, BR_BLOCK_ELEMENTS // (S * K * M))
     pending = []                      # (t, x, br, realized) not yet accounted
 
+    game = stack_game(spec, S)
     noise = ReadAhead(noise_rngs, lambda g, n: g.normal(0.0, spec.noise_std, n))
+    reads_noise = bank.feedback_kind == "bandit" or trace_sink is not None
     for t in range(1, T + 1):
-        rec = run_round(spec, bank, t, noise.take((K, M)))
+        rec = run_round(spec, bank, t,
+                        noise.take((K, M)) if reads_noise else None, game)
         pending.append((t, rec.x.copy(), rec.br, rec.clean_utility.sum(axis=-1)))
         if trace_sink is not None:
             trace_sink(rec)

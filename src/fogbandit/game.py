@@ -135,6 +135,11 @@ class GameSpec:
     def M(self) -> int:
         return self.rho.shape[1]
 
+    @property
+    def br_terms(self) -> tuple:
+        """best_response_terms of the index matrices, computed per access."""
+        return best_response_terms(self.rho, self.eps, self.kappa)
+
     def to_json(self) -> str:
         doc = {
             "K": self.K,
@@ -200,9 +205,19 @@ def hessian_others(x_own, x_others, rho, barrier):
             / (rho * s**4))
 
 
-def task_best_response(x_others, rho, eps, kappa, barrier):
+def best_response_terms(rho, eps, kappa):
+    """task_best_response's game-only terms, (ln(kappa - eps), 0.5/rho,
+    ln(2*rho)); ln(kappa - eps) is 0 where kappa <= eps, whose best
+    response the slopes decide."""
+    c = np.asarray(kappa - eps, dtype=float)
+    return (np.log(c, out=np.zeros(c.shape), where=c > 0.0), 0.5 / rho,
+            np.log(2.0 * rho))
+
+
+def task_best_response(x_others, rho, eps, kappa, barrier, terms=None):
     """The x_own in [0, 1] that maximizes task_utility against x_others, in
-    closed form; every element is answered on its own.
+    closed form; every element is answered on its own. `terms` is
+    best_response_terms(rho, eps, kappa) where the caller holds it.
 
     With b = x_others + barrier, w = x_own + b and c = kappa - eps,
     task_gradient = 0 reads b*exp(-(w - b)/(rho*w))/w**2 = c. In
@@ -217,27 +232,58 @@ def task_best_response(x_others, rho, eps, kappa, barrier):
     the slope at 1 is >= 0 (always when c <= 0), and otherwise the root,
     kept inside (0, 1) against rounding. ln(c) is taken only where c > 0.
     """
+    log_c, half_inv_rho, log_2rho = (best_response_terms(rho, eps, kappa)
+                                     if terms is None else terms)
     b = x_others + barrier
-    c = np.asarray(kappa - eps, dtype=float)
-    log_c = np.log(c, out=np.zeros(c.shape), where=c > 0.0)
-    v = 2.0 * wrightomega(0.5 * (log_c + np.log(b)) + 0.5 / rho - np.log(2.0 * rho))
+    v = 2.0 * wrightomega(0.5 * (log_c + np.log(b)) + half_inv_rho - log_2rho)
     root = np.minimum(np.maximum(b / (rho * v) - b, _ABOVE_0), _BELOW_1)
     at_0 = task_gradient(0.0, x_others, rho, eps, kappa, barrier) <= 0.0
     at_1 = task_gradient(1.0, x_others, rho, eps, kappa, barrier) >= 0.0
     return np.where(at_0, 0.0, np.where(at_1, 1.0, root))
 
 
-def utility_matrix(x: np.ndarray, spec: GameSpec) -> np.ndarray:
+@dataclass(frozen=True)
+class StackedGame:
+    """A game's index matrices broadcast to an (S, K, M) stack of profiles,
+    with task_best_response's game-only terms: what the round loop reads,
+    built once per run by stack_game. Every kernel gives the values the
+    (K, M) matrices give, bit for bit, without broadcasting them against
+    the stack in each operation."""
+
+    rho: np.ndarray
+    eps: np.ndarray
+    kappa: np.ndarray
+    barrier: float
+    br_terms: tuple                   # best_response_terms(rho, eps, kappa)
+
+
+def stack_game(spec: GameSpec, S: int) -> StackedGame:
+    """spec's index matrices and best-response terms as contiguous
+    (S, K, M) arrays. The terms are taken on the (K, M) matrices, as the
+    per-call path takes them, and then copied: a vector log need not round
+    an element alike at every position of a longer array."""
+    def stack(m):
+        return np.broadcast_to(m, (S,) + m.shape).copy()
+    return StackedGame(stack(spec.rho), stack(spec.eps), stack(spec.kappa),
+                       spec.barrier, tuple(map(stack, spec.br_terms)))
+
+
+# The matrix forms take a GameSpec, or for an (S, K, M) x its StackedGame,
+# and `others`, the column sum minus x, where the caller holds it.
+
+def utility_matrix(x: np.ndarray, spec, others=None) -> np.ndarray:
     """Per-(node, task) clean utilities at profile x, shape (..., K, M)."""
-    return task_utility(x, x.sum(axis=-2, keepdims=True) - x, spec.rho,
-                        spec.eps, spec.kappa, spec.barrier)
+    if others is None:
+        others = x.sum(axis=-2, keepdims=True) - x
+    return task_utility(x, others, spec.rho, spec.eps, spec.kappa, spec.barrier)
 
 
-def gradient_matrix(x: np.ndarray, spec: GameSpec) -> np.ndarray:
+def gradient_matrix(x: np.ndarray, spec, others=None) -> np.ndarray:
     """Per-(node, task) own-action utility gradients at profile x, shape
     (..., K, M)."""
-    return task_gradient(x, x.sum(axis=-2, keepdims=True) - x, spec.rho,
-                         spec.eps, spec.kappa, spec.barrier)
+    if others is None:
+        others = x.sum(axis=-2, keepdims=True) - x
+    return task_gradient(x, others, spec.rho, spec.eps, spec.kappa, spec.barrier)
 
 
 # Ceilings on the float |kernel| over one block of estimate_bounds' grid,

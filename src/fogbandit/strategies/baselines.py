@@ -37,16 +37,18 @@ def golden_max(f, shape):
     return lo + width / 2.0
 
 
-def br_profile(x: np.ndarray, spec: GameSpec) -> np.ndarray:
+def br_profile(x: np.ndarray, spec, others=None) -> np.ndarray:
     """Synchronous best response of every node against the given profile;
     x may be a (..., K, M) stack of profiles, each answered on its own.
     Row k depends only on the other rows: each task is an independent 1-D
     concave maximization on [0, 1], solved in closed form elementwise by
     task_best_response. A task's best response is 0 exactly when the slope
     at zero, 1/(o + barrier) + eps - kappa with o the others' summed
-    request, is <= 0."""
-    return task_best_response(x.sum(axis=-2, keepdims=True) - x, spec.rho,
-                              spec.eps, spec.kappa, spec.barrier)
+    request, is <= 0. spec and others are as for utility_matrix."""
+    if others is None:
+        others = x.sum(axis=-2, keepdims=True) - x
+    return task_best_response(others, spec.rho, spec.eps, spec.kappa,
+                              spec.barrier, spec.br_terms)
 
 
 def golden_br_profile(x: np.ndarray, spec: GameSpec) -> np.ndarray:

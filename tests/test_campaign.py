@@ -379,6 +379,19 @@ def test_numpy_integers_write_the_summary_of_python_ones(game1, tmp_path, field)
     assert summary(np.int64, tmp_path / "numpy") == summary(int, tmp_path / "python")
 
 
+def test_a_summary_json_cannot_hold_leaves_no_file(game1, tmp_path):
+    # the summary's text is built before the first CSV is written
+    result = run_campaign(ExperimentConfig(game1, [{"name": "rs"}], T=20, n_seeds=2))
+    result.metadata["bad"] = float("nan")
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_outputs(result, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    del result.metadata["bad"]
+    assert [p.name for p in write_outputs(result, tmp_path / "out")] == [
+        "regret_rs.csv", "actions_hist_rs.csv", "final_actions_rs.csv",
+        "summary.json"]
+
+
 @pytest.mark.filterwarnings("ignore:rho <= 0.5")
 def test_per_seed_slopes_fit_each_replica(game1):
     config = ExperimentConfig(game1, [{"name": "bgam"}, {"name": "gp"}],

@@ -17,7 +17,8 @@ from fogbandit.campaign import STRATEGY_NAMES, make_bank, replica_streams
 from fogbandit.engine import (HIST_BINS, POST_FRACTION, checkpoint_rounds,
                               regret_slope, run_round, run_seed)
 from fogbandit.errors import ConfigurationError, ProtocolError
-from fogbandit.game import GameSpec, estimate_bounds, gradient_matrix, utility_matrix
+from fogbandit.game import (GameSpec, estimate_bounds, gradient_matrix, stack_game,
+                            utility_matrix)
 from fogbandit.nash import NashSolution, deviation_utilities
 from fogbandit.strategies import BrBank, GpBank, RsBank, br_profile
 
@@ -63,9 +64,9 @@ def count_br_profile_calls(monkeypatch):
     deviation_utilities make from now on; returns the list of shapes."""
     calls = []
 
-    def counted(x, spec):
+    def counted(x, spec, *others):
         calls.append(x.shape)
-        return br_profile(x, spec)
+        return br_profile(x, spec, *others)
     monkeypatch.setattr(engine, "br_profile", counted)
     monkeypatch.setattr("fogbandit.nash.br_profile", counted)
     return calls
@@ -197,6 +198,66 @@ class TestFeedbackRouting:
         bank = Stub("none")
         run_round(game1, bank, 1, noise(game1))
         assert bank.received == [()]
+
+
+class NoNoise:
+    """A noise stream that must not be read."""
+
+    def normal(self, *args):
+        raise AssertionError("the noise stream was read")
+
+
+def per_round_draws(spec, seeds, T):
+    """Each round's (S, K, M) noise, drawn round by round from fresh streams."""
+    streams = rngs(*seeds)
+    return [np.stack([g.normal(0.0, spec.noise_std, (spec.K, spec.M))
+                      for g in streams]) for _ in range(T)]
+
+
+class TestNoiseReads:
+    """Only bandit feedback and traces read the noise, the allocation and
+    the observed utilities."""
+
+    @pytest.mark.parametrize("mode", ["ne_reference", "per_round_br"])
+    @pytest.mark.parametrize("bank", [GpBank, BrBank, RsBank])
+    def test_untraced_full_information_runs_draw_no_noise(self, game1, bank, mode):
+        T = 30
+        run_seed(game1, bank(game1, T, rngs(1, 2)), T, [NoNoise(), NoNoise()],
+                 reference(game1), mode)
+        # a trace sink reads the noise of the same run
+        with pytest.raises(AssertionError, match="noise stream was read"):
+            run_seed(game1, bank(game1, T, rngs(1, 2)), T, [NoNoise(), NoNoise()],
+                     reference(game1), mode, trace_sink=lambda rec: None)
+
+    def test_bandit_feedback_draws_every_round_in_order(self, game1):
+        bank, T = Stub("bandit"), 800
+        run_seed(game1, bank, T, rngs(0, 1), reference(game1))
+        clean = utility_matrix(XS, game1)
+        for (observed,), draw in zip(bank.received, per_round_draws(game1, (0, 1), T),
+                                     strict=True):
+            assert np.array_equal(observed, clean + draw)
+
+    @pytest.mark.parametrize("bank", [GpBank, BrBank, RsBank])
+    def test_traced_runs_draw_every_round_in_order(self, game1, bank):
+        records, T = [], 600
+        run_seed(game1, bank(game1, T, rngs(1, 2)), T, rngs(0, 1), reference(game1),
+                 trace_sink=records.append)
+        for rec, draw in zip(records, per_round_draws(game1, (0, 1), T), strict=True):
+            assert np.array_equal(rec.observed_utility, rec.clean_utility + draw)
+
+    def test_a_round_without_noise_records_no_allocation(self, game1):
+        rec = run_round(game1, Stub("gradient"), 1, None, stack_game(game1, 2))
+        assert rec.a is None and rec.observed_utility is None
+        assert np.array_equal(rec.clean_utility, utility_matrix(XS, game1))
+        with pytest.raises(ProtocolError, match="bandit feedback needs the round's noise"):
+            run_round(game1, Stub("bandit"), 1, None, stack_game(game1, 2))
+
+    @pytest.mark.parametrize("kind", ["gradient", "best_response", "none"])
+    def test_wrong_shape_without_noise_names_the_expected_stack(self, game1, kind):
+        with pytest.raises(ProtocolError, match=r"round 1: bank emitted shape "
+                                                r"\(3, 2\), expected \(2, 2, 2\)"):
+            run_seed(game1, Stub(kind, x=np.zeros((3, 2))), 5, [NoNoise(), NoNoise()],
+                     reference(game1))
 
 
 class TestAccounting:

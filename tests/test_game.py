@@ -19,7 +19,8 @@ from fogbandit import (GameSpec, estimate_bounds, game, gradient_matrix,
                        hessian_others, hessian_own, load_dataset, select_subgame,
                        task_utility, utility_matrix)
 from fogbandit.errors import ConfigurationError
-from fogbandit.game import task_gradient
+from fogbandit.game import stack_game, task_gradient
+from fogbandit.strategies import br_profile
 
 mp.mp.dps = 40
 
@@ -699,3 +700,39 @@ class TestKernels:
             scalar = kernel(float(x[k, m]), float(others[k, m]),
                             *(float(a[k, m]) for a in indices), game2.barrier)
             assert array[k, m] == pytest.approx(scalar, rel=1e-14, abs=0.0)
+
+
+@st.composite
+def stacked_cases(draw):
+    """A game of up to 4 x 3, K = 1 included, with rho down to 1e-100, a
+    barrier down to 1e-50 and some entries with kappa <= eps, and an
+    (S, K, M) stack of profiles, S in {1, 3, 10}, with some all-zero
+    columns."""
+    S = draw(st.sampled_from((1, 3, 10)))
+    K, M = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rho = draw(hnp.arrays(float, (K, M), elements=log_uniform(1e-100)))
+    eps, kappa = (draw(hnp.arrays(float, (K, M), elements=unit_index()))
+                  for _ in range(2))
+    kappa = np.where(draw(hnp.arrays(bool, (K, M))), np.minimum(kappa, eps), kappa)
+    x = draw(hnp.arrays(float, (S, K, M), elements=st.floats(0.0, 1.0)))
+    x = np.where(draw(hnp.arrays(bool, (S, 1, M))), 0.0, x)
+    return rho, eps, kappa, draw(log_uniform(1e-50)), x
+
+
+class TestStackedGame:
+    @settings(deadline=None, max_examples=200)
+    @given(stacked_cases())
+    def test_matrix_forms_match_the_per_call_path_bitwise(self, case):
+        rho, eps, kappa, barrier, x = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")                 # rho <= 0.5
+            spec = GameSpec(rho, eps, kappa, barrier=barrier)
+        stacked = stack_game(spec, x.shape[0])
+        for m in (stacked.rho, stacked.eps, stacked.kappa, *stacked.br_terms):
+            assert m.shape == x.shape and m.flags.c_contiguous
+        others = x.sum(axis=-2, keepdims=True) - x
+        for matrix_form in (utility_matrix, gradient_matrix, br_profile):
+            per_call = matrix_form(x, spec).tobytes()
+            assert matrix_form(x, stacked, others).tobytes() == per_call
+            assert matrix_form(x, stacked).tobytes() == per_call
+            assert matrix_form(x, spec, others).tobytes() == per_call
