@@ -3,8 +3,8 @@ heterogeneous fog nodes, with no-regret bandit learning strategies and
 equilibrium verification."""
 
 from .game import (Bounds, GameSpec, estimate_bounds, gradient_matrix,
-                   hessian_others, hessian_own, task_utility, utility_matrix,
-                   utility_range)
+                   hessian_others, hessian_own, stack_game, task_utility,
+                   utility_matrix, utility_range)
 from .dataset import GAME1, load_dataset, select_subgame
 from .nash import NashSolution, epsilon_gap, solve_nash
 from .engine import RoundRecord, SeedResult, regret_slope, run_round, run_seed

@@ -24,7 +24,7 @@ from .campaign import (ExperimentConfig, StrategyConfig, run_campaign,
                        write_outputs, STRATEGY_NAMES)
 from .dataset import GAME1, load_dataset, select_subgame
 from .engine import REGRET_MODES
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_integer
 from .game import GameSpec
 from .nash import DEFAULT_SEED, DEFAULT_STARTS, DEFAULT_TOL, solve_nash
 
@@ -46,12 +46,13 @@ def _add_game_args(p):
 
 def build_spec(args) -> GameSpec:
     """The GameSpec the game flags describe: --nodes and --tasks keep the
-    first N rows and columns of any game, --noise-std overrides its noise."""
+    first N >= 1 rows and columns of any game, --noise-std sets its noise."""
     if args.game == "game1":
         doc = GAME1
     else:
         doc = load_dataset(None if args.game == "dataset" else args.game)
-    nodes, tasks = (None if n is None else range(n) for n in (args.nodes, args.tasks))
+    nodes, tasks = (None if n is None else range(require_integer(flag, n, 1))
+                    for flag, n in (("--nodes", args.nodes), ("--tasks", args.tasks)))
     return select_subgame(doc, nodes, tasks, args.noise_std)
 
 

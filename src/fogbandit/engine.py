@@ -11,14 +11,15 @@ using clean utilities, so the series reflects decisions rather than noise
 draws.
 
 The game's index matrices and the best response's game-only terms are
-broadcast to (S, K, M) once per run (game.stack_game), and each round takes
-one column sum, whose others' sums the utility, the gradient and the best
-response share. The i.i.d. Gaussian observation noise per entry, from each
-replica's own noise stream (read ahead in chunks: the values one draw per
-round would give, in the same order), and the allocations are formed only
-where something reads them: under bandit feedback, or when a trace sink is
-attached. Elsewhere a round draws no noise, and its record's `a` and
-`observed_utility` are None.
+broadcast to (S, K, M) once per run (game.stack_game); every round and
+every regret block reads that one game, a block broadcasting it along its
+rounds. Each round takes one column sum, whose others' sums the utility,
+the gradient and the best response share. The i.i.d. Gaussian observation
+noise per entry, from each replica's own noise stream (read ahead in
+chunks: the values one draw per round would give, in the same order), and
+the allocations are formed only where something reads them: under bandit
+feedback, or when a trace sink is attached. Elsewhere a round draws no
+noise, and its record's `a` and `observed_utility` are None.
 
 Both regret modes are accounted in blocks of about BR_BLOCK_ELEMENTS
 (s, k, m) elements. A block's reference is the equilibrium utilities or one
@@ -82,16 +83,13 @@ def regret_slope(cumulative, t) -> float:
     return float(np.polyfit(np.log(ts), np.log(ys), 1)[0])
 
 
-def run_round(spec: GameSpec, bank, t: int, noise: np.ndarray = None,
-              game=None) -> RoundRecord:
+def run_round(game, bank, t: int, noise: np.ndarray = None) -> RoundRecord:
     """Play one round of every replica: collect the (S, K, M) actions,
     compute utilities from one column sum, and route each strategy its own
-    feedback. `game` is spec's stack_game for the round's S, built from
-    noise's shape when not given. With the round's (S, K, M) observation
-    noise the round also forms the allocations and the observed utilities;
-    without it both are None, and a bandit bank cannot be fed."""
-    if game is None:
-        game = stack_game(spec, noise.shape[0])
+    feedback. `game` is the run's stack_game(spec, S), and the bank must
+    emit its shape. With the round's (S, K, M) observation noise the round
+    also forms the allocations and the observed utilities; without it both
+    are None, and a bandit bank cannot be fed."""
     x = np.asarray(bank.act(), dtype=float)
     if x.shape != game.rho.shape:
         raise ProtocolError(f"round {t}: bank emitted shape {x.shape}, "
@@ -189,8 +187,7 @@ def run_seed(spec: GameSpec, bank, T: int, noise_rngs, reference: NashSolution,
     noise = ReadAhead(noise_rngs, lambda g, n: g.normal(0.0, spec.noise_std, n))
     reads_noise = bank.feedback_kind == "bandit" or trace_sink is not None
     for t in range(1, T + 1):
-        rec = run_round(spec, bank, t,
-                        noise.take((K, M)) if reads_noise else None, game)
+        rec = run_round(game, bank, t, noise.take((K, M)) if reads_noise else None)
         pending.append((t, rec.x.copy(), rec.br, rec.clean_utility.sum(axis=-1)))
         if trace_sink is not None:
             trace_sink(rec)
@@ -200,7 +197,7 @@ def run_seed(spec: GameSpec, bank, T: int, noise_rngs, reference: NashSolution,
         if regret_mode == "ne_reference":
             ref = reference.utilities
         else:
-            ref = deviation_utilities(np.stack(xs), spec,
+            ref = deviation_utilities(np.stack(xs), game,
                                       None if brs[0] is None else np.stack(brs))
         for tau, x, gain in zip(ts, xs, ref - np.stack(us)):
             cum += gain

@@ -135,11 +135,6 @@ class GameSpec:
     def M(self) -> int:
         return self.rho.shape[1]
 
-    @property
-    def br_terms(self) -> tuple:
-        """best_response_terms of the index matrices, computed per access."""
-        return best_response_terms(self.rho, self.eps, self.kappa)
-
     def to_json(self) -> str:
         doc = {
             "K": self.K,
@@ -214,10 +209,10 @@ def best_response_terms(rho, eps, kappa):
             np.log(2.0 * rho))
 
 
-def task_best_response(x_others, rho, eps, kappa, barrier, terms=None):
+def task_best_response(x_others, rho, eps, kappa, barrier, terms):
     """The x_own in [0, 1] that maximizes task_utility against x_others, in
     closed form; every element is answered on its own. `terms` is
-    best_response_terms(rho, eps, kappa) where the caller holds it.
+    best_response_terms(rho, eps, kappa).
 
     With b = x_others + barrier, w = x_own + b and c = kappa - eps,
     task_gradient = 0 reads b*exp(-(w - b)/(rho*w))/w**2 = c. In
@@ -232,8 +227,7 @@ def task_best_response(x_others, rho, eps, kappa, barrier, terms=None):
     the slope at 1 is >= 0 (always when c <= 0), and otherwise the root,
     kept inside (0, 1) against rounding. ln(c) is taken only where c > 0.
     """
-    log_c, half_inv_rho, log_2rho = (best_response_terms(rho, eps, kappa)
-                                     if terms is None else terms)
+    log_c, half_inv_rho, log_2rho = terms
     b = x_others + barrier
     v = 2.0 * wrightomega(0.5 * (log_c + np.log(b)) + half_inv_rho - log_2rho)
     root = np.minimum(np.maximum(b / (rho * v) - b, _ABOVE_0), _BELOW_1)
@@ -244,11 +238,11 @@ def task_best_response(x_others, rho, eps, kappa, barrier, terms=None):
 
 @dataclass(frozen=True)
 class StackedGame:
-    """A game's index matrices broadcast to an (S, K, M) stack of profiles,
-    with task_best_response's game-only terms: what the round loop reads,
-    built once per run by stack_game. Every kernel gives the values the
-    (K, M) matrices give, bit for bit, without broadcasting them against
-    the stack in each operation."""
+    """A game's index matrices and task_best_response's game-only terms,
+    broadcast to a leading shape by stack_game: the one object the matrix
+    forms read. At a stack's own leading shape no kernel operation
+    broadcasts them against it; at a shorter one they do, and every kernel
+    gives the same values bit for bit."""
 
     rho: np.ndarray
     eps: np.ndarray
@@ -257,33 +251,34 @@ class StackedGame:
     br_terms: tuple                   # best_response_terms(rho, eps, kappa)
 
 
-def stack_game(spec: GameSpec, S: int) -> StackedGame:
+def stack_game(spec: GameSpec, *lead: int) -> StackedGame:
     """spec's index matrices and best-response terms as contiguous
-    (S, K, M) arrays. The terms are taken on the (K, M) matrices, as the
-    per-call path takes them, and then copied: a vector log need not round
-    an element alike at every position of a longer array."""
+    lead + (K, M) arrays; stack_game(spec) holds the (K, M) matrices. The
+    terms are taken on the (K, M) matrices and then copied: a vector log
+    need not round an element alike at every position of a longer array."""
     def stack(m):
-        return np.broadcast_to(m, (S,) + m.shape).copy()
+        return np.broadcast_to(m, lead + m.shape).copy()
+    terms = best_response_terms(spec.rho, spec.eps, spec.kappa)
     return StackedGame(stack(spec.rho), stack(spec.eps), stack(spec.kappa),
-                       spec.barrier, tuple(map(stack, spec.br_terms)))
+                       spec.barrier, tuple(map(stack, terms)))
 
 
-# The matrix forms take a GameSpec, or for an (S, K, M) x its StackedGame,
-# and `others`, the column sum minus x, where the caller holds it.
+# The matrix forms read a StackedGame whose leading shape broadcasts against
+# x's, and `others`, the column sum minus x, where the caller holds it.
 
-def utility_matrix(x: np.ndarray, spec, others=None) -> np.ndarray:
+def utility_matrix(x: np.ndarray, game, others=None) -> np.ndarray:
     """Per-(node, task) clean utilities at profile x, shape (..., K, M)."""
     if others is None:
         others = x.sum(axis=-2, keepdims=True) - x
-    return task_utility(x, others, spec.rho, spec.eps, spec.kappa, spec.barrier)
+    return task_utility(x, others, game.rho, game.eps, game.kappa, game.barrier)
 
 
-def gradient_matrix(x: np.ndarray, spec, others=None) -> np.ndarray:
+def gradient_matrix(x: np.ndarray, game, others=None) -> np.ndarray:
     """Per-(node, task) own-action utility gradients at profile x, shape
     (..., K, M)."""
     if others is None:
         others = x.sum(axis=-2, keepdims=True) - x
-    return task_gradient(x, others, spec.rho, spec.eps, spec.kappa, spec.barrier)
+    return task_gradient(x, others, game.rho, game.eps, game.kappa, game.barrier)
 
 
 # Ceilings on the float |kernel| over one block of estimate_bounds' grid,

@@ -8,6 +8,10 @@ uniqueness certificate. The sweeps use the closed-form best response
 section instead (epsilon_gap). The starts are swept together as one stacked
 (n_starts, K, M) array; deviation_utilities and epsilon_gap likewise take
 (..., K, M) stacks and answer each profile on its own.
+
+Every evaluation reads one game.StackedGame: solve_nash stacks the game
+once for all its sweeps, epsilon_gap once at its profiles' leading shape,
+and deviation_utilities reads the one its caller holds.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, EquilibriumError, require_integer
-from .game import GameSpec, task_utility, utility_matrix
+from .game import GameSpec, stack_game, utility_matrix
 from .strategies.baselines import br_profile, golden_br_profile
 
 DEFAULT_TOL = 1e-6
@@ -43,16 +47,17 @@ class NashSolution:
                 "converged": self.converged}
 
 
-def deviation_utilities(x, spec: GameSpec, br=None) -> np.ndarray:
+def deviation_utilities(x, game, br=None) -> np.ndarray:
     """Per-node utility of unilaterally best-responding to profile x while
-    everyone else stays put: shape (..., K) for x of shape (..., K, M).
-    `br` is br_profile(x) when the caller has already computed it, or any
+    everyone else stays put: shape (..., K) for x of shape (..., K, M),
+    with game a StackedGame as for utility_matrix. `br` is
+    br_profile(x, game) when the caller has already computed it, or any
     other deviation profile. br_profile is elementwise, so a stack of
     profiles is answered as each profile alone, bit for bit."""
     x = np.asarray(x, dtype=float)
-    return task_utility(br_profile(x, spec) if br is None else br,
-                        x.sum(axis=-2, keepdims=True) - x,
-                        spec.rho, spec.eps, spec.kappa, spec.barrier).sum(axis=-1)
+    others = x.sum(axis=-2, keepdims=True) - x
+    return utility_matrix(br_profile(x, game, others) if br is None else br,
+                          game, others).sum(axis=-1)
 
 
 def epsilon_gap(x, spec: GameSpec):
@@ -62,10 +67,12 @@ def epsilon_gap(x, spec: GameSpec):
     K x M profile and one gap per profile of a stack.
     The deviations are found by golden-section search (golden_br_profile),
     not by the closed form of br_profile, so the gap certifies a profile
-    independently of the formula that solve_nash iterated."""
+    independently of the formula that solve_nash iterated. All three
+    evaluations read one stack_game of spec at x's leading shape."""
     x = np.asarray(x, dtype=float)
-    u_cur = utility_matrix(x, spec).sum(axis=-1)
-    dev = deviation_utilities(x, spec, golden_br_profile(x, spec))
+    game = stack_game(spec, *x.shape[:-2])
+    u_cur = utility_matrix(x, game).sum(axis=-1)
+    dev = deviation_utilities(x, game, golden_br_profile(x, game))
     return np.maximum(0.0, (dev - u_cur).max(axis=-1))
 
 
@@ -80,9 +87,10 @@ def solve_nash(spec: GameSpec, tol: float = DEFAULT_TOL,
     fixed points.
 
     The starts are one (n_starts, K, M) draw, and each sweep is one
-    br_profile call on the starts still moving. A start freezes at the
-    sweep where it converges, so it ends where it would alone; `iterations`
-    is the slowest start's sweep count, `converged` whether all converged.
+    br_profile call on the starts still moving, all reading one
+    stack_game(spec). A start freezes at the sweep where it converges, so
+    it ends where it would alone; `iterations` is the slowest start's sweep
+    count, `converged` whether all converged.
 
     Raises EquilibriumError if the starts do not agree within 10 * tol
     (a game outside the proven uniqueness regime, e.g. low efficiency
@@ -94,11 +102,12 @@ def solve_nash(spec: GameSpec, tol: float = DEFAULT_TOL,
         raise ConfigurationError(f"tol must be positive and finite, got {tol}")
     require_integer("n_starts", n_starts, 1)
     require_integer("seed", seed, 0)
+    game = stack_game(spec)
     x = np.random.default_rng(seed).random((n_starts, spec.K, spec.M))
     active = np.arange(n_starts)
     for sweeps in range(1, MAX_SWEEPS + 1):
         x_act = x[active]
-        x_next = (1.0 - DAMPING) * x_act + DAMPING * br_profile(x_act, spec)
+        x_next = (1.0 - DAMPING) * x_act + DAMPING * br_profile(x_act, game)
         x[active] = x_next
         active = active[np.abs(x_next - x_act).max(axis=(-2, -1)) >= tol]
         if not active.size:
@@ -109,6 +118,6 @@ def solve_nash(spec: GameSpec, tol: float = DEFAULT_TOL,
             f"best-response starts disagree by {spread:.3e} (> 10 * tol); "
             "equilibrium uniqueness not certified for this game"
         )
-    return NashSolution(x_star=x[0], utilities=utility_matrix(x[0], spec).sum(axis=1),
+    return NashSolution(x_star=x[0], utilities=utility_matrix(x[0], game).sum(axis=1),
                         eps_gap=float(epsilon_gap(x[0], spec)),
                         iterations=sweeps, converged=not active.size)

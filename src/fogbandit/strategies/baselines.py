@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from ..errors import ConfigurationError, ProtocolError
-from ..game import GameSpec, task_best_response, task_utility
+from ..game import task_best_response, task_utility
 from ..streams import ReadAhead
 
 DEFAULT_ETA = 0.5
@@ -37,31 +37,32 @@ def golden_max(f, shape):
     return lo + width / 2.0
 
 
-def br_profile(x: np.ndarray, spec, others=None) -> np.ndarray:
+def br_profile(x: np.ndarray, game, others=None) -> np.ndarray:
     """Synchronous best response of every node against the given profile;
     x may be a (..., K, M) stack of profiles, each answered on its own.
     Row k depends only on the other rows: each task is an independent 1-D
     concave maximization on [0, 1], solved in closed form elementwise by
     task_best_response. A task's best response is 0 exactly when the slope
     at zero, 1/(o + barrier) + eps - kappa with o the others' summed
-    request, is <= 0. spec and others are as for utility_matrix."""
+    request, is <= 0. game and others are as for utility_matrix."""
     if others is None:
         others = x.sum(axis=-2, keepdims=True) - x
-    return task_best_response(others, spec.rho, spec.eps, spec.kappa,
-                              spec.barrier, spec.br_terms)
+    return task_best_response(others, game.rho, game.eps, game.kappa,
+                              game.barrier, game.br_terms)
 
 
-def golden_br_profile(x: np.ndarray, spec: GameSpec) -> np.ndarray:
+def golden_br_profile(x: np.ndarray, game) -> np.ndarray:
     """br_profile found by golden-section search on task_utility alone, to
     absolute tolerance GOLDEN_TOL: epsilon_gap's certificate, which uses
-    nothing of the closed form it certifies. The search runs on flat copies
-    of the operands, so no probe broadcasts the (K, M) index matrices
-    against the stack."""
+    nothing of the closed form it certifies. `game` is a StackedGame whose
+    leading shape broadcasts against x's. The search runs on flat arrays
+    of x's shape, so no probe broadcasts the index matrices against the
+    stack."""
     others_sum = (x.sum(axis=-2, keepdims=True) - x).ravel()
-    rho, eps, kappa = ((np.zeros(x.shape) + a).ravel()
-                       for a in (spec.rho, spec.eps, spec.kappa))
+    rho, eps, kappa = (np.broadcast_to(a, x.shape).ravel()
+                       for a in (game.rho, game.eps, game.kappa))
     return golden_max(
-        lambda z: task_utility(z, others_sum, rho, eps, kappa, spec.barrier),
+        lambda z: task_utility(z, others_sum, rho, eps, kappa, game.barrier),
         others_sum.shape).reshape(x.shape)
 
 

@@ -1,4 +1,4 @@
-"""Exact "%.17g" and "%d" text for numpy blocks, assembled into CSV rows.
+"""Exact "%.17g" text for numpy blocks, assembled into CSV rows.
 
 A float x whose decimal exponent X = floor(log10|x|) lies in [-4, 16]
 prints in fixed notation from its 17 significant digits N, the integer
@@ -27,7 +27,6 @@ import numpy as np
 SLOT = 24       # bytes per field: the widest "%.17g" is -2.2250738585072014e-308
 
 _POW10 = np.array([float(10**e) for e in range(21)])    # exact up to 1e22
-_POW10_INT = 10 ** np.arange(1, 18, dtype=np.int64)
 _SPLITTER = 2.0 ** 27 + 1
 
 
@@ -70,11 +69,11 @@ def _digits(n):
     return words.view(np.uint8), groups
 
 
-def _fallback(values, bad, fields, start, mid, end, fmt):
-    """Python's own `fmt` text for the elements marked `bad`."""
+def _fallback(values, bad, fields, start, mid, end):
+    """Python's own "%.17g" text for the elements marked `bad`."""
     at = np.flatnonzero(bad)
     if at.size:
-        texts = [fmt % x for x in values[at].tolist()]
+        texts = [b"%.17g" % x for x in values[at].tolist()]
         fields[at] = np.frombuffer(b"".join(t.ljust(SLOT) for t in texts),
                                    np.uint8).reshape(-1, SLOT)
         start[at] = 0
@@ -125,35 +124,18 @@ def float_text(values):
     neg = np.signbit(v) & ok
     start[neg] -= 1
     fields[np.flatnonzero(neg), start[neg]] = ord("-")
-    _fallback(v, ~ok, fields, start, mid, end, b"%.17g")
+    _fallback(v, ~ok, fields, start, mid, end)
     return tuple(x.reshape(shape + x.shape[1:]) for x in (fields, start, mid, end))
 
 
-def int_text(values):
-    """'%d' % i of each integer i in `values`, laid out as by float_text."""
-    shape = np.shape(values)
-    v = np.asarray(values, dtype=np.int64).ravel()
-    ok = (v > -10**18) & (v < 10**18)
-    n = np.abs(np.where(ok, v, 0))
-    fields = _digits(n)[0]
-    start = SLOT - 1 - np.searchsorted(_POW10_INT, n, side="right")
-    neg = v < 0
-    start[neg] -= 1
-    fields[np.flatnonzero(neg), start[neg]] = ord("-")
-    end = np.full(len(v), SLOT)
-    _fallback(v, ~ok, fields, start, end, end, b"%d")
-    return tuple(x.reshape(shape + x.shape[1:]) for x in (fields, start, end, end))
-
-
-def _pieces(columns, kernel):
-    """Each column's text from one kernel call over all of them, as pieces
-    (bytes, keep) with keep marking the bytes that print: the integer
-    part, and where any element has a fraction, '.' and the fraction. Each
-    piece is cut to the columns that its texts use; the '.' piece is
-    (None, keep), its byte left to the caller."""
-    if not columns:
-        return []
-    fields, start, mid, end = kernel(np.concatenate([c.ravel() for c in columns]))
+def _pieces(columns):
+    """Each column's text from one float_text call over all of them, as
+    pieces (bytes, keep) with keep marking the bytes that print: the
+    integer part, and where any element has a fraction, '.' and the
+    fraction. Each piece is cut to the columns that its texts use; the '.'
+    piece is (None, keep), its byte left to the caller."""
+    fields, start, mid, end = float_text(
+        np.concatenate([c.ravel() for c in columns], dtype=float))
     sizes = [c.size for c in columns]
     at = np.cumsum([0] + sizes[:-1])
     int_lo, frac_lo = (np.minimum.reduceat(x, at).tolist() for x in (start, mid))
@@ -180,14 +162,13 @@ def _pieces(columns, kernel):
 def csv_rows(shape, columns) -> np.ndarray:
     """The CSV text, as uint8 bytes, of one row per element of `shape` in C
     order, with one field per column; each column broadcasts to `shape`.
-    Integer columns print as "%d" and float columns as "%.17g", each kind
-    in one kernel call over its columns at their own shapes."""
-    floats = [c.dtype.kind == "f" for c in columns]
-    texts = iter(_pieces([c for c, f in zip(columns, floats) if f], float_text))
-    ints = iter(_pieces([c for c, f in zip(columns, floats) if not f], int_text))
+    Every column prints as "%.17g" of its float64 values, in one float_text
+    call over all columns at their own shapes. An integer column prints as
+    "%d" for |n| < 2**53, where "%.17g" % float(n) is "%d" % n; no index or
+    count of a run comes near that."""
     pieces, line = [], bytearray()     # line: a row before its pieces go in
-    for f in floats:
-        for data, kept in next(texts if f else ints):
+    for column in _pieces(columns):
+        for data, kept in column:
             pieces.append((len(line), data, kept))
             line += b"." if data is None else bytes(data.shape[-1])
         line += b","

@@ -5,6 +5,7 @@ import pytest
 
 from fogbandit import GAME1, load_dataset, select_subgame
 from fogbandit.engine import run_round
+from fogbandit.game import stack_game
 
 
 @pytest.fixture(scope="session")
@@ -42,5 +43,5 @@ def allocate():
         def observe(self):
             pass
 
-    return lambda x, spec: run_round(spec, Fixed(x), 1,
+    return lambda x, spec: run_round(stack_game(spec, 1), Fixed(x), 1,
                                      np.zeros((1, spec.K, spec.M))).a[0]

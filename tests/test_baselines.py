@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fogbandit.errors import ConfigurationError, ProtocolError
-from fogbandit.game import GameSpec, task_best_response, task_gradient, task_utility
+from fogbandit.game import (GameSpec, best_response_terms, stack_game,
+                            task_best_response, task_gradient, task_utility)
 from fogbandit.strategies import BrBank, GpBank, RsBank, br_profile, golden_max
 
 
 def br_row(k, others, spec, own=0.5):
     """Node k's best-response row against the others' rows, read off
     br_profile on the full profile (own row set to `own`)."""
-    return br_profile(np.insert(others, k, own, axis=0), spec)[k]
+    return br_profile(np.insert(others, k, own, axis=0), stack_game(spec))[k]
 
 
 class TestGoldenMax:
@@ -144,7 +145,8 @@ class TestBestResponse:
         spec, x, k, row = case
         moved = x.copy()
         moved[k] = row
-        assert np.allclose(br_profile(x, spec)[k], br_profile(moved, spec)[k],
+        game = stack_game(spec)
+        assert np.allclose(br_profile(x, game)[k], br_profile(moved, game)[k],
                            atol=1e-12)
 
 
@@ -162,7 +164,8 @@ class TestClosedFormBestResponse:
         args = (rho, eps, kappa, barrier)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            z = float(task_best_response(others, *args))
+            z = float(task_best_response(others, *args,
+                                         best_response_terms(rho, eps, kappa)))
         assert 0.0 <= z <= 1.0
         # golden's z may differ where the utility is flat; its value may not
         searched = golden_max(lambda y: task_utility(y, others, *args), ())
@@ -232,7 +235,7 @@ class TestOtherBanks:
         from fogbandit import epsilon_gap
         bank = BrBank(game1, T=100, rngs=[np.random.default_rng(0)])
         for _ in range(60):
-            bank.observe(br_profile(bank.act(), game1))
+            bank.observe(br_profile(bank.act(), stack_game(game1)))
         assert epsilon_gap(bank.x[0], game1) < 1e-6
 
     def test_rs_bank_uniform_range(self, game1):

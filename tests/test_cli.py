@@ -124,7 +124,8 @@ class TestBadInput:
     @pytest.mark.parametrize("argv,message", [
         case(0, ["run", "--strategy", "ucb", "--T", "10"], "unknown strategy 'ucb'"),
         case(1, ["solve-nash", "--tol", "0"], "tol must be positive"),
-        case(2, ["validate-spec", "--game", "dataset", "--nodes", "0"], "rho is empty"),
+        case(2, ["validate-spec", "--game", "dataset", "--nodes", "0"],
+             "--nodes must be an integer >= 1, got 0"),
         case(3, ["run", "--strategy", "gp,rs,gp"],
              "strategy 'gp' is listed more than once"),
         case(4, ["validate-spec", "--game", "spec.json"],
@@ -197,12 +198,14 @@ class TestBadInput:
 
 class TestBuildSpec:
     @pytest.mark.parametrize("flag,value", [
-        ("--nodes", "0"), ("--tasks", "0"), ("--nodes", "-1")])
+        ("--nodes", "0"), ("--tasks", "0"), ("--nodes", "-1"), ("--nodes", "-2"),
+        ("--tasks", "-2")])
     def test_empty_game_is_rejected(self, flag, value, capsys):
-        # 0 must not select the whole dataset, nor -1 a game with K = 0
+        # 0 must not select the whole dataset, nor -1 a game with K = 0;
+        # the error names the flag, not the empty matrix it would select
         error = error_of(["validate-spec", "--game", "dataset", flag, value], capsys)
         assert error["error"] == "ConfigurationError"
-        assert "is empty" in error["message"]
+        assert error["message"] == f"{flag} must be an integer >= 1, got {value}"
 
     def test_dataset_warns_of_low_efficiency_pairs(self, capsys):
         assert cli.main(["validate-spec", "--game", "dataset"]) == 0

@@ -130,31 +130,31 @@ class TestActionContract:
 
     def test_wrong_shape_is_protocol_error(self, game1):
         with pytest.raises(ProtocolError, match=r"round 7: .*shape \(3, 2\)"):
-            run_round(game1, Stub(x=np.zeros((3, 2))), 7, noise(game1))
+            run_round(stack_game(game1, 2), Stub(x=np.zeros((3, 2))), 7, noise(game1))
 
     @pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan, np.inf, -np.inf])
     def test_action_outside_unit_interval_names_node_and_task(self, game1, bad):
         x = XS.copy()
         x[1, 1, 0] = bad
         with pytest.raises(ProtocolError, match="seed 1 node 1 .* task 0"):
-            run_round(game1, Stub(x=x), 1, noise(game1))
+            run_round(stack_game(game1, 2), Stub(x=x), 1, noise(game1))
 
     @pytest.mark.parametrize("edge", [-0.0, 0.0, 1.0])
     def test_actions_on_the_unit_interval_bounds_are_accepted(self, game1, edge):
         x = XS.copy()
         x[1, 1, 0] = edge
-        rec = run_round(game1, Stub(x=x), 1, noise(game1))
+        rec = run_round(stack_game(game1, 2), Stub(x=x), 1, noise(game1))
         assert rec.x[1, 1, 0] == edge
 
     def test_unknown_feedback_kind(self, game1):
         with pytest.raises(ConfigurationError, match="feedback kind 'oracle'"):
-            run_round(game1, Stub(kind="oracle"), 1, noise(game1))
+            run_round(stack_game(game1, 2), Stub(kind="oracle"), 1, noise(game1))
 
 
 class TestFeedbackRouting:
     def test_bandit_sees_its_noisy_utilities(self, game1):
         bank = Stub("bandit")
-        rec = run_round(game1, bank, 1, noise(game1))
+        rec = run_round(stack_game(game1, 2), bank, 1, noise(game1))
         [(observed,)] = bank.received
         assert np.array_equal(observed, rec.observed_utility)
         assert np.array_equal(rec.clean_utility, utility_matrix(XS, game1))
@@ -174,29 +174,29 @@ class TestFeedbackRouting:
 
     def test_gradient_play_sees_the_exact_gradient(self, game1):
         bank = Stub("gradient")
-        run_round(game1, bank, 1, noise(game1))
+        run_round(stack_game(game1, 2), bank, 1, noise(game1))
         [(gradient,)] = bank.received
         for s, x in enumerate(XS):
             assert np.array_equal(gradient[s], gradient_matrix(x, game1))
 
     def test_best_response_sees_the_best_response(self, game1):
         bank = Stub("best_response")
-        rec = run_round(game1, bank, 1, noise(game1))
+        rec = run_round(stack_game(game1, 2), bank, 1, noise(game1))
         [(best_response,)] = bank.received
-        assert np.array_equal(best_response, br_profile(XS, game1))
+        assert np.array_equal(best_response, br_profile(XS, stack_game(game1)))
         assert rec.br is best_response
 
     @pytest.mark.filterwarnings("ignore:rho <= 0.5")
     def test_noiseless_observation_is_the_clean_utility(self, game1):
         # a normal draw with std 0 is +0.0, so noise_std = 0 needs no branch
         spec = dataclasses.replace(game1, noise_std=0.0)
-        rec = run_round(spec, Stub(), 1, noise(spec))
+        rec = run_round(stack_game(spec, 2), Stub(), 1, noise(spec))
         assert rec.observed_utility.tobytes() == rec.clean_utility.tobytes()
         assert not np.shares_memory(rec.observed_utility, rec.clean_utility)
 
     def test_random_selection_sees_nothing(self, game1):
         bank = Stub("none")
-        run_round(game1, bank, 1, noise(game1))
+        run_round(stack_game(game1, 2), bank, 1, noise(game1))
         assert bank.received == [()]
 
 
@@ -246,11 +246,11 @@ class TestNoiseReads:
             assert np.array_equal(rec.observed_utility, rec.clean_utility + draw)
 
     def test_a_round_without_noise_records_no_allocation(self, game1):
-        rec = run_round(game1, Stub("gradient"), 1, None, stack_game(game1, 2))
+        rec = run_round(stack_game(game1, 2), Stub("gradient"), 1, None)
         assert rec.a is None and rec.observed_utility is None
         assert np.array_equal(rec.clean_utility, utility_matrix(XS, game1))
         with pytest.raises(ProtocolError, match="bandit feedback needs the round's noise"):
-            run_round(game1, Stub("bandit"), 1, None, stack_game(game1, 2))
+            run_round(stack_game(game1, 2), Stub("bandit"), 1, None)
 
     @pytest.mark.parametrize("kind", ["gradient", "best_response", "none"])
     def test_wrong_shape_without_noise_names_the_expected_stack(self, game1, kind):
@@ -270,7 +270,7 @@ class TestAccounting:
     def test_regret_against_per_round_best_response(self, game1):
         res, played = rs_seed(game1, 10, regret_mode="per_round_br")
         realized = utility_matrix(played, game1).sum(axis=-1)
-        gain = deviation_utilities(played, game1) - realized
+        gain = deviation_utilities(played, stack_game(game1)) - realized
         assert np.all(gain >= -1e-12)
         assert np.allclose(res.cum_regret, np.cumsum(gain, axis=0),
                            rtol=1e-12, atol=1e-12)
@@ -285,7 +285,7 @@ class TestAccounting:
                            trace_sink=lambda rec: played.append(rec.x))
         assert len(calls) == T
         played = np.array(played)                                 # (T, S, K, M)
-        gain = (deviation_utilities(played, game1)
+        gain = (deviation_utilities(played, stack_game(game1))
                 - utility_matrix(played, game1).sum(axis=-1))
         for s, res in enumerate(results):
             assert np.array_equal(res.cum_regret, np.cumsum(gain[:, s], axis=0))
@@ -322,7 +322,7 @@ class TestAccounting:
         if mode == "ne_reference":
             ref = nash.utilities
         else:
-            ref = deviation_utilities(np.array(xs), game1,
+            ref = deviation_utilities(np.array(xs), stack_game(game1),
                                       np.array(brs) if bank is BrBank else None)
         cum = np.cumsum(ref - np.array(realized), axis=0)
         running = np.cumsum(xs, axis=0)

@@ -19,7 +19,9 @@ from fogbandit import (GameSpec, estimate_bounds, game, gradient_matrix,
                        hessian_others, hessian_own, load_dataset, select_subgame,
                        task_utility, utility_matrix)
 from fogbandit.errors import ConfigurationError
-from fogbandit.game import stack_game, task_gradient
+from fogbandit.game import (best_response_terms, stack_game, task_best_response,
+                            task_gradient)
+from fogbandit.nash import deviation_utilities
 from fogbandit.strategies import br_profile
 
 mp.mp.dps = 40
@@ -395,7 +397,8 @@ class TestBestResponseKernel:
     ])
     def test_interior_root_matches_high_precision(self, others, rho, eps, kappa,
                                                   barrier):
-        z = float(game.task_best_response(others, rho, eps, kappa, barrier))
+        z = float(game.task_best_response(others, rho, eps, kappa, barrier,
+                                          game.best_response_terms(rho, eps, kappa)))
         xo, r, e, k, d = (mp.mpf(str(v)) for v in (others, rho, eps, kappa, barrier))
         lo, hi = mp.mpf(0), mp.mpf(1)
         for _ in range(140):
@@ -705,8 +708,8 @@ class TestKernels:
 @st.composite
 def stacked_cases(draw):
     """A game of up to 4 x 3, K = 1 included, with rho down to 1e-100, a
-    barrier down to 1e-50 and some entries with kappa <= eps, and an
-    (S, K, M) stack of profiles, S in {1, 3, 10}, with some all-zero
+    barrier down to 1e-50 and some entries with kappa <= eps, and a
+    (2, S, K, M) block of profiles, S in {1, 3, 10}, with some all-zero
     columns."""
     S = draw(st.sampled_from((1, 3, 10)))
     K, M = draw(st.integers(1, 4)), draw(st.integers(1, 3))
@@ -714,8 +717,8 @@ def stacked_cases(draw):
     eps, kappa = (draw(hnp.arrays(float, (K, M), elements=unit_index()))
                   for _ in range(2))
     kappa = np.where(draw(hnp.arrays(bool, (K, M))), np.minimum(kappa, eps), kappa)
-    x = draw(hnp.arrays(float, (S, K, M), elements=st.floats(0.0, 1.0)))
-    x = np.where(draw(hnp.arrays(bool, (S, 1, M))), 0.0, x)
+    x = draw(hnp.arrays(float, (2, S, K, M), elements=st.floats(0.0, 1.0)))
+    x = np.where(draw(hnp.arrays(bool, (2, S, 1, M))), 0.0, x)
     return rho, eps, kappa, draw(log_uniform(1e-50)), x
 
 
@@ -723,16 +726,27 @@ class TestStackedGame:
     @settings(deadline=None, max_examples=200)
     @given(stacked_cases())
     def test_matrix_forms_match_the_per_call_path_bitwise(self, case):
+        # the reference is the raw kernels on spec's (K, M) matrices; a game
+        # stacked at the block's leading shape, at none or at the replicas'
+        # alone gives the same bytes
         rho, eps, kappa, barrier, x = case
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")                 # rho <= 0.5
             spec = GameSpec(rho, eps, kappa, barrier=barrier)
-        stacked = stack_game(spec, x.shape[0])
-        for m in (stacked.rho, stacked.eps, stacked.kappa, *stacked.br_terms):
-            assert m.shape == x.shape and m.flags.c_contiguous
         others = x.sum(axis=-2, keepdims=True) - x
-        for matrix_form in (utility_matrix, gradient_matrix, br_profile):
-            per_call = matrix_form(x, spec).tobytes()
-            assert matrix_form(x, stacked, others).tobytes() == per_call
-            assert matrix_form(x, stacked).tobytes() == per_call
-            assert matrix_form(x, spec, others).tobytes() == per_call
+        args = (spec.rho, spec.eps, spec.kappa, spec.barrier)
+        br = task_best_response(others, *args,
+                                best_response_terms(spec.rho, spec.eps, spec.kappa))
+        want = {utility_matrix: task_utility(x, others, *args).tobytes(),
+                gradient_matrix: task_gradient(x, others, *args).tobytes(),
+                br_profile: br.tobytes()}
+        deviation = task_utility(br, others, *args).sum(axis=-1).tobytes()
+        for lead in (x.shape[1:2], (), x.shape[:2]):
+            stacked = stack_game(spec, *lead)
+            for m in (stacked.rho, stacked.eps, stacked.kappa, *stacked.br_terms):
+                assert m.shape == lead + spec.rho.shape and m.flags.c_contiguous
+            for matrix_form, reference in want.items():
+                assert matrix_form(x, stacked).tobytes() == reference
+                assert matrix_form(x, stacked, others).tobytes() == reference
+            assert deviation_utilities(x, stacked).tobytes() == deviation
+            assert deviation_utilities(x, stacked, br).tobytes() == deviation

@@ -7,7 +7,7 @@ import pytest
 
 from fogbandit import nash
 from fogbandit.errors import ConfigurationError, EquilibriumError
-from fogbandit.game import gradient_matrix, utility_matrix
+from fogbandit.game import gradient_matrix, stack_game, utility_matrix
 from fogbandit.nash import deviation_utilities, epsilon_gap, solve_nash
 from fogbandit.strategies import br_profile
 
@@ -21,8 +21,8 @@ class TestDeviationUtilities:
     def test_equals_utility_with_own_row_best_responding(self, game, rng):
         for _ in range(5):
             x = rng.random((game.K, game.M))
-            dev = deviation_utilities(x, game)
-            br = br_profile(x, game)
+            dev = deviation_utilities(x, stack_game(game))
+            br = br_profile(x, stack_game(game))
             for k in range(game.K):
                 deviated = x.copy()
                 deviated[k] = br[k]
@@ -108,7 +108,7 @@ class TestSolveNash:
         finals, sweeps = [], []
         for x in starts:
             for it in range(1, 10_001):
-                x_next = (1 - damping) * x + damping * br_profile(x, game)
+                x_next = (1 - damping) * x + damping * br_profile(x, stack_game(game))
                 change, x = np.abs(x_next - x).max(), x_next
                 if change < tol:
                     break
@@ -126,15 +126,15 @@ class TestStackedProfiles:
 
     def test_br_profile_and_gap_match_per_profile_calls(self, game, rng):
         stack = rng.random((37, game.K, game.M))
-        br = br_profile(stack, game)
+        br = br_profile(stack, stack_game(game))
         gaps = epsilon_gap(stack, game)
-        dev = deviation_utilities(stack, game)
+        dev = deviation_utilities(stack, stack_game(game))
         grad = gradient_matrix(stack, game)
         assert br.shape == stack.shape and gaps.shape == (37,)
         for i, x in enumerate(stack):
-            assert np.array_equal(br[i], br_profile(x, game))
+            assert np.array_equal(br[i], br_profile(x, stack_game(game)))
             assert gaps[i] == epsilon_gap(x, game)
-            assert np.array_equal(dev[i], deviation_utilities(x, game))
+            assert np.array_equal(dev[i], deviation_utilities(x, stack_game(game)))
             assert np.array_equal(grad[i], gradient_matrix(x, game))
 
     def test_gap_keeps_leading_axes(self, game, rng):
@@ -148,13 +148,13 @@ class TestStackedProfiles:
             self, game, rng, given_br):
         # the engine's per_round_br accounting passes (B, S, K, M) blocks,
         # with br's own best responses stacked alongside when it has them
-        stack = rng.random((5, 3, game.K, game.M))
-        br = br_profile(stack, game) if given_br else None
-        dev = deviation_utilities(stack, game, br)
+        stack, stacked = rng.random((5, 3, game.K, game.M)), stack_game(game)
+        br = br_profile(stack, stacked) if given_br else None
+        dev = deviation_utilities(stack, stacked, br)
         assert dev.shape == (5, 3, game.K)
         for b in range(5):
             for s in range(3):
                 x = stack[b, s]
-                one = deviation_utilities(x, game, None if br is None else br[b, s])
+                one = deviation_utilities(x, stacked, None if br is None else br[b, s])
                 assert np.array_equal(dev[b, s], one)
-                assert np.array_equal(dev[b, s], deviation_utilities(x, game))
+                assert np.array_equal(dev[b, s], deviation_utilities(x, stacked))

@@ -1,5 +1,6 @@
-"""The block formatters of fogbandit.text against Python's own "%.17g" and
-"%d", element by element, and the CSV rows they assemble."""
+"""The block formatter of fogbandit.text against Python's own "%.17g",
+element by element, and the CSV rows it assembles, integer columns against
+"%d"."""
 
 import math
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fogbandit.text import csv_rows, float_text, int_text
+from fogbandit.text import csv_rows, float_text
 
 
 def texts(kernel, values):
@@ -76,19 +77,6 @@ class TestFloatText:
         assert texts(float_text, values) == ["%.17g" % v for v in values.tolist()]
 
 
-class TestIntText:
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=40))
-    def test_equals_percent_d(self, values):
-        values = np.array(values, dtype=np.int64)
-        assert texts(int_text, values) == ["%d" % v for v in values.tolist()]
-
-    def test_edges(self):
-        values = [0, -1, 9, 10, 99, 100, 2**53 - 1, 2**53 + 1, 10**17,
-                  10**18 - 1, 10**18, -10**18, 2**63 - 1, -2**63]
-        assert texts(int_text, values) == ["%d" % v for v in values]
-
-
 class TestCsvRows:
     def test_equals_a_percent_template(self, rng):
         t = np.arange(1, 7)[:, None, None]
@@ -105,3 +93,10 @@ class TestCsvRows:
     def test_integer_columns_alone(self):
         rows = csv_rows((2, 2), [np.arange(2)[:, None], np.array([7, -30])])
         assert rows.tobytes() == b"0,7\n0,-30\n1,7\n1,-30\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-2**53 + 1, 2**53 - 1), min_size=1, max_size=40))
+    def test_integer_columns_below_two_to_the_53_print_as_percent_d(self, values):
+        column = np.array(values, dtype=np.int64)
+        want = "".join("%d\n" % v for v in values)
+        assert csv_rows(column.shape, [column]).tobytes().decode() == want
