@@ -26,7 +26,7 @@ from .dataset import GAME1, load_dataset, select_subgame
 from .engine import REGRET_MODES
 from .errors import ConfigurationError, require_integer
 from .game import GameSpec
-from .nash import DEFAULT_SEED, DEFAULT_STARTS, DEFAULT_TOL, solve_nash
+from .nash import solve_nash
 
 
 def _add_game_args(p):
@@ -84,10 +84,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_solve_nash(args) -> int:
-    spec = build_spec(args)
-    sol = solve_nash(spec, tol=args.tol, n_starts=args.starts,
-                     seed=args.master_seed)
-    text = json.dumps(sol.to_dict(), indent=2)
+    text = json.dumps(solve_nash(build_spec(args)).to_dict(), indent=2)
     print(text)
     if args.out:
         out = Path(args.out)
@@ -133,9 +130,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-nash", help="solve the equilibrium")
     _add_game_args(p)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--starts", type=int, default=DEFAULT_STARTS)
-    p.add_argument("--master-seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve_nash)
 

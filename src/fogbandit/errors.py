@@ -21,7 +21,3 @@ class ProtocolError(RuntimeError):
 
 class FeedbackError(ValueError):
     """Non-finite or otherwise unusable feedback handed to a learner."""
-
-
-class EquilibriumError(RuntimeError):
-    """Equilibrium solver diagnostics, e.g. independent starts disagree."""

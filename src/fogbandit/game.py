@@ -10,11 +10,12 @@ evaluated on the node's own request, the column sum of all requests and
 that node's per-task indices (rho, eps, kappa). Utilities are additive over
 tasks. Everything in this module is a pure function of its inputs.
 
-The per-task utility, its own-action gradient, its two curvatures and its
-best response are written once each, in the kernels task_utility,
-task_gradient, hessian_own, hessian_others and task_best_response; every
-other evaluation in the package calls them. estimate_bounds also bounds
-the first four over blocks of its grid in closed form, to skip blocks.
+The per-task utility, its own-action gradient, its two curvatures, its
+best response and the request consistent with a column total are written
+once each, in the six kernels task_utility, task_gradient, hessian_own,
+hessian_others, task_best_response and aggregate_requests; every other
+evaluation in the package calls them. estimate_bounds also bounds the
+first four over blocks of its grid in closed form, to skip blocks.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ class Bounds:
             raise ConfigurationError(f"bounds must be strictly positive, got {self}")
 
 
-# The five per-task kernels: x_own is a node's request for one task and
+# The per-task kernels: x_own is a node's request for one task and
 # x_others the other nodes' summed request for it. Every argument broadcasts.
 
 def task_utility(x_own, x_others, rho, eps, kappa, barrier):
@@ -231,9 +232,40 @@ def task_best_response(x_others, rho, eps, kappa, barrier, terms):
     b = x_others + barrier
     v = 2.0 * wrightomega(0.5 * (log_c + np.log(b)) + half_inv_rho - log_2rho)
     root = np.minimum(np.maximum(b / (rho * v) - b, _ABOVE_0), _BELOW_1)
-    at_0 = task_gradient(0.0, x_others, rho, eps, kappa, barrier) <= 0.0
+    at_0 = b / (b * b) + eps - kappa <= 0.0       # task_gradient at 0, bit for bit
     at_1 = task_gradient(1.0, x_others, rho, eps, kappa, barrier) >= 0.0
     return np.where(at_0, 0.0, np.where(at_1, 1.0, root))
+
+
+def aggregate_requests(s, rho, eps, kappa):
+    """The request x_own in [0, 1] that best responds on a task whose column
+    total, barrier included, is s (task_best_response against s - x_own -
+    barrier), and the rest of the column, s - x_own; neither is taken as a
+    difference near s. Elementwise; s broadcasts against the indices.
+
+    With c = kappa - eps and the share sigma = x_own/s, task_gradient = 0
+    reads (1 - sigma)*exp(-sigma/rho) = c*s, whose left side falls strictly
+    on [0, 1]: 1 - sigma = rho*omega(ln(c*s/rho) + 1/rho) where c*s < 1, with
+    omega as in task_best_response, and sigma = 0 where c*s >= 1. The request
+    is min(sigma*s, 1), and 1 where c <= 0. sigma falls as s rises. Below a
+    share of 1/10, 1 - rho*omega keeps only absolute digits (noise near 1e-16
+    for a share near 1e-98 at rho = 1e-100); one Newton step on
+    sigma/rho - ln(1 - sigma) = -ln(c*s) gives the last bit there, from
+    1 - rho*omega above 1e-5 and from the tangent root rho*(-ln(c*s))/(1 + rho)
+    below it, each within 3e-6 relative of the root.
+    """
+    c = np.asarray(kappa - eps, dtype=float)
+    inv_rho = 1.0 / rho
+    log_cs = np.log(c, out=np.zeros(c.shape), where=c > 0.0) + np.log(s)
+    tau = np.minimum(rho * wrightomega(log_cs - np.log(rho) + inv_rho), 1.0)
+    low = tau > 0.9
+    gap = np.where(low, np.maximum(-log_cs, 0.0), 0.0)
+    sigma = np.where(low, np.where(tau < 1.0 - 1e-5, 1.0 - tau,
+                                   gap / (inv_rho + 1.0)), 0.0)
+    sigma -= (sigma * inv_rho - np.log1p(-sigma) - gap) / (inv_rho + 1.0 / (1.0 - sigma))
+    sigma = np.where(low, sigma, 1.0 - tau)
+    full = (c <= 0.0) | (s - 1.0 >= tau * s)        # sigma*s >= 1, off 1 - tau
+    return np.where(full, 1.0, sigma * s), np.where(full, s - 1.0, tau * s)
 
 
 @dataclass(frozen=True)

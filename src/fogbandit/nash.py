@@ -1,40 +1,36 @@
 """Equilibrium solving and the unilateral-deviation gap.
 
-The game is concave in each node's own action and the equilibrium is
-unique, so synchronous best-response sweeps from independent random starts
-all land on the same profile; the spread across starts doubles as a
-uniqueness certificate. The sweeps use the closed-form best response
-(br_profile); the gap that certifies their end point searches by golden
-section instead (epsilon_gap). The starts are swept together as one stacked
-(n_starts, K, M) array; deviation_utilities and epsilon_gap likewise take
-(..., K, M) stacks and answer each profile on its own.
-
-Every evaluation reads one game.StackedGame: solve_nash stacks the game
-once for all its sweeps, epsilon_gap once at its profiles' leading shape,
-and deviation_utilities reads the one its caller holds.
+Each task is an aggregative game: a node's utility on it reads its own
+request and the column total s, barrier included. So the equilibrium is
+found per task from s alone, by the share-function method (Cornes and
+Hartley, Economic Theory 2005; Jensen, Economic Theory 2010):
+- at each s, every node has exactly one request x_k(s) that best responds
+  to the rest of the column, in closed form (game.aggregate_requests);
+- no share x_k(s)/s rises with s, so F(s) = sum_k x_k(s)/s + barrier/s - 1
+  falls strictly, from F(barrier) >= 0 to F(K + barrier) <= 0;
+- a profile is an equilibrium exactly when every request is x_k(s) at its
+  column's s, which is then a root of F, so the one root s* gives the one
+  equilibrium x_k(s*), for every GameSpec.
+solve_nash brackets the root and checks x* against the closed-form best
+response (br_profile); epsilon_gap certifies it by golden-section search.
+deviation_utilities and epsilon_gap take (..., K, M) stacks and answer each
+profile on its own; each reads one game.StackedGame.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, EquilibriumError, require_integer
-from .game import GameSpec, stack_game, utility_matrix
+from .game import GameSpec, aggregate_requests, stack_game, utility_matrix
 from .strategies.baselines import br_profile, golden_br_profile
-
-DEFAULT_TOL = 1e-6
-DEFAULT_STARTS = 20
-DEFAULT_SEED = 0
-MAX_SWEEPS = 10_000
-DAMPING = 0.5
 
 
 @dataclass
 class NashSolution:
     x_star: np.ndarray
+    aggregate: np.ndarray             # per-task column total s*, barrier included
     utilities: np.ndarray
     eps_gap: float
     iterations: int
@@ -42,9 +38,8 @@ class NashSolution:
 
     def to_dict(self) -> dict:
         """The document `solve-nash` prints and summary.json embeds."""
-        return {"x_star": self.x_star.tolist(), "utilities": self.utilities.tolist(),
-                "eps_gap": self.eps_gap, "iterations": self.iterations,
-                "converged": self.converged}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v
+                for k, v in vars(self).items()}
 
 
 def deviation_utilities(x, game, br=None) -> np.ndarray:
@@ -67,7 +62,7 @@ def epsilon_gap(x, spec: GameSpec):
     K x M profile and one gap per profile of a stack.
     The deviations are found by golden-section search (golden_br_profile),
     not by the closed form of br_profile, so the gap certifies a profile
-    independently of the formula that solve_nash iterated. All three
+    independently of the closed forms solve_nash reads. All three
     evaluations read one stack_game of spec at x's leading shape."""
     x = np.asarray(x, dtype=float)
     game = stack_game(spec, *x.shape[:-2])
@@ -76,48 +71,48 @@ def epsilon_gap(x, spec: GameSpec):
     return np.maximum(0.0, (dev - u_cur).max(axis=-1))
 
 
-def solve_nash(spec: GameSpec, tol: float = DEFAULT_TOL,
-               n_starts: int = DEFAULT_STARTS,
-               seed: int = DEFAULT_SEED) -> NashSolution:
-    """Iterate damped synchronous best-response sweeps
-    x <- (1 - DAMPING) * x + DAMPING * BR(x) from n_starts random profiles
-    until the largest per-coordinate change drops below tol, for at most
-    MAX_SWEEPS sweeps. The damping suppresses the two-cycles undamped
-    simultaneous updates fall into on larger games and does not move the
-    fixed points.
+def excess(s, spec: GameSpec) -> np.ndarray:
+    """s*F(s) = sum_k x_k(s) + barrier - s per task, for s of shape (..., M),
+    summed as barrier + the other nodes' requests - (s - x) of the node
+    requesting most: no term near s cancels, which would move the root
+    where one node holds nearly all of a column and F's slope is small."""
+    x, rest = aggregate_requests(s[..., None, :], spec.rho, spec.eps, spec.kappa)
+    top = np.arange(spec.K)[:, None] == x.argmax(axis=-2)[..., None, :]
+    return np.where(top, -rest, x).sum(axis=-2) + spec.barrier
 
-    The starts are one (n_starts, K, M) draw, and each sweep is one
-    br_profile call on the starts still moving, all reading one
-    stack_game(spec). A start freezes at the sweep where it converges, so
-    it ends where it would alone; `iterations` is the slowest start's sweep
-    count, `converged` whether all converged.
 
-    Raises EquilibriumError if the starts do not agree within 10 * tol
-    (a game outside the proven uniqueness regime, e.g. low efficiency
-    indices, can surface here).
+def solve_nash(spec: GameSpec) -> NashSolution:
+    """The game's one equilibrium, from the root s* of each task's F.
+
+    Each task's bracket starts at [barrier, K + barrier]. Each step
+    evaluates F in one call at the 15 points that cut every bracket into 16,
+    and keeps the piece where F first drops to <= 0: four bits per step for
+    about the cost of one bisection. It stops when every bracket's ends are
+    adjacent floats, 14 steps on game1 and on the 10 x 10 dataset. x* is
+    x_k(s*) at the right end; `iterations` counts the steps; `converged` is
+    whether x* is a fixed point of br_profile to 1e-12.
     """
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
-        raise ConfigurationError(f"tol must be a number, got {tol!r}")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ConfigurationError(f"tol must be positive and finite, got {tol}")
-    require_integer("n_starts", n_starts, 1)
-    require_integer("seed", seed, 0)
     game = stack_game(spec)
-    x = np.random.default_rng(seed).random((n_starts, spec.K, spec.M))
-    active = np.arange(n_starts)
-    for sweeps in range(1, MAX_SWEEPS + 1):
-        x_act = x[active]
-        x_next = (1.0 - DAMPING) * x_act + DAMPING * br_profile(x_act, game)
-        x[active] = x_next
-        active = active[np.abs(x_next - x_act).max(axis=(-2, -1)) >= tol]
-        if not active.size:
+    lo = np.full(spec.M, spec.barrier)
+    hi = np.full(spec.M, spec.K + spec.barrier)
+    cuts, tasks = np.arange(1, 16)[:, None] / 16, np.arange(spec.M)
+    steps = 0
+    while True:
+        s = np.concatenate([lo + (hi - lo) * cuts, hi[None]])
+        inside = (s > lo) & (s < hi)
+        if not inside.any():
             break
-    spread = float(np.abs(x - x[0]).max())
-    if spread > 10.0 * tol:
-        raise EquilibriumError(
-            f"best-response starts disagree by {spread:.3e} (> 10 * tol); "
-            "equilibrium uniqueness not certified for this game"
-        )
-    return NashSolution(x_star=x[0], utilities=utility_matrix(x[0], game).sum(axis=1),
-                        eps_gap=float(epsilon_gap(x[0], spec)),
-                        iterations=sweeps, converged=not active.size)
+        steps += 1
+        # F > 0 at each point; a point that rounds to an end takes its sign
+        above = np.where(inside, excess(s, spec) > 0.0, s <= lo)
+        first = above.argmin(axis=0)
+        lo = np.where(first > 0, s[first - 1, tasks], lo)
+        hi = s[first, tasks]
+    x = aggregate_requests(hi, spec.rho, spec.eps, spec.kappa)[0]
+    # each node's others, summed without the column sum minus its own
+    others = np.where(np.eye(spec.K, dtype=bool)[:, :, None], 0.0, x).sum(axis=1)
+    return NashSolution(x_star=x, aggregate=hi,
+                        utilities=utility_matrix(x, game).sum(axis=1),
+                        eps_gap=float(epsilon_gap(x, spec)), iterations=steps,
+                        converged=bool(np.abs(br_profile(x, game, others)
+                                              - x).max() <= 1e-12))

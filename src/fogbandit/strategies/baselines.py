@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from ..errors import ConfigurationError, ProtocolError
-from ..game import task_best_response, task_utility
+from ..game import StackedGame, task_best_response, task_utility
 from ..streams import ReadAhead
 
 DEFAULT_ETA = 0.5
@@ -44,7 +44,11 @@ def br_profile(x: np.ndarray, game, others=None) -> np.ndarray:
     concave maximization on [0, 1], solved in closed form elementwise by
     task_best_response. A task's best response is 0 exactly when the slope
     at zero, 1/(o + barrier) + eps - kappa with o the others' summed
-    request, is <= 0. game and others are as for utility_matrix."""
+    request, is <= 0. game is a StackedGame and others is as for
+    utility_matrix."""
+    if not isinstance(game, StackedGame):
+        raise TypeError(f"br_profile reads a StackedGame, got {type(game).__name__}; "
+                        "pass stack_game(spec)")
     if others is None:
         others = x.sum(axis=-2, keepdims=True) - x
     return task_best_response(others, game.rho, game.eps, game.kappa,

@@ -1,6 +1,5 @@
 """Command-line verbs, driven through cli.main."""
 
-import inspect
 import json
 import re
 
@@ -11,7 +10,6 @@ from fogbandit import GAME1, campaign, cli
 from fogbandit.campaign import ExperimentConfig
 from fogbandit.engine import regret_slope
 from fogbandit.game import GameSpec
-from fogbandit.nash import DEFAULT_SEED, DEFAULT_STARTS, DEFAULT_TOL, solve_nash
 
 
 class TestSolveNash:
@@ -23,6 +21,7 @@ class TestSolveNash:
         assert 0.0 <= doc["eps_gap"] < 1e-6
         assert doc["converged"] is True
         assert len(doc["x_star"]) == 2 and len(doc["x_star"][0]) == 2
+        assert len(doc["aggregate"]) == 2
 
     @pytest.mark.filterwarnings("ignore:rho <= 0.5")
     def test_out_writes_what_it_prints(self, tmp_path, capsys):
@@ -39,14 +38,6 @@ class TestDefaults:
         config = ExperimentConfig(game1, [{"name": "bgam"}])
         assert ((args.T, args.seeds, args.master_seed, args.regret_mode)
                 == (config.T, config.n_seeds, config.master_seed, config.regret_mode))
-
-    def test_solve_nash(self):
-        args = cli.make_parser().parse_args(["solve-nash"])
-        defaults = inspect.signature(solve_nash).parameters
-        assert ((args.tol, args.starts, args.master_seed)
-                == tuple(defaults[p].default for p in ("tol", "n_starts", "seed")))
-        assert (args.tol, args.starts, args.master_seed) == (DEFAULT_TOL, DEFAULT_STARTS,
-                                                             DEFAULT_SEED)
 
     @pytest.mark.filterwarnings("ignore:rho <= 0.5")
     @pytest.mark.parametrize("game", ["game1", "dataset"])
@@ -123,7 +114,6 @@ def case(n, argv, message):
 class TestBadInput:
     @pytest.mark.parametrize("argv,message", [
         case(0, ["run", "--strategy", "ucb", "--T", "10"], "unknown strategy 'ucb'"),
-        case(1, ["solve-nash", "--tol", "0"], "tol must be positive"),
         case(2, ["validate-spec", "--game", "dataset", "--nodes", "0"],
              "--nodes must be an integer >= 1, got 0"),
         case(3, ["run", "--strategy", "gp,rs,gp"],
@@ -151,16 +141,6 @@ class TestBadInput:
              "strategy 'gp': eta must be finite, got inf"),
         case(16, ["run", "--strategy", "bgam", "--params", '{"bgam": {"nu": Infinity}}'],
              "strategy 'bgam': nu must be finite, got inf"),
-        case(17, ["solve-nash", "--tol", "nan"],
-             "tol must be positive and finite, got nan"),
-        case(18, ["solve-nash", "--tol", "inf"],
-             "tol must be positive and finite, got inf"),
-        case(19, ["solve-nash", "--starts", "0"],
-             "n_starts must be an integer >= 1, got 0"),
-        case(20, ["solve-nash", "--starts", "-2"],
-             "n_starts must be an integer >= 1, got -2"),
-        case(21, ["solve-nash", "--master-seed", "-1"],
-             "seed must be an integer >= 0, got -1"),
         case(22, ["run", "--master-seed", "-1"],
              "master_seed must be an integer >= 0, got -1"),
         case(23, ["run", "--T", "0"], "T must be an integer >= 1, got 0"),

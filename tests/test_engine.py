@@ -54,7 +54,7 @@ class Stub:
 
 def reference(spec):
     """A regret reference with zero utilities; no equilibrium is needed."""
-    return NashSolution(x_star=np.zeros((spec.K, spec.M)),
+    return NashSolution(x_star=np.zeros((spec.K, spec.M)), aggregate=np.zeros(spec.M),
                         utilities=np.zeros(spec.K), eps_gap=0.0, iterations=0,
                         converged=True)
 
@@ -306,7 +306,8 @@ class TestAccounting:
         S = 2
         monkeypatch.setattr(engine, "BR_BLOCK_ELEMENTS", B * S * game1.K * game1.M)
         calls = count_br_profile_calls(monkeypatch)
-        nash = NashSolution(x_star=X, utilities=utility_matrix(X, game1).sum(axis=-1),
+        nash = NashSolution(x_star=X, aggregate=X.sum(axis=-2) + game1.barrier,
+                            utilities=utility_matrix(X, game1).sum(axis=-1),
                             eps_gap=0.0, iterations=0, converged=True)
         played = []
         results = run_seed(game1, bank(game1, T, rngs(1, 2)), T, rngs(3, 4),

@@ -19,8 +19,8 @@ from fogbandit import (GameSpec, estimate_bounds, game, gradient_matrix,
                        hessian_others, hessian_own, load_dataset, select_subgame,
                        task_utility, utility_matrix)
 from fogbandit.errors import ConfigurationError
-from fogbandit.game import (best_response_terms, stack_game, task_best_response,
-                            task_gradient)
+from fogbandit.game import (aggregate_requests, best_response_terms, stack_game,
+                            task_best_response, task_gradient)
 from fogbandit.nash import deviation_utilities
 from fogbandit.strategies import br_profile
 
@@ -705,6 +705,36 @@ class TestKernels:
             assert array[k, m] == pytest.approx(scalar, rel=1e-14, abs=0.0)
 
 
+class TestAggregateRequests:
+    @settings(deadline=None, max_examples=150)
+    @given(log_uniform(1e-100), unit_index(), unit_index(), log_uniform(1e-50, 10.0))
+    def test_request_and_rest_match_mpmath(self, rho, eps, kappa, s):
+        # 1 - share = rho*omega(ln(c*s/rho) + 1/rho) at 260 digits, enough
+        # for the share's cancellation at rho = 1e-100; the rest is that
+        # complement times s. The float kernel keeps relative precision in
+        # both, even where either is near 1e-100. ln(c*s) rounds by about
+        # 1e-15 where c*s is near 1, which moves the share by rho times that
+        x, rest = aggregate_requests(s, rho, eps, kappa)
+        with mp.workdps(260):
+            c, S, r = mp.mpf(kappa) - mp.mpf(eps), mp.mpf(s), mp.mpf(rho)
+            tau = (mp.mpf(0) if c <= 0 else mp.mpf(1) if c * S >= 1
+                   else r * mp.lambertw(c * S * mp.exp(1 / r) / r).real)
+            want, rest_want = (1 - tau) * S, tau * S
+            if c <= 0 or S - 1 >= rest_want:
+                want, rest_want = mp.mpf(1), S - 1
+        assert abs(x - want) <= 4e-15 * want + 1e-15 * rho * s
+        assert abs(rest - rest_want) <= 1e-12 * abs(rest_want) + 1e-320  # subnormals
+
+    @settings(deadline=None, max_examples=100)
+    @given(log_uniform(1e-100), unit_index(), unit_index(), log_uniform(1e-50, 10.0))
+    def test_request_is_the_best_response_to_the_rest(self, rho, eps, kappa, s):
+        x, rest = aggregate_requests(s, rho, eps, kappa)
+        assume(rest >= 1e-6)           # a barrier that keeps others >= 0
+        best = task_best_response(rest - 1e-6, rho, eps, kappa, 1e-6,
+                                  best_response_terms(rho, eps, kappa))
+        assert abs(best - x) <= 1e-12
+
+
 @st.composite
 def stacked_cases(draw):
     """A game of up to 4 x 3, K = 1 included, with rho down to 1e-100, a
@@ -741,6 +771,11 @@ class TestStackedGame:
                 gradient_matrix: task_gradient(x, others, *args).tobytes(),
                 br_profile: br.tobytes()}
         deviation = task_utility(br, others, *args).sum(axis=-1).tobytes()
+        # task_best_response's zero-slope test reads the slope at 0 as
+        # b/(b*b) + eps - kappa, which is task_gradient there bit for bit
+        b = others + spec.barrier
+        assert ((b / (b * b) + spec.eps - spec.kappa).tobytes()
+                == task_gradient(0.0, others, *args).tobytes())
         for lead in (x.shape[1:2], (), x.shape[:2]):
             stacked = stack_game(spec, *lead)
             for m in (stacked.rho, stacked.eps, stacked.kappa, *stacked.br_terms):

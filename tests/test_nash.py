@@ -1,14 +1,17 @@
 """Equilibrium solving and the unilateral-deviation gap."""
 
-import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from fogbandit import nash
-from fogbandit.errors import ConfigurationError, EquilibriumError
-from fogbandit.game import gradient_matrix, stack_game, utility_matrix
-from fogbandit.nash import deviation_utilities, epsilon_gap, solve_nash
+from fogbandit.game import (GameSpec, aggregate_requests, best_response_terms,
+                            gradient_matrix, stack_game, task_best_response,
+                            utility_matrix)
+from fogbandit.nash import deviation_utilities, epsilon_gap, excess, solve_nash
 from fogbandit.strategies import br_profile
 
 
@@ -18,6 +21,11 @@ def game(request):
 
 
 class TestDeviationUtilities:
+    @pytest.mark.parametrize("entry", [br_profile, deviation_utilities])
+    def test_a_game_spec_is_named_as_needing_stack_game(self, game1, entry):
+        with pytest.raises(TypeError, match=r"got GameSpec; pass stack_game\(spec\)"):
+            entry(np.zeros((game1.K, game1.M)), game1)
+
     def test_equals_utility_with_own_row_best_responding(self, game, rng):
         for _ in range(5):
             x = rng.random((game.K, game.M))
@@ -42,7 +50,8 @@ class TestEpsilonGap:
 
     def test_certificate_never_uses_the_closed_form(self, game, rng, monkeypatch):
         # the gap is found by golden-section search on the utility alone,
-        # so it certifies the profile the closed-form sweeps reached
+        # so it certifies x* apart from the closed forms; solve_nash's own
+        # fixed-point check reads br_profile, so it fails here
         sol = solve_nash(game)
         x = rng.random((3, game.K, game.M))
         before = epsilon_gap(x, game)
@@ -60,65 +69,89 @@ class TestEpsilonGap:
             solve_nash(game)
 
 
+def log_uniform(low, high=1.0):
+    """Floats spread evenly in log scale over [low, high]."""
+    return st.floats(np.log10(low), np.log10(high)).map(
+        lambda e: min(max(10.0 ** e, low), high))
+
+
+@st.composite
+def games(draw, K=st.integers(1, 4)):
+    """A game of up to 4 x 3 over GameSpec's domain: rho down to 1e-100, a
+    barrier down to 1e-50 and some entries with kappa <= eps."""
+    K, M = draw(K), draw(st.integers(1, 3))
+    index = st.one_of(st.floats(0.0, 1.0, exclude_min=True), log_uniform(1e-300))
+    rho = draw(hnp.arrays(float, (K, M), elements=log_uniform(1e-100)))
+    eps, kappa = (draw(hnp.arrays(float, (K, M), elements=index)) for _ in range(2))
+    kappa = np.where(draw(hnp.arrays(bool, (K, M))), np.minimum(kappa, eps), kappa)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")                     # rho <= 0.5
+        return GameSpec(rho, eps, kappa, barrier=draw(log_uniform(1e-50)))
+
+
+def damped_sweeps(spec, start, tol=1e-6, damping=0.5):
+    """The solver this package used before the aggregate root: damped
+    synchronous best-response sweeps x <- (1 - damping)*x + damping*BR(x)
+    from one start, until no coordinate moves by tol."""
+    x, game = start, stack_game(spec)
+    for _ in range(10_000):
+        x_next = (1 - damping) * x + damping * br_profile(x, game)
+        change, x = np.abs(x_next - x).max(), x_next
+        if change < tol:
+            return x
+    raise AssertionError("the sweeps did not converge")
+
+
 class TestSolveNash:
-    def test_one_sweep_cannot_certify_uniqueness(self, game1, monkeypatch):
-        monkeypatch.setattr(nash, "MAX_SWEEPS", 1)
-        with pytest.raises(EquilibriumError):
-            solve_nash(game1)
-
-    @pytest.mark.parametrize("kwargs,message", [
-        ({"tol": float("nan")}, "tol must be positive and finite, got nan"),
-        ({"tol": float("inf")}, "tol must be positive and finite, got inf"),
-        ({"tol": 0.0}, "tol must be positive and finite, got 0.0"),
-        ({"n_starts": 0}, "n_starts must be an integer >= 1, got 0"),
-        ({"n_starts": -2}, "n_starts must be an integer >= 1, got -2"),
-        ({"n_starts": 2.0}, "n_starts must be an integer >= 1, got 2.0"),
-        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
-        ({"seed": True}, "seed must be an integer >= 0, got True"),
-        ({"seed": False}, "seed must be an integer >= 0, got False"),
-        ({"n_starts": True}, "n_starts must be an integer >= 1, got True"),
-    ])
-    def test_rejects_bad_settings_naming_the_field(self, game1, kwargs, message):
-        # a nan or inf tol stopped the sweeps at once and certified the
-        # first sweep's profile as converged; a bool seed ran silently, and
-        # a bool n_starts failed with a bare TypeError
-        with pytest.raises(ConfigurationError, match=f"^{message}$"):
-            solve_nash(game1, **kwargs)
-
-    @pytest.mark.parametrize("tol", [True, False, "x", None, [1e-6]],
-                             ids=["True", "False", "str", "None", "list"])
-    def test_rejects_a_tol_that_is_not_a_number(self, game1, tol):
-        # True ran as tol = 1.0 and stopped after one sweep; the others
-        # failed with a bare TypeError
-        with pytest.raises(ConfigurationError,
-                           match=re.escape(f"tol must be a number, got {tol!r}")):
-            solve_nash(game1, tol=tol)
-
-    def test_start_count_does_not_move_x_star(self, game):
-        # x* is the first start's end point, and each start is swept as if
-        # it were alone, so the other starts cannot move it
-        one = solve_nash(game, n_starts=1, seed=3)
-        many = solve_nash(game, n_starts=20, seed=3)
-        assert np.array_equal(one.x_star, many.x_star)
-
     def test_matches_one_start_at_a_time(self, game):
-        # reference: each start swept on its own until it converges
-        tol, damping, n_starts = 1e-6, nash.DAMPING, 5
-        starts = np.random.default_rng(7).random((n_starts, game.K, game.M))
-        finals, sweeps = [], []
-        for x in starts:
-            for it in range(1, 10_001):
-                x_next = (1 - damping) * x + damping * br_profile(x, stack_game(game))
-                change, x = np.abs(x_next - x).max(), x_next
-                if change < tol:
-                    break
-            finals.append(x)
-            sweeps.append(it)
-        sol = solve_nash(game, tol=tol, n_starts=n_starts, seed=7)
-        assert np.array_equal(sol.x_star, finals[0])
-        assert sol.iterations == max(sweeps)
+        # the damped sweeps, run from each start on its own, land on x*
+        sol = solve_nash(game)
+        for start in np.random.default_rng(7).random((5, game.K, game.M)):
+            assert np.abs(damped_sweeps(game, start) - sol.x_star).max() < 1e-5
         assert sol.converged
         assert isinstance(sol.eps_gap, float)
+
+    def test_damped_sweeps_land_on_x_star_of_random_games(self, rng):
+        for _ in range(30):
+            K, M = rng.integers(1, 6, size=2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                spec = GameSpec(1.0 - rng.uniform(0.0, 0.5, (K, M)),
+                                *(1.0 - rng.random((2, K, M))))
+            x = solve_nash(spec).x_star
+            assert np.abs(damped_sweeps(spec, rng.random((K, M))) - x).max() < 1e-5
+
+    @settings(deadline=None, max_examples=200)
+    @given(games())
+    def test_the_root_is_bracketed_and_certified(self, spec):
+        # F <= 0 at the bracket's right end K + barrier holds by the sum of
+        # K requests of at most 1 each, rounding aside
+        sol = solve_nash(spec)
+        s = sol.aggregate
+        assert sol.converged
+        assert epsilon_gap(sol.x_star, spec) <= 1e-12
+        assert np.all(excess(np.nextafter(s, 0.0), spec) >= 0.0)
+        assert np.all((excess(s, spec) <= 0.0) | (s == spec.K + spec.barrier))
+        assert np.array_equal(
+            sol.x_star, aggregate_requests(s, spec.rho, spec.eps, spec.kappa)[0])
+
+    @settings(deadline=None, max_examples=100)
+    @given(games(K=st.just(1)))
+    def test_one_node_best_responds_to_no_others(self, spec):
+        alone = task_best_response(0.0, spec.rho, spec.eps, spec.kappa, spec.barrier,
+                                   best_response_terms(spec.rho, spec.eps, spec.kappa))
+        assert np.abs(solve_nash(spec).x_star - alone).max() <= 1e-12
+
+    @settings(deadline=None, max_examples=100)
+    @given(games())
+    def test_no_share_rises_with_the_aggregate(self, spec):
+        s = np.linspace(spec.barrier, spec.K + spec.barrier, 500)[:, None, None]
+        share = aggregate_requests(s, spec.rho, spec.eps, spec.kappa)[0] / s
+        assert np.diff(share, axis=0).max() <= 1e-15
+
+    def test_brackets_close_in_14_steps_of_16_pieces(self, game1, game2):
+        # four bits of s* per step, from a bracket K wide to adjacent floats
+        assert (solve_nash(game1).iterations, solve_nash(game2).iterations) == (14, 14)
 
 
 class TestStackedProfiles:
