@@ -135,9 +135,10 @@ class ExperimentConfig:
 def replica_streams(master_seed: int, strategy: str, seed: int):
     """Two independent generators (strategy, noise) for one replica,
     derived only from the identifying triple."""
-    root = np.random.SeedSequence((master_seed, zlib.crc32(strategy.encode()), seed))
-    strat_ss, noise_ss = root.spawn(2)
-    return np.random.default_rng(strat_ss), np.random.default_rng(noise_ss)
+    entropy = (master_seed, zlib.crc32(strategy.encode()), seed)
+    # the two children SeedSequence(entropy).spawn(2) would make
+    return tuple(np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,)))
+                 for i in (0, 1))
 
 
 @dataclass

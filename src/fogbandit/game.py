@@ -40,11 +40,11 @@ BOUNDS_BLOCK = 10          # grid points per axis of one block of that grid
 # more than a relative margin when the terms cancel.
 _CEILING_SLACK = 1e-6
 # Most points one kernel call of estimate_bounds sees, and most planes x
-# blocks in one ceiling array; at least one lattice row and one block. At
-# 100 points per axis a call covers the block-corner lattice of up to 135
-# (node, task) planes, or up to 163 blocks, 128 KB per temporary. Measured
-# on 2 vCPUs, caps of 8192 to 32768 were as fast within noise; 4096 took
-# 1.4x as long and 65536 1.2-1.3x on random 20 x 20 and 50 x 50 games.
+# blocks in one ceiling array; at least one block. At 100 points per axis a
+# call covers up to 163 blocks and a ceiling array up to 163 (node, task)
+# planes, 128 KB per temporary. Measured on 2 vCPUs on random 20 x 20 and
+# 50 x 50 games, 8192 and 32768 took 1.05-1.3x as long as this cap, 4096
+# 1.25x and 65536 1.35x.
 BOUNDS_SLAB_ELEMENTS = 1 << 14
 # The open unit interval's end points: task_best_response keeps an interior
 # root off 0 and 1, which it returns only where the slopes say so.
@@ -368,12 +368,9 @@ def estimate_bounds(spec: GameSpec) -> Bounds:
     competition the learners actually face. Results carry a 1.1 safety
     factor against grid undersampling.
 
-    The grid is scanned by branch and bound. It is cut into blocks of
-    BOUNDS_BLOCK points per axis, the last one shorter where
-    GRID_RESOLUTION is not a multiple of it.
-    - The floor is the largest |kernel| on the lattice of block corners
-      (every BOUNDS_BLOCK-th grid point and the last, on both axes) over
-      all planes: a grid value, so never above the grid's max.
+    The grid is scanned by branch and bound, one slab of (node, task)
+    planes at a time. It is cut into blocks of BOUNDS_BLOCK points per axis,
+    the last one shorter where GRID_RESOLUTION is not a multiple of it.
     - Each (plane, block) gets a closed-form ceiling on |kernel| over the
       block's box x_own in [x0, x1], x_others in [o0, o1]. With
       E = exp(-x0/(rho*(x0 + o1 + barrier))) bounding the decay,
@@ -387,14 +384,16 @@ def estimate_bounds(spec: GameSpec) -> Bounds:
       terms (for the curvatures, whose terms are non-negative, a relative
       slack). That covers the rounding of the float kernel and ceiling
       even where eps - kappa cancels the rest.
-    - A block is skipped only when its ceiling is below the running floor,
-      so a nan floor or ceiling skips nothing. Every other block is
-      evaluated with the same kernel on the same linspace floats and
-      raises the floor.
+    - The floor is the largest |kernel| evaluated so far. Each plane's
+      highest-ceiling block that can still reach it comes first and seeds
+      it. Then, round after round, every block not yet evaluated whose
+      ceiling is not below the floor is, until none is left. A nan floor
+      or ceiling skips nothing, and no block is evaluated twice, so the
+      loop ends.
     Every skipped block holds only values below the floor, the kernels are
-    elementwise and a max is exact in any order: L, U and H are bitwise
-    those of the full scan. On the 10 x 10 dataset 2% of the grid's points
-    are evaluated.
+    elementwise on the same linspace floats and a max is exact in any
+    order: L, U and H are bitwise those of the full scan. On the 10 x 10
+    dataset 1.3% of the grid's points are evaluated.
 
     The planes come first in every call, and no kernel call sees more than
     BOUNDS_SLAB_ELEMENTS points, so memory does not grow with K*M. The two
@@ -410,31 +409,29 @@ def estimate_bounds(spec: GameSpec) -> Bounds:
     block = np.minimum(first[:, None] + np.arange(B), G - 1)
     x0, x1 = xg[first, None], xg[block[:, -1], None]
     o0, o1 = og[first], og[block[:, -1]]
-    corner = np.append(first, G - 1)
-    x_corner, o_corner = xg[corner][None, :, None], og[corner][None, None, :]
 
     def peak(kernel, ceiling, indices, top=0.0):
         n = indices[0].shape[0]
-        per_call = max(BOUNDS_SLAB_ELEMENTS // o_corner.size, 1)  # rows x planes
-        width = min(n, per_call)
-        rows = per_call // width
-        for p in range(0, n, width):
-            planes = [a[p:p + width] for a in indices]
-            for r in range(0, x_corner.size, rows):
-                # np.maximum keeps a nan
-                top = np.maximum(top, np.abs(
-                    kernel(x_corner[:, r:r + rows], o_corner, *planes, d)).max())
-        width = max(BOUNDS_SLAB_ELEMENTS // first.size**2, 1)
+        width = max(BOUNDS_SLAB_ELEMENTS // first.size**2, 1)   # planes
         per_call = max(BOUNDS_SLAB_ELEMENTS // B**2, 1)          # blocks
         for p in range(0, n, width):
             planes = [a[p:p + width] for a in indices]
-            ceilings = ceiling(x0, x1, o0, o1, *planes, d)
-            plane, i, j = np.nonzero(~(ceilings < top))
-            for q in range(0, plane.size, per_call):
-                at = slice(q, q + per_call)
-                top = np.maximum(top, np.abs(kernel(
-                    xg[block[i[at]], None], og[block[j[at]]][:, None, :],
-                    *(a[plane[at]] for a in planes), d)).max())
+            ceilings = ceiling(x0, x1, o0, o1, *planes, d).reshape(
+                planes[0].shape[0], -1)
+            todo = np.zeros(ceilings.shape, bool)
+            todo[np.arange(todo.shape[0]), ceilings.argmax(axis=1)] = True
+            done = np.zeros_like(todo)
+            while (todo := todo & ~(ceilings < top)).any():
+                plane, ij = np.nonzero(todo)
+                i, j = np.divmod(ij, first.size)
+                for q in range(0, plane.size, per_call):
+                    at = slice(q, q + per_call)
+                    # np.maximum keeps a nan
+                    top = np.maximum(top, np.abs(kernel(
+                        xg[block[i[at]], None], og[block[j[at]]][:, None, :],
+                        *(a[plane[at]] for a in planes), d)).max())
+                done |= todo
+                todo = ~done
         return top
 
     rho, eps, kap = (a.reshape(-1, 1, 1) for a in (spec.rho, spec.eps, spec.kappa))

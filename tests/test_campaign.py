@@ -5,6 +5,7 @@ ceiling, and replica streams that depend on neither strategy order nor seed
 count."""
 
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -445,3 +446,17 @@ class TestReplicaStreams:
         three = self.cum_regret(game1, ["bgam", "rs"], 3)
         for name in ("bgam", "rs"):
             assert np.array_equal(two[name][1], three[name][1])
+
+    @pytest.mark.parametrize("master_seed,strategy,seed", [
+        (0, "bgam", 0), (1, "rs", 1), (3, "lbwi", 9), (2**32 - 1, "gp", 2**31),
+        (12345, "llr", 7)])
+    def test_streams_are_the_children_a_root_would_spawn(self, master_seed,
+                                                         strategy, seed):
+        root = np.random.SeedSequence(
+            (master_seed, zlib.crc32(strategy.encode()), seed))
+        spawned = [np.random.default_rng(child) for child in root.spawn(2)]
+        built = campaign.replica_streams(master_seed, strategy, seed)
+        assert len(built) == 2
+        for a, b in zip(built, spawned):
+            assert a.bit_generator.state == b.bit_generator.state
+            assert a.random(4).tobytes() == b.random(4).tobytes()

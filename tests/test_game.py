@@ -62,6 +62,22 @@ def unit_index():
     return st.one_of(st.floats(0.0, 1.0, exclude_min=True), log_uniform(1e-300))
 
 
+def draw_small_game(data):
+    """A game of at most 6 x 6 from GameSpec's whole domain; rho from a pool
+    of at most three, so planes repeat and the curvatures run on fewer planes
+    than the gradient; K = 1 collapses the others' axis."""
+    K, M = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    pool = data.draw(st.lists(log_uniform(1e-100), min_size=1, max_size=3))
+    rho = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=K * M,
+                                      max_size=K * M))).reshape(K, M)
+    eps, kappa = (data.draw(hnp.arrays(float, (K, M), elements=unit_index()))
+                  for _ in range(2))
+    barrier = data.draw(log_uniform(1e-50, 1e-2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return GameSpec(rho=rho, eps=eps, kappa=kappa, barrier=barrier)
+
+
 def mp_task_utility(x, xo, rho, eps, kappa, d):
     x, xo, rho, eps, kappa, d = map(mp.mpf, map(str, (x, xo, rho, eps, kappa, d)))
     s = x + xo + d
@@ -574,20 +590,9 @@ class TestEstimateBounds:
         assert estimate_bounds(spec) == one_shot_bounds(spec)
 
     @settings(deadline=None, max_examples=60)
-    @given(st.integers(1, 6), st.integers(1, 6), st.data())
-    def test_repeated_rho_planes_equal_a_one_shot_scan_bitwise(self, K, M, data):
-        # GameSpec's whole domain; rho from a pool of at most three, so planes
-        # repeat and the curvatures run on fewer planes than the gradient;
-        # K = 1 collapses the others' axis
-        pool = data.draw(st.lists(log_uniform(1e-100), min_size=1, max_size=3))
-        rho = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=K * M,
-                                          max_size=K * M))).reshape(K, M)
-        eps, kappa = (data.draw(hnp.arrays(float, (K, M), elements=unit_index()))
-                      for _ in range(2))
-        barrier = data.draw(log_uniform(1e-50, 1e-2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            spec = GameSpec(rho=rho, eps=eps, kappa=kappa, barrier=barrier)
+    @given(st.data())
+    def test_repeated_rho_planes_equal_a_one_shot_scan_bitwise(self, data):
+        spec = draw_small_game(data)
         assert estimate_bounds(spec) == one_shot_bounds(spec)
 
     @pytest.mark.parametrize("kernel,ceiling,n_indices", [
@@ -628,10 +633,73 @@ class TestEstimateBounds:
     def test_any_slab_cap_equals_a_one_shot_scan_bitwise(self, name, cap, request,
                                                          monkeypatch):
         # 100 is one block per call; 2**20 takes the 10 x 10 dataset's
-        # lattice, ceilings and survivors whole
+        # ceilings and blocks whole
         monkeypatch.setattr(game, "BOUNDS_SLAB_ELEMENTS", cap)
         spec = request.getfixturevalue(name)
         assert estimate_bounds(spec) == one_shot_bounds(spec)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(100, 2**20), st.integers(2, 100), st.data())
+    def test_random_slab_caps_equal_a_one_shot_scan_bitwise(self, cap, G, data):
+        # below 100 points per axis a slab holds more planes than a call
+        # holds blocks, so the first round, one block per plane, can take
+        # several calls; fewer than 10 points make one block per plane
+        spec = draw_small_game(data)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(game, "BOUNDS_SLAB_ELEMENTS", cap)
+            patch.setattr(game, "GRID_RESOLUTION", G)
+            assert estimate_bounds(spec) == one_shot_bounds(spec)
+
+    @staticmethod
+    def record_gradient_blocks(monkeypatch, nan_at=None):
+        """Patch task_gradient to list each block it evaluates as (rho, eps,
+        kappa, x0, o0), and to return nan at the grid point nan_at."""
+        blocks = []
+
+        def recorded(x, o, rho, eps, kappa, d, evaluate=game.task_gradient):
+            blocks.extend(zip(rho.ravel(), eps.ravel(), kappa.ravel(),
+                              x[:, 0, 0], o[:, 0, 0]))
+            values = evaluate(x, o, rho, eps, kappa, d)
+            if nan_at is not None:
+                at = np.ones(values.shape, bool)
+                for arg, value in zip((x, o, rho, eps, kappa), nan_at):
+                    at &= arg == value
+                values = np.where(at, np.nan, values)
+            return values
+        monkeypatch.setattr(game, "task_gradient", recorded)
+        return blocks
+
+    @pytest.mark.parametrize("nan_blocks", [slice(None, None, 3), slice(None)])
+    def test_nan_ceilings_skip_nothing(self, game1, nan_blocks, monkeypatch):
+        def ceiling(*args, bound=game._gradient_ceiling):
+            top = bound(*args).copy()
+            top.reshape(top.shape[0], -1)[:, nan_blocks] = np.nan
+            return top
+        monkeypatch.setattr(game, "_gradient_ceiling", ceiling)
+        blocks = self.record_gradient_blocks(monkeypatch)
+        assert estimate_bounds(game1) == one_shot_bounds(game1)
+        assert len(set(blocks)) == len(blocks)
+        if nan_blocks == slice(None):
+            G, B = game.GRID_RESOLUTION, game.BOUNDS_BLOCK
+            assert len(blocks) == game1.rho.size * len(range(0, G, B))**2
+
+    def test_a_nan_floor_evaluates_every_block_once(self, game1, monkeypatch):
+        # nan at the grid's largest |gradient|, whose block no ceiling skips
+        G, B = game.GRID_RESOLUTION, game.BOUNDS_BLOCK
+        xg = np.linspace(0.0, 1.0, G)
+        og = np.linspace(0.5, max(game1.K - 1.0, 0.5), G)
+        indices = [a.ravel() for a in (game1.rho, game1.eps, game1.kappa)]
+        values = np.abs(task_gradient(xg[:, None, None], og[None, :, None],
+                                      *indices, game1.barrier))
+        i, j, plane = np.unravel_index(values.argmax(), values.shape)
+        blocks = self.record_gradient_blocks(
+            monkeypatch, (xg[i], og[j]) + tuple(a[plane] for a in indices))
+        expected = one_shot_bounds(game1)
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"L=nan, U={expected.U!r}, H={expected.H!r}")):
+            estimate_bounds(game1)
+        assert len(set(blocks)) == len(blocks)
+        assert len(blocks) == game1.rho.size * len(range(0, G, B))**2
 
     def test_no_kernel_call_sees_more_than_a_slab(self, game2, game20, monkeypatch):
         kernels = ("task_utility", "task_gradient", "hessian_own", "hessian_others")
@@ -646,22 +714,26 @@ class TestEstimateBounds:
         def evaluations(spec):
             sizes.update((kernel, []) for kernel in kernels)
             estimate_bounds(spec)
-            assert max(max(s) for s in sizes.values()) <= game.BOUNDS_SLAB_ELEMENTS
+            assert all(size <= game.BOUNDS_SLAB_ELEMENTS
+                       for s in sizes.values() for size in s)
             return {kernel: sum(s) for kernel, s in sizes.items()}
 
-        G, B = game.GRID_RESOLUTION, game.BOUNDS_BLOCK
+        G = game.GRID_RESOLUTION
         evaluations(game20)
-        # game20's 400 planes given one rho: each curvature scans one plane's
-        # corner lattice and at most all of its blocks
+        # game20's 400 planes given one rho: each curvature scans at most all
+        # of one plane's blocks
         one_rho = evaluations(GameSpec(np.full((20, 20), 0.7), game20.eps,
                                        game20.kappa))
-        one_plane = (len(range(0, G, B)) + 1) ** 2 + G**2
+        one_plane = G**2
         assert one_rho["hessian_own"] <= one_plane
         assert one_rho["hessian_others"] <= one_plane
         # the 10 x 10 dataset has 54 distinct rho in its 100 planes; its full
-        # grid is G**2 points per plane for each of the four kernels
+        # grid is G**2 points per plane for each of the four kernels, 3.08
+        # million points, of which the seeded scan evaluates 40,200
         full = G**2 * 2 * (game2.rho.size + 54)
-        assert sum(evaluations(game2).values()) <= 0.1 * full
+        dataset = sum(evaluations(game2).values())
+        assert dataset <= 0.1 * full
+        assert dataset <= 46_000
 
     def test_peak_memory_does_not_grow_with_the_game(self, game20):
         # slabs peak near 0.9 MB here; the one-shot 100 x 100 x 400 grid
