@@ -15,7 +15,7 @@ best response and the request consistent with a column total are written
 once each, in the six kernels task_utility, task_gradient, hessian_own,
 hessian_others, task_best_response and aggregate_requests; every other
 evaluation in the package calls them. estimate_bounds also bounds the
-first four over blocks of its grid in closed form, to skip blocks.
+utility over blocks of its grid in closed form, to skip blocks.
 """
 
 from __future__ import annotations
@@ -40,11 +40,11 @@ BOUNDS_BLOCK = 10          # grid points per axis of one block of that grid
 # more than a relative margin when the terms cancel.
 _CEILING_SLACK = 1e-6
 # Most points one kernel call of estimate_bounds sees, and most planes x
-# blocks in one ceiling array; at least one block. At 100 points per axis a
-# call covers up to 163 blocks and a ceiling array up to 163 (node, task)
-# planes, 128 KB per temporary. Measured on 2 vCPUs on random 20 x 20 and
-# 50 x 50 games, 8192 and 32768 took 1.05-1.3x as long as this cap, 4096
-# 1.25x and 65536 1.35x.
+# blocks in one ceiling array; at least one block, or one plane's two rows
+# for L. At 100 points per axis a call covers up to 163 blocks and a ceiling
+# array up to 163 (node, task) planes, 128 KB per temporary. Measured on 2
+# vCPUs on random 20 x 20 and 50 x 50 games, 8192 and 32768 took 1.05-1.3x
+# as long as this cap, 4096 1.25x and 65536 1.35x.
 BOUNDS_SLAB_ELEMENTS = 1 << 14
 # The open unit interval's end points: task_best_response keeps an interior
 # root off 0 and 1, which it returns only where the slopes say so.
@@ -313,29 +313,16 @@ def gradient_matrix(x: np.ndarray, game, others=None) -> np.ndarray:
     return task_gradient(x, others, game.rho, game.eps, game.kappa, game.barrier)
 
 
-# Ceilings on the float |kernel| over one block of estimate_bounds' grid,
-# x_own in [x0, x1] and x_others in [o0, o1] (derivations there). With
-# b = x_others + barrier and s = x_own + b, the decay exp(-x_own/(rho*s)) is
-# largest at (x0, o1) and smallest at (x1, o0): x_own/s rises in x_own and
-# falls in x_others.
-
 def _decay(x_own, x_others, rho, barrier):
     return np.exp(-x_own / (rho * (x_own + x_others + barrier)))
 
 
-def _gradient_ceiling(x0, x1, o0, o1, rho, eps, kappa, barrier):
-    """task_gradient's first term b*decay/s**2 lies in [0, top]."""
-    c = eps - kappa
-    top = ((o1 + barrier) * _decay(x0, o1, rho, barrier)
-           / (x0 + o0 + barrier) ** 2)
-    return (np.maximum(np.abs(c), np.abs(top + c))
-            + _CEILING_SLACK * (top + eps + kappa))
-
-
 def _utility_ceiling(x0, x1, o0, o1, rho, eps, kappa, barrier):
-    """task_utility's reward rho*(1 - decay) rises in x_own and falls in
-    x_others; its linear part (eps - kappa)*x_own + eps*x_others has its
-    extremes at the block's corners."""
+    """A ceiling on the float |task_utility| over one block of
+    estimate_bounds' grid, x_own in [x0, x1] and x_others in [o0, o1]. The
+    reward rho*(1 - _decay) rises in x_own and falls in x_others, as
+    x_own/(x_own + x_others + barrier) does; the linear part
+    (eps - kappa)*x_own + eps*x_others has its extremes at the corners."""
     c = eps - kappa
     top = (rho * (1.0 - _decay(x1, o0, rho, barrier))
            + np.maximum(c * x0, c * x1) + eps * o1)
@@ -345,22 +332,10 @@ def _utility_ceiling(x0, x1, o0, o1, rho, eps, kappa, barrier):
             + _CEILING_SLACK * (rho + eps * (x1 + o1) + kappa * x1))
 
 
-def _hessian_own_ceiling(x0, x1, o0, o1, rho, barrier):
-    b, s = o1 + barrier, x0 + o0 + barrier
-    return ((1.0 + _CEILING_SLACK) * _decay(x0, o1, rho, barrier)
-            * (2.0 * b / s**3 + b * b / (rho * s**4)))
-
-
-def _hessian_others_ceiling(x0, x1, o0, o1, rho, barrier):
-    b, s = o1 + barrier, x0 + o0 + barrier
-    return ((1.0 + _CEILING_SLACK) * _decay(x0, o1, rho, barrier)
-            * (2.0 * rho * x1 * b + np.abs(2.0 * rho - 1.0) * x1 * x1)
-            / (rho * s**4))
-
-
 def estimate_bounds(spec: GameSpec) -> Bounds:
     """Estimate (L, U, H) as the largest |kernel| on a uniform grid of (own
-    action, others' sum) pairs for every (node, task) index triple.
+    action, others' sum) pairs for every (node, task) index triple: L of
+    task_gradient, U of task_utility and H of the two curvatures jointly.
 
     The others'-sum axis spans [0.5, K-1]: near-empty columns are excluded
     because their sensitivity is pinned by the barrier (gradient magnitude
@@ -368,80 +343,81 @@ def estimate_bounds(spec: GameSpec) -> Bounds:
     competition the learners actually face. Results carry a 1.1 safety
     factor against grid undersampling.
 
-    The grid is scanned by branch and bound, one slab of (node, task)
-    planes at a time. It is cut into blocks of BOUNDS_BLOCK points per axis,
-    the last one shorter where GRID_RESOLUTION is not a multiple of it.
-    - Each (plane, block) gets a closed-form ceiling on |kernel| over the
-      block's box x_own in [x0, x1], x_others in [o0, o1]. With
-      E = exp(-x0/(rho*(x0 + o1 + barrier))) bounding the decay,
-      b = o1 + barrier and s = x0 + o0 + barrier:
-        task_gradient   max(|eps - kappa|, |b*E/s**2 + eps - kappa|);
-        task_utility    max(|R(x1, o0) + lin_max|, |R(x0, o1) + lin_min|),
-                        R = rho*(1 - decay), lin the linear part's corners;
-        hessian_own     E*(2*b/s**3 + b**2/(rho*s**4));
-        hessian_others  E*(2*rho*x1*b + |2*rho - 1|*x1**2)/(rho*s**4).
-      To each it adds _CEILING_SLACK times the summed magnitudes of its
-      terms (for the curvatures, whose terms are non-negative, a relative
-      slack). That covers the rounding of the float kernel and ceiling
-      even where eps - kappa cancels the rest.
-    - The floor is the largest |kernel| evaluated so far. Each plane's
-      highest-ceiling block that can still reach it comes first and seeds
-      it. Then, round after round, every block not yet evaluated whose
-      ceiling is not below the floor is, until none is left. A nan floor
-      or ceiling skips nothing, and no block is evaluated twice, so the
-      loop ends.
-    Every skipped block holds only values below the floor, the kernels are
-    elementwise on the same linspace floats and a max is exact in any
-    order: L, U and H are bitwise those of the full scan. On the 10 x 10
-    dataset 1.3% of the grid's points are evaluated.
+    Each bound is bitwise the full scan's, the kernels being elementwise on
+    the same linspace floats and a max exact in any order. With
+    b = x_others + barrier >= 1/2 and s = x_own + b:
+    - L is read off the edge rows x_own in {0, 1}. The gradient does not
+      increase along a row, since the utility is concave in the own action,
+      so |gradient| peaks at a row's end. Rounding cannot break that:
+      x_own/(rho*s) rises by at least 0.3% per grid step.
+    - H is |hessian_own| at the grid's first point, (0, og[0]), taken as an
+      array in the grid's layout (numpy's scalar ** rounds differently).
+      |hessian_own| falls in x_own, and at x_own = 0, where it is
+      (2*rho + 1)/(rho*b**2), it also falls in x_others. That is at least
+      9/4 of |hessian_others| anywhere on the grid, as x_own*b <= s**2/4,
+      x_own <= 2*s/3 and |2*rho - 1| <= 1.
+    - U is scanned by branch and bound, one slab of (node, task) planes at a
+      time. The grid is cut into blocks of BOUNDS_BLOCK points per axis, the
+      last one shorter where GRID_RESOLUTION is not a multiple of it. Each
+      (plane, block) gets _utility_ceiling over the block's box, plus
+      _CEILING_SLACK times the summed magnitudes of its terms: that covers
+      the rounding of the float kernel and ceiling even where eps - kappa
+      cancels the rest. The floor is the largest |utility| evaluated so far.
+      Each plane's highest-ceiling block that can still reach it comes first
+      and seeds it. Then, round after round, every block not yet evaluated
+      whose ceiling is not below the floor is, until none is left, so every
+      skipped block holds only values below the floor. A nan floor or
+      ceiling skips nothing, and no block is evaluated twice, so the loop
+      ends.
+    On the 10 x 10 dataset that is 30,300 kernel evaluations of the full
+    grid's 3.08 million: 20,000 for L, 10,200 for U and 100 for H.
 
     The planes come first in every call, and no kernel call sees more than
-    BOUNDS_SLAB_ELEMENTS points, so memory does not grow with K*M. The two
-    curvatures read only rho, so they run once per distinct rho; H is their
-    joint max, so hessian_own's max is hessian_others' first floor.
+    BOUNDS_SLAB_ELEMENTS points, so memory does not grow with K*M.
     """
     G, B = GRID_RESOLUTION, BOUNDS_BLOCK
     xg = np.linspace(0.0, 1.0, G)
     og = np.linspace(0.5, max(spec.K - 1.0, 0.5), G)
     d = spec.barrier
+    rho, eps, kap = (a.reshape(-1, 1, 1) for a in (spec.rho, spec.eps, spec.kappa))
+
+    def scan(kernel, x, o, indices):
+        # the largest |kernel| over x_own x and x_others o on every plane
+        width = max(BOUNDS_SLAB_ELEMENTS // (x.size * o.size), 1)   # planes
+        return np.max([np.abs(kernel(x, o, *(a[p:p + width] for a in indices),
+                                     d)).max()
+                       for p in range(0, rho.shape[0], width)])
+
     first = np.arange(0, G, B)
     # each block's grid indices, the last block padded with its last point
     block = np.minimum(first[:, None] + np.arange(B), G - 1)
     x0, x1 = xg[first, None], xg[block[:, -1], None]
     o0, o1 = og[first], og[block[:, -1]]
-
-    def peak(kernel, ceiling, indices, top=0.0):
-        n = indices[0].shape[0]
-        width = max(BOUNDS_SLAB_ELEMENTS // first.size**2, 1)   # planes
-        per_call = max(BOUNDS_SLAB_ELEMENTS // B**2, 1)          # blocks
-        for p in range(0, n, width):
-            planes = [a[p:p + width] for a in indices]
-            ceilings = ceiling(x0, x1, o0, o1, *planes, d).reshape(
-                planes[0].shape[0], -1)
-            todo = np.zeros(ceilings.shape, bool)
-            todo[np.arange(todo.shape[0]), ceilings.argmax(axis=1)] = True
-            done = np.zeros_like(todo)
-            while (todo := todo & ~(ceilings < top)).any():
-                plane, ij = np.nonzero(todo)
-                i, j = np.divmod(ij, first.size)
-                for q in range(0, plane.size, per_call):
-                    at = slice(q, q + per_call)
-                    # np.maximum keeps a nan
-                    top = np.maximum(top, np.abs(kernel(
-                        xg[block[i[at]], None], og[block[j[at]]][:, None, :],
-                        *(a[plane[at]] for a in planes), d)).max())
-                done |= todo
-                todo = ~done
-        return top
-
-    rho, eps, kap = (a.reshape(-1, 1, 1) for a in (spec.rho, spec.eps, spec.kappa))
-    rho_distinct = (np.unique(spec.rho).reshape(-1, 1, 1),)
-    curvature = peak(hessian_own, _hessian_own_ceiling, rho_distinct)
+    width = max(BOUNDS_SLAB_ELEMENTS // first.size**2, 1)   # planes
+    per_call = max(BOUNDS_SLAB_ELEMENTS // B**2, 1)          # blocks
+    top = 0.0
+    for p in range(0, rho.shape[0], width):
+        planes = [a[p:p + width] for a in (rho, eps, kap)]
+        ceilings = _utility_ceiling(x0, x1, o0, o1, *planes, d).reshape(
+            planes[0].shape[0], -1)
+        todo = np.zeros(ceilings.shape, bool)
+        todo[np.arange(todo.shape[0]), ceilings.argmax(axis=1)] = True
+        done = np.zeros_like(todo)
+        while (todo := todo & ~(ceilings < top)).any():
+            plane, ij = np.nonzero(todo)
+            i, j = np.divmod(ij, first.size)
+            for q in range(0, plane.size, per_call):
+                at = slice(q, q + per_call)
+                # np.maximum keeps a nan
+                top = np.maximum(top, np.abs(task_utility(
+                    xg[block[i[at]], None], og[block[j[at]]][:, None, :],
+                    *(a[plane[at]] for a in planes), d)).max())
+            done |= todo
+            todo = ~done
     return Bounds(
-        L=1.1 * float(peak(task_gradient, _gradient_ceiling, (rho, eps, kap))),
-        U=1.1 * float(peak(task_utility, _utility_ceiling, (rho, eps, kap))),
-        H=1.1 * float(peak(hessian_others, _hessian_others_ceiling,
-                           rho_distinct, curvature)))
+        L=1.1 * float(scan(task_gradient, xg[[0, -1], None], og, (rho, eps, kap))),
+        U=1.1 * float(top),
+        H=1.1 * float(scan(hessian_own, xg[:1, None], og[:1], (rho,))))
 
 
 def utility_range(spec: GameSpec) -> tuple[float, float]:
