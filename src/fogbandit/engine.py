@@ -181,14 +181,14 @@ def run_seed(spec: GameSpec, bank, T: int, noise_rngs, reference: NashSolution,
     hist_base = np.arange(S * K * M).reshape(S, K, M) * HIST_BINS
     avg_profile = {}
     block = max(1, BR_BLOCK_ELEMENTS // (S * K * M))
-    pending = []                      # (t, x, br, realized) not yet accounted
+    pending = []                      # (t, x, br, clean utility) not yet accounted
 
     game = stack_game(spec, S)
     noise = ReadAhead(noise_rngs, lambda g, n: g.normal(0.0, spec.noise_std, n))
     reads_noise = bank.feedback_kind == "bandit" or trace_sink is not None
     for t in range(1, T + 1):
         rec = run_round(game, bank, t, noise.take((K, M)) if reads_noise else None)
-        pending.append((t, rec.x.copy(), rec.br, rec.clean_utility.sum(axis=-1)))
+        pending.append((t, rec.x.copy(), rec.br, rec.clean_utility))
         if trace_sink is not None:
             trace_sink(rec)
         if len(pending) < block and t < T:
@@ -199,7 +199,7 @@ def run_seed(spec: GameSpec, bank, T: int, noise_rngs, reference: NashSolution,
         else:
             ref = deviation_utilities(np.stack(xs), game,
                                       None if brs[0] is None else np.stack(brs))
-        for tau, x, gain in zip(ts, xs, ref - np.stack(us)):
+        for tau, x, gain in zip(ts, xs, ref - np.stack(us).sum(axis=-1)):
             cum += gain
             if tau % log_every == 0 or tau == T:
                 log_t.append(tau)

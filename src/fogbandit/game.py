@@ -226,14 +226,17 @@ def task_best_response(x_others, rho, eps, kappa, barrier, terms):
     does not overflow even at rho = 1e-100. The utility is concave in x_own,
     so its maximizer on [0, 1] is 0 where the slope at 0 is <= 0, 1 where
     the slope at 1 is >= 0 (always when c <= 0), and otherwise the root,
-    kept inside (0, 1) against rounding. ln(c) is taken only where c > 0.
+    kept inside (0, 1) against rounding. ln(c) is taken only where c > 0,
+    and omega only where the best response is interior: at a corner it is
+    left at 1.0, whose root the corner's value overwrites.
     """
     log_c, half_inv_rho, log_2rho = terms
     b = x_others + barrier
-    v = 2.0 * wrightomega(0.5 * (log_c + np.log(b)) + half_inv_rho - log_2rho)
-    root = np.minimum(np.maximum(b / (rho * v) - b, _ABOVE_0), _BELOW_1)
     at_0 = b / (b * b) + eps - kappa <= 0.0       # task_gradient at 0, bit for bit
     at_1 = task_gradient(1.0, x_others, rho, eps, kappa, barrier) >= 0.0
+    z = 0.5 * (log_c + np.log(b)) + half_inv_rho - log_2rho
+    v = 2.0 * wrightomega(z, out=np.ones(np.shape(z)), where=~(at_0 | at_1))
+    root = np.minimum(np.maximum(b / (rho * v) - b, _ABOVE_0), _BELOW_1)
     return np.where(at_0, 0.0, np.where(at_1, 1.0, root))
 
 

@@ -12,9 +12,10 @@ Hartley, Economic Theory 2005; Jensen, Economic Theory 2010):
   column's s, which is then a root of F, so the one root s* gives the one
   equilibrium x_k(s*), for every GameSpec.
 solve_nash brackets the root and checks x* against the closed-form best
-response (br_profile); epsilon_gap certifies it by golden-section search.
-deviation_utilities and epsilon_gap take (..., K, M) stacks and answer each
-profile on its own; each reads one game.StackedGame.
+response (br_profile); the root is what proves x* the one equilibrium, and
+epsilon_gap measures how far any profile is from one, from the same closed
+form. deviation_utilities and epsilon_gap take (..., K, M) stacks and answer
+each profile on its own; each reads one game.StackedGame.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameSpec, aggregate_requests, stack_game, utility_matrix
-from .strategies.baselines import br_profile, golden_br_profile
+from .strategies.baselines import br_profile
 
 
 @dataclass
@@ -60,15 +61,14 @@ def epsilon_gap(x, spec: GameSpec):
     from profile x: 0 at an equilibrium, never negative (staying put is a
     deviation). x of shape (..., K, M) gives shape (...), a float for one
     K x M profile and one gap per profile of a stack.
-    The deviations are found by golden-section search (golden_br_profile),
-    not by the closed form of br_profile, so the gap certifies a profile
-    independently of the closed forms solve_nash reads. All three
-    evaluations read one stack_game of spec at x's leading shape."""
+    Each deviation is the closed-form best response of br_profile, the
+    exact maximizer up to rounding; x* itself is proved the equilibrium by
+    solve_nash's aggregate root, not by this gap. Both evaluations read one
+    stack_game of spec at x's leading shape."""
     x = np.asarray(x, dtype=float)
     game = stack_game(spec, *x.shape[:-2])
     u_cur = utility_matrix(x, game).sum(axis=-1)
-    dev = deviation_utilities(x, game, golden_br_profile(x, game))
-    return np.maximum(0.0, (dev - u_cur).max(axis=-1))
+    return np.maximum(0.0, (deviation_utilities(x, game) - u_cur).max(axis=-1))
 
 
 def excess(s, spec: GameSpec) -> np.ndarray:

@@ -72,15 +72,14 @@ class BgamBank:
         self._c = np.where(up, 1.0, -1.0)
         # exact arithmetic keeps this in [0, 1]; the clip absorbs the rounding
         # of (1 - alpha) * xi, which can leave -1e-17 at the lower bound
-        return np.clip(self.y + np.where(up, self.sigma, -self.sigma) + self.xi,
-                       0.0, 1.0)
+        return (self.y + np.where(up, self.sigma, -self.sigma) + self.xi).clip(0.0, 1.0)
 
     def observe(self, observed: np.ndarray) -> None:
         if self._c is None:
             raise ProtocolError("observe called without a preceding act")
         self.v = self.beta * self.v + observed * self._c
         bound = (1.0 - self.alpha) * self.xi
-        np.clip(self.y + self.nu / math.sqrt(self.t) * self.v, -bound, bound,
-                out=self.y)
+        (self.y + self.nu / math.sqrt(self.t) * self.v).clip(-bound, bound,
+                                                             out=self.y)
         self.t += 1
         self._c = None

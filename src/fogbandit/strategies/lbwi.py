@@ -104,7 +104,7 @@ class LbwiBank:
     # -- helpers ----------------------------------------------------------
 
     def _normalize(self, observed):
-        return np.clip((observed - self.u_lo) / (self.u_hi - self.u_lo), 0.0, 1.0)
+        return ((observed - self.u_lo) / (self.u_hi - self.u_lo)).clip(0.0, 1.0)
 
     def _draw(self, *tail):
         """Every replica's next uniform values, shaped (S, K, M) + tail."""
@@ -154,7 +154,9 @@ class LbwiBank:
         p0 = (1.0 - self.gamma) * w0 / self._wsum + self.gamma / n
         w1 = w0 * np.exp(self.gamma * self._normalize(observed) / (n * p0))
         flat[i] = w1
-        w /= np.maximum(w1, 1.0)[..., None]   # row max was 1.0, multiplier >= 1
+        # row max was 1.0 and the multiplier is >= 1: only a row whose played
+        # weight rose above 1 changes, divided by it
+        np.divide(w, w1[..., None], out=w, where=(w1 > 1.0)[..., None])
         if self.t == self.T1:
             self._refine()
         self.t += 1

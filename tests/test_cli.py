@@ -59,6 +59,20 @@ class TestRun:
         assert summary["T"] == T
         assert str(T) in summary["strategies"]["rs"]["eps_gap_trajectory"]
 
+    def test_best_response_strategies_under_per_round_br(self, tmp_path, capsys):
+        # br's feedback, the per-round-BR reference and every checkpoint gap
+        # go through the closed-form best response
+        out = tmp_path / "out"
+        code = cli.main(["run", "--game", "game1", "--strategy", "br,gp",
+                         "--regret-mode", "per_round_br", "--T", "60",
+                         "--seeds", "2", "--out", str(out)])
+        assert code == 0, capsys.readouterr().out
+        summary = json.loads((out / "summary.json").read_text())["strategies"]
+        assert sorted(summary) == ["br", "gp"]
+        for s in summary.values():
+            gaps = list(s["eps_gap_trajectory"].values())
+            assert gaps and all(np.isfinite(g) and g >= 0.0 for g in gaps)
+
     def test_horizon_one_fails_before_the_equilibrium_solve(self, tmp_path,
                                                             capsys, monkeypatch):
         def solve_nash(*args, **kwargs):

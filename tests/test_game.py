@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import wrightomega
 
 from fogbandit import (GameSpec, estimate_bounds, game, gradient_matrix,
                        hessian_others, hessian_own, load_dataset, select_subgame,
@@ -403,7 +404,69 @@ class TestGradient:
                     game1.kappa[k, m], game1.barrier), rel=1e-12)
 
 
+def all_elements_best_response(x_others, rho, eps, kappa, barrier, terms):
+    """task_best_response with omega taken on every element, the corners
+    then overwriting their roots."""
+    log_c, half_inv_rho, log_2rho = terms
+    b = x_others + barrier
+    v = 2.0 * wrightomega(0.5 * (log_c + np.log(b)) + half_inv_rho - log_2rho)
+    root = np.minimum(np.maximum(b / (rho * v) - b, np.nextafter(0.0, 1.0)),
+                      np.nextafter(1.0, 0.0))
+    at_0 = b / (b * b) + eps - kappa <= 0.0
+    at_1 = task_gradient(1.0, x_others, rho, eps, kappa, barrier) >= 0.0
+    return np.where(at_0, 0.0, np.where(at_1, 1.0, root))
+
+
+@st.composite
+def best_response_cases(draw):
+    """task_best_response's arguments over GameSpec's domain, scalars or a
+    stack of up to 3 x 4 x 3: rho down to 1e-100, a barrier down to 1e-50,
+    some entries with kappa <= eps and some others' sums of 0."""
+    shape = draw(st.sampled_from(((), (4,), (3, 4, 3))))
+    rho = draw(hnp.arrays(float, shape, elements=log_uniform(1e-100)))
+    eps, kappa = (draw(hnp.arrays(float, shape, elements=unit_index()))
+                  for _ in range(2))
+    kappa = np.where(draw(hnp.arrays(bool, shape)), np.minimum(kappa, eps), kappa)
+    others = draw(hnp.arrays(float, shape, elements=st.floats(0.0, 9.0)))
+    others = np.where(draw(hnp.arrays(bool, shape)), 0.0, others)
+    if shape == ():
+        rho, eps, kappa, others = (float(a) for a in (rho, eps, kappa, others))
+    return others, rho, eps, kappa, draw(log_uniform(1e-50))
+
+
 class TestBestResponseKernel:
+    @settings(deadline=None, max_examples=300)
+    @given(best_response_cases())
+    def test_equals_the_all_elements_formula_bitwise(self, case):
+        others, rho, eps, kappa, barrier = case
+        terms = best_response_terms(rho, eps, kappa)
+        got = task_best_response(others, rho, eps, kappa, barrier, terms)
+        want = all_elements_best_response(others, rho, eps, kappa, barrier, terms)
+        assert np.shape(got) == np.shape(want) == np.shape(others)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_omega_runs_only_where_the_best_response_is_interior(
+            self, game2, rng, monkeypatch):
+        masks = []
+
+        def spy(z, **kwargs):
+            masks.append(kwargs["where"])
+            return wrightomega(z, **kwargs)
+        monkeypatch.setattr(game, "wrightomega", spy)
+        x = np.where(rng.random((5, game2.K, game2.M)) < 0.3, 0.0,
+                     rng.random((5, game2.K, game2.M)))
+        stacked = stack_game(game2, 5)
+        others = x.sum(axis=-2, keepdims=True) - x
+        args = (stacked.rho, stacked.eps, stacked.kappa, stacked.barrier)
+        br = br_profile(x, stacked, others)
+        b = others + stacked.barrier
+        corner = ((b / (b * b) + stacked.eps - stacked.kappa <= 0.0)
+                  | (task_gradient(1.0, others, *args) >= 0.0))
+        [where] = masks
+        assert np.array_equal(where, ~corner)
+        assert corner.any() and not corner.all()
+        assert np.array_equal(corner, (br == 0.0) | (br == 1.0))
+
     # the interior root of the 40-digit gradient, found by bisection: the
     # Wright-omega form is exact up to rounding, not to a search tolerance
     @pytest.mark.parametrize("others,rho,eps,kappa,barrier", [
