@@ -227,8 +227,7 @@ def task_best_response(x_others, rho, eps, kappa, barrier, terms):
     so its maximizer on [0, 1] is 0 where the slope at 0 is <= 0, 1 where
     the slope at 1 is >= 0 (always when c <= 0), and otherwise the root,
     kept inside (0, 1) against rounding. ln(c) is taken only where c > 0,
-    and omega only where the best response is interior: at a corner it is
-    left at 1.0, whose root the corner's value overwrites.
+    and omega only at interior elements (1.0 at a corner, overwritten).
     """
     log_c, half_inv_rho, log_2rho = terms
     b = x_others + barrier

@@ -11,11 +11,11 @@ Hartley, Economic Theory 2005; Jensen, Economic Theory 2010):
 - a profile is an equilibrium exactly when every request is x_k(s) at its
   column's s, which is then a root of F, so the one root s* gives the one
   equilibrium x_k(s*), for every GameSpec.
-solve_nash brackets the root and checks x* against the closed-form best
-response (br_profile); the root is what proves x* the one equilibrium, and
-epsilon_gap measures how far any profile is from one, from the same closed
-form. deviation_utilities and epsilon_gap take (..., K, M) stacks and answer
-each profile on its own; each reads one game.StackedGame.
+solve_nash brackets the root, checks x* against the closed-form best
+response (br_profile) and certifies it by golden-section search; epsilon_gap
+deviates by the closed form. deviation_utilities and epsilon_gap take
+(..., K, M) stacks and answer each profile on its own; each reads one
+game.StackedGame.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameSpec, aggregate_requests, stack_game, utility_matrix
-from .strategies.baselines import br_profile
+from .strategies.baselines import br_profile, golden_br_profile
 
 
 @dataclass
@@ -61,10 +61,9 @@ def epsilon_gap(x, spec: GameSpec):
     from profile x: 0 at an equilibrium, never negative (staying put is a
     deviation). x of shape (..., K, M) gives shape (...), a float for one
     K x M profile and one gap per profile of a stack.
-    Each deviation is the closed-form best response of br_profile, the
-    exact maximizer up to rounding; x* itself is proved the equilibrium by
-    solve_nash's aggregate root, not by this gap. Both evaluations read one
-    stack_game of spec at x's leading shape."""
+    Each deviation is br_profile's closed-form best response; solve_nash
+    certifies x* apart from it. Both evaluations read one stack_game of spec
+    at x's leading shape."""
     x = np.asarray(x, dtype=float)
     game = stack_game(spec, *x.shape[:-2])
     u_cur = utility_matrix(x, game).sum(axis=-1)
@@ -90,7 +89,8 @@ def solve_nash(spec: GameSpec) -> NashSolution:
     about the cost of one bisection. It stops when every bracket's ends are
     adjacent floats, 14 steps on game1 and on the 10 x 10 dataset. x* is
     x_k(s*) at the right end; `iterations` counts the steps; `converged` is
-    whether x* is a fixed point of br_profile to 1e-12.
+    whether x* is a fixed point of br_profile to 1e-12; `eps_gap` is x*'s
+    gap with golden_br_profile's deviations, which read the utility alone.
     """
     game = stack_game(spec)
     lo = np.full(spec.M, spec.barrier)
@@ -111,8 +111,9 @@ def solve_nash(spec: GameSpec) -> NashSolution:
     x = aggregate_requests(hi, spec.rho, spec.eps, spec.kappa)[0]
     # each node's others, summed without the column sum minus its own
     others = np.where(np.eye(spec.K, dtype=bool)[:, :, None], 0.0, x).sum(axis=1)
-    return NashSolution(x_star=x, aggregate=hi,
-                        utilities=utility_matrix(x, game).sum(axis=1),
-                        eps_gap=float(epsilon_gap(x, spec)), iterations=steps,
+    utilities = utility_matrix(x, game).sum(axis=1)
+    gain = deviation_utilities(x, game, golden_br_profile(x, game)) - utilities
+    return NashSolution(x_star=x, aggregate=hi, utilities=utilities,
+                        eps_gap=float(np.maximum(0.0, gain.max())), iterations=steps,
                         converged=bool(np.abs(br_profile(x, game, others)
                                               - x).max() <= 1e-12))

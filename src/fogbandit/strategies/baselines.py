@@ -1,9 +1,6 @@
 """Full-information and random baselines: projected gradient play, best
-response, and uniform random selection; and golden-section search, the
-tests' independent check of the closed-form best response. The package
-does not call golden_max: it stays here only while the benchmark's tracer
-patches it by name, and moves into the tests once a missing traced name
-stops failing the benchmark."""
+response, and uniform random selection; and the golden-section search that
+certifies the equilibrium apart from the closed-form best response."""
 
 from __future__ import annotations
 
@@ -12,7 +9,7 @@ import math
 import numpy as np
 
 from ..errors import ConfigurationError, ProtocolError
-from ..game import StackedGame, task_best_response
+from ..game import StackedGame, task_best_response, task_utility
 from ..streams import ReadAhead
 
 DEFAULT_ETA = 0.5
@@ -24,7 +21,7 @@ _N_ITER = int(math.ceil(math.log(GOLDEN_TOL) / math.log(_INVPHI))) + 1
 def golden_max(f, shape):
     """Golden-section maximization over [0, 1] of an elementwise-unimodal f,
     for every element of an array of the given shape (() for a scalar), to
-    absolute tolerance GOLDEN_TOL: the tests' oracle for task_best_response.
+    absolute tolerance GOLDEN_TOL.
     All brackets share one width, probed at lo + width/phi^2 and
     lo + width/phi; each iteration evaluates f at one new probe."""
     lo, width = np.zeros(shape), 1.0
@@ -56,6 +53,21 @@ def br_profile(x: np.ndarray, game, others=None) -> np.ndarray:
         others = x.sum(axis=-2, keepdims=True) - x
     return task_best_response(others, game.rho, game.eps, game.kappa,
                               game.barrier, game.br_terms)
+
+
+def golden_br_profile(x: np.ndarray, game) -> np.ndarray:
+    """br_profile found by golden-section search on task_utility alone, to
+    absolute tolerance GOLDEN_TOL: solve_nash's certificate of x*, which
+    uses nothing of the closed form it certifies. `game` is a StackedGame
+    whose leading shape broadcasts against x's. The search runs on flat
+    arrays of x's shape, so no probe broadcasts the index matrices against
+    the stack."""
+    others_sum = (x.sum(axis=-2, keepdims=True) - x).ravel()
+    rho, eps, kappa = (np.broadcast_to(a, x.shape).ravel()
+                       for a in (game.rho, game.eps, game.kappa))
+    return golden_max(
+        lambda z: task_utility(z, others_sum, rho, eps, kappa, game.barrier),
+        others_sum.shape).reshape(x.shape)
 
 
 class GpBank:

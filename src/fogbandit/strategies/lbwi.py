@@ -154,8 +154,7 @@ class LbwiBank:
         p0 = (1.0 - self.gamma) * w0 / self._wsum + self.gamma / n
         w1 = w0 * np.exp(self.gamma * self._normalize(observed) / (n * p0))
         flat[i] = w1
-        # row max was 1.0 and the multiplier is >= 1: only a row whose played
-        # weight rose above 1 changes, divided by it
+        # row max was 1.0; only a row whose played weight rose above 1 changes
         np.divide(w, w1[..., None], out=w, where=(w1 > 1.0)[..., None])
         if self.t == self.T1:
             self._refine()

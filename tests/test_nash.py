@@ -11,9 +11,10 @@ from hypothesis.extra import numpy as hnp
 from fogbandit.engine import run_seed
 from fogbandit.game import (GameSpec, aggregate_requests, best_response_terms,
                             gradient_matrix, stack_game, task_best_response,
-                            task_utility, utility_matrix)
+                            utility_matrix)
 from fogbandit.nash import deviation_utilities, epsilon_gap, excess, solve_nash
-from fogbandit.strategies import GpBank, br_profile, golden_max
+from fogbandit.strategies import GpBank, br_profile
+from fogbandit.strategies.baselines import golden_br_profile
 
 
 @pytest.fixture(params=["game1", "game2"])
@@ -21,22 +22,9 @@ def game(request):
     return request.getfixturevalue(request.param)
 
 
-def golden_br_profile(x, game):
-    """br_profile found by golden-section search on task_utility alone, to
-    golden_max's absolute tolerance of 1e-8 in the action: an oracle that
-    shares nothing with the closed form. `game` is a StackedGame whose
-    leading shape broadcasts against x's. The search runs on flat arrays of
-    x's shape, so no probe broadcasts the index matrices against the stack."""
-    others_sum = (x.sum(axis=-2, keepdims=True) - x).ravel()
-    rho, eps, kappa = (np.broadcast_to(a, x.shape).ravel()
-                       for a in (game.rho, game.eps, game.kappa))
-    return golden_max(
-        lambda z: task_utility(z, others_sum, rho, eps, kappa, game.barrier),
-        others_sum.shape).reshape(x.shape)
-
-
 def golden_gap(x, spec):
-    """epsilon_gap with golden_br_profile's deviations."""
+    """epsilon_gap with golden_br_profile's deviations, which share nothing
+    with the closed form."""
     game = stack_game(spec, *x.shape[:-2])
     u_cur = utility_matrix(x, game).sum(axis=-1)
     dev = deviation_utilities(x, game, golden_br_profile(x, game))
@@ -80,6 +68,26 @@ class TestEpsilonGap:
         sol = solve_nash(game)
         assert epsilon_gap(sol.x_star, game) < 1e-6
         assert sol.eps_gap < 1e-6
+
+    def test_certificate_never_uses_the_closed_form(self, game, monkeypatch):
+        # solve_nash certifies x* by golden-section search on the utility
+        # alone: with every closed-form best response broken its gap stays
+        # the same, and only its fixed-point check, which reads br_profile,
+        # fails
+        sol = solve_nash(game)
+
+        def closed_form(others, *args):
+            return np.zeros(np.shape(others))
+        for target in ("fogbandit.nash.br_profile",
+                       "fogbandit.strategies.baselines.br_profile",
+                       "fogbandit.strategies.baselines.task_best_response",
+                       "fogbandit.game.task_best_response"):
+            monkeypatch.setattr(target, closed_form)
+        broken = solve_nash(game)
+        assert broken.eps_gap == sol.eps_gap == golden_gap(sol.x_star, game)
+        assert sol.eps_gap < 1e-6
+        assert np.array_equal(broken.x_star, sol.x_star)
+        assert sol.converged and not broken.converged
 
     def test_closed_form_gap_is_golden_sections_or_just_above(self, game, rng):
         # the closed form is the exact maximizer up to rounding and golden
