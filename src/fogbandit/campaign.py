@@ -6,6 +6,10 @@ all held by one bank and played by one engine loop. Replica randomness
 derives from (master_seed, strategy name, replica index), so results are
 reproducible and independent of strategy order and seed count. The
 equilibrium is solved once per game and serves as the regret reference.
+
+A strategy's bank is dropped once it has run; the campaign keeps its
+replicas' results and the numbers fitted from them, and computes the seed
+statistics of its regret when a writer reads them.
 """
 
 from __future__ import annotations
@@ -143,19 +147,30 @@ def replica_streams(master_seed: int, strategy: str, seed: int):
 
 @dataclass
 class StrategyCampaign:
+    """What the result files read of one strategy: its replicas' results,
+    the logged rounds, the regret slopes, the checkpoint gaps and the
+    runtime. The (L, K) seed means and spreads of the regret are computed on
+    each read, from the replicas' series stacked to (S, L, K)."""
+
     name: str
     params: dict
     seeds: list                       # SeedResult per replica
     log_t: np.ndarray
-    mean_cum_regret: np.ndarray       # (L, K) over seeds
-    std_cum_regret: np.ndarray
-    mean_avg_regret: np.ndarray
-    std_avg_regret: np.ndarray
     slope: float                      # regret_slope of the node-mean series
     node_slopes: list                 # of each node's seed-mean series
     seed_slopes: list                 # of each replica's node-mean series
     eps_gap_trajectory: dict          # round -> mean eps-gap of averaged profile
     runtime: float
+
+    def _stack(self, average: bool) -> np.ndarray:          # (S, L, K)
+        cum = np.stack([r.cum_regret for r in self.seeds])
+        return cum / self.log_t[:, None] if average else cum
+
+    _ddof = property(lambda self: 1 if len(self.seeds) > 1 else 0)
+    mean_cum_regret = property(lambda self: self._stack(False).mean(axis=0))
+    std_cum_regret = property(lambda self: self._stack(False).std(axis=0, ddof=self._ddof))
+    mean_avg_regret = property(lambda self: self._stack(True).mean(axis=0))
+    std_avg_regret = property(lambda self: self._stack(True).std(axis=0, ddof=self._ddof))
 
     def final_avg_regret_node_mean(self) -> float:
         return float(self.mean_avg_regret[-1].mean())
@@ -168,6 +183,16 @@ class CampaignResult:
     config: ExperimentConfig
     strategies: list
     metadata: dict
+
+
+def _slopes(seed_results) -> tuple:
+    """regret_slope of the node-mean, each node's and each replica's series."""
+    log_t = seed_results[0].log_t
+    cum = np.stack([r.cum_regret for r in seed_results])    # (S, L, K)
+    mean_cum = cum.mean(axis=0)
+    return (regret_slope(mean_cum.mean(axis=1), log_t),
+            [regret_slope(series, log_t) for series in mean_cum.T],
+            [regret_slope(c.mean(axis=1), log_t) for c in cum])
 
 
 def run_campaign(config: ExperimentConfig, progress=None) -> CampaignResult:
@@ -189,7 +214,8 @@ def run_campaign(config: ExperimentConfig, progress=None) -> CampaignResult:
     u_lo, u_hi = utility_range(spec)
 
     strategies = []
-    for sc, (bank, noise_rngs, build_s) in zip(config.strategies, banks):
+    for sc in config.strategies:
+        bank, noise_rngs, build_s = banks.pop(0)    # dropped once it has run
         t0 = time.monotonic()
         trace_sink = None
         if config.trace:
@@ -206,23 +232,13 @@ def run_campaign(config: ExperimentConfig, progress=None) -> CampaignResult:
             for seed in seeds:
                 progress(f"{sc.name}: seed {seed} done")
 
-        log_t = seed_results[0].log_t
-        cum = np.stack([r.cum_regret for r in seed_results])    # (S, L, K)
-        avg = cum / log_t[:, None]
-        mean_cum = cum.mean(axis=0)
-        ddof = 1 if config.n_seeds > 1 else 0
         checkpoints = list(seed_results[0].avg_profile)     # in round order
         gaps = epsilon_gap(np.array([[r.avg_profile[t] for r in seed_results]
                                      for t in checkpoints]), spec)
         gap_traj = {t: float(g) for t, g in zip(checkpoints, gaps.mean(axis=1))}
         strategies.append(StrategyCampaign(
-            name=sc.name, params=bank.params, seeds=seed_results, log_t=log_t,
-            mean_cum_regret=mean_cum, std_cum_regret=cum.std(axis=0, ddof=ddof),
-            mean_avg_regret=avg.mean(axis=0), std_avg_regret=avg.std(axis=0, ddof=ddof),
-            slope=regret_slope(mean_cum.mean(axis=1), log_t),
-            node_slopes=[regret_slope(series, log_t) for series in mean_cum.T],
-            seed_slopes=[regret_slope(c.mean(axis=1), log_t) for c in cum],
-            eps_gap_trajectory=gap_traj,
+            sc.name, bank.params, seed_results, seed_results[0].log_t,
+            *_slopes(seed_results), eps_gap_trajectory=gap_traj,
             runtime=build_s + time.monotonic() - t0))   # its build counts too
 
     metadata = {
@@ -318,10 +334,10 @@ def _write_csv(path: Path, header: str, *columns) -> None:
 
 def write_regret_csv(result: StrategyCampaign, path: Path) -> None:
     """Seed-mean regret series: one row per (logged round, node)."""
-    K = result.mean_cum_regret.shape[1]
+    mean_cum = result.mean_cum_regret
     _write_csv(path, "t,node,cumulative_regret,average_regret\n",
-               result.log_t[:, None], np.arange(K),
-               result.mean_cum_regret, result.mean_avg_regret)
+               result.log_t[:, None], np.arange(mean_cum.shape[1]),
+               mean_cum, result.mean_avg_regret)
 
 
 def write_histogram_csv(result: StrategyCampaign, path: Path) -> None:

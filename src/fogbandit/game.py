@@ -30,9 +30,6 @@ from scipy.special import wrightomega
 
 from .errors import ConfigurationError
 
-# Convexity of the utility in the other nodes' actions is only guaranteed
-# for efficiency indices above this threshold; lower values get a warning.
-RHO_CONVEXITY_THRESHOLD = 0.5
 GRID_RESOLUTION = 100      # points per axis of estimate_bounds' grid
 BOUNDS_BLOCK = 10          # grid points per axis of one block of that grid
 # Each block ceiling adds this much of the summed magnitudes of its terms:
@@ -118,15 +115,12 @@ class GameSpec:
         if self.noise_std > 1e100:
             raise ConfigurationError(
                 f"noise_std must be <= 1e100, got {self.noise_std}")
-        low = self.rho <= RHO_CONVEXITY_THRESHOLD
+        low = self.rho < 0.5 / (1.0 + self.barrier)
         if np.any(low):
             ks, ms = np.nonzero(low)
-            warnings.warn(
-                f"rho <= {RHO_CONVEXITY_THRESHOLD} at (node, task) pairs "
-                f"{list(zip(ks.tolist(), ms.tolist()))}: convexity in others' "
-                "actions is not guaranteed there",
-                stacklevel=2,
-            )
+            warnings.warn("utility not convex in others' actions where "
+                          "2*rho*(1 + barrier) < 1, at (node, task) pairs "
+                          f"{list(zip(ks.tolist(), ms.tolist()))}", stacklevel=2)
 
     @property
     def K(self) -> int:
@@ -192,8 +186,9 @@ def hessian_own(x_own, x_others, rho, barrier):
 
 
 def hessian_others(x_own, x_others, rho, barrier):
-    """Curvature of task_utility in the others' summed action; non-negative
-    whenever rho > 0.5 (convexity in others)."""
+    """Curvature of task_utility in the others' summed action, of the sign of
+    2*rho*b + (2*rho - 1)*x_own: >= 0 on x_own in [0, 1], x_others >= 0 exactly
+    where 2*rho*(1 + barrier) >= 1, else negative at x_own = 1, x_others = 0."""
     b = x_others + barrier
     s = x_own + b
     return (np.exp(-x_own / (rho * s))

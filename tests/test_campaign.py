@@ -4,7 +4,10 @@ parameter overrides, traces, checkpoint rounds, every strategy at the noise
 ceiling, and replica streams that depend on neither strategy order nor seed
 count."""
 
+import gc
 import json
+import tracemalloc
+import warnings
 import zlib
 
 import numpy as np
@@ -175,7 +178,7 @@ class TestRunCampaign:
             run_campaign(config)
 
 
-@pytest.mark.filterwarnings("ignore:rho <= 0.5")
+@pytest.mark.filterwarnings("ignore:utility not convex in others")
 class TestRunParams:
     def run(self, tmp_path, params, capsys):
         out = tmp_path / "out"
@@ -199,7 +202,7 @@ class TestRunParams:
         assert summary["strategies"]["gp"]["params"] == {"eta": 0.3}
 
 
-@pytest.mark.filterwarnings("ignore:rho <= 0.5")
+@pytest.mark.filterwarnings("ignore:utility not convex in others")
 class TestTrace:
     def test_allocation_column_is_proportional_share(self, game1, tmp_path,
                                                      allocate):
@@ -299,7 +302,7 @@ class TemplateTraceWriter:
             fh.close()
 
 
-@pytest.mark.filterwarnings("ignore:rho <= 0.5")
+@pytest.mark.filterwarnings("ignore:utility not convex in others")
 @pytest.mark.filterwarnings("ignore:coarse interval count")
 class TestTraceBytes:
     """The block trace writer writes the per-round template's bytes."""
@@ -349,7 +352,7 @@ class TestCheckpoints:
         assert checkpoint_rounds(T) == expected
 
 
-@pytest.mark.filterwarnings("ignore:rho <= 0.5")
+@pytest.mark.filterwarnings("ignore:utility not convex in others")
 @pytest.mark.filterwarnings("ignore:coarse interval count")
 def test_every_strategy_runs_at_the_noise_ceiling(game1):
     spec = GameSpec(rho=game1.rho, eps=game1.eps, kappa=game1.kappa,
@@ -393,7 +396,7 @@ def test_a_summary_json_cannot_hold_leaves_no_file(game1, tmp_path):
         "summary.json"]
 
 
-@pytest.mark.filterwarnings("ignore:rho <= 0.5")
+@pytest.mark.filterwarnings("ignore:utility not convex in others")
 def test_per_seed_slopes_fit_each_replica(game1):
     config = ExperimentConfig(game1, [{"name": "bgam"}, {"name": "gp"}],
                               T=2000, n_seeds=3)
@@ -414,6 +417,74 @@ def test_row_blocks_leave_the_result_files_unchanged(game1, tmp_path, monkeypatc
     for one, split in zip(whole, blocks):
         if one.suffix == ".csv":
             assert split.read_bytes() == one.read_bytes(), one.name
+
+
+@pytest.fixture(scope="module")
+def held(game2, tmp_path_factory):
+    """The 10 x 10 dataset campaign of seven strategies at T = 1000 and
+    S = 2, run under tracemalloc with np.polyfit and np.linalg.lstsq
+    raising, and written out: (result, bytes run_campaign's result
+    retained, output directory)."""
+    def lapack(*args, **kwargs):
+        raise AssertionError("a campaign reached LAPACK")
+
+    config = ExperimentConfig(game2, [{"name": n} for n in
+                                      ("bgam", "bgd", "lbwi", "lb", "llr", "gp", "rs")],
+                              T=1000, n_seeds=2)
+    out = tmp_path_factory.mktemp("held")
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "coarse interval count")
+        patch.setattr(np, "polyfit", lapack)
+        patch.setattr(np.linalg, "lstsq", lapack)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run_campaign(config)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        write_outputs(result, out)
+    return result, retained, out
+
+
+class TestWhatACampaignHolds:
+    def test_retains_the_regret_arrays_and_little_else(self, held):
+        # the seed means and spreads are not stored: the result holds each
+        # strategy's (S, L, K) regret array, with 0.8 MB for the rest
+        result, retained, _ = held
+        stacks = sum(np.stack([r.cum_regret for r in s.seeds]).nbytes
+                     for s in result.strategies)
+        assert stacks == 7 * 2 * 1000 * 10 * 8
+        assert retained <= stacks + 0.8e6
+
+    def test_runs_and_writes_without_lapack(self, held):
+        result, _, out = held
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["summary.json"] + [f"{prefix}_{s.name}.csv" for s in result.strategies
+                                for prefix in ("regret", "actions_hist", "final_actions")])
+
+    def test_written_statistics_are_the_seed_stacks_bit_for_bit(self, held):
+        result, _, out = held
+        summary = json.loads((out / "summary.json").read_text())["strategies"]
+        for s in result.strategies:
+            cum = np.stack([r.cum_regret for r in s.seeds])
+            avg = cum / s.log_t[:, None]
+            rows = np.array([[float(v) for v in line.split(",")] for line in
+                             (out / f"regret_{s.name}.csv").read_text().splitlines()[1:]])
+            K = cum.shape[-1]
+            assert np.array_equal(rows[:, 2].reshape(-1, K), cum.mean(axis=0)), s.name
+            assert np.array_equal(rows[:, 3].reshape(-1, K), avg.mean(axis=0)), s.name
+            written = summary[s.name]
+            assert written["final_cumulative_regret_mean"] == cum.mean(axis=0)[-1].tolist()
+            assert written["final_cumulative_regret_std"] == (
+                cum.std(axis=0, ddof=1)[-1].tolist())
+            assert written["final_average_regret_mean"] == avg.mean(axis=0)[-1].tolist()
+            assert written["final_average_regret_std"] == (
+                avg.std(axis=0, ddof=1)[-1].tolist())
+            assert written["final_average_regret_node_mean"] == (
+                float(avg.mean(axis=0)[-1].mean()))
 
 
 class TestReplicaStreams:

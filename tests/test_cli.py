@@ -13,7 +13,7 @@ from fogbandit.game import GameSpec
 
 
 class TestSolveNash:
-    @pytest.mark.filterwarnings("ignore:rho <= 0.5")
+    @pytest.mark.filterwarnings("ignore:utility not convex in others")
     def test_game1_prints_certified_equilibrium(self, capsys):
         assert cli.main(["solve-nash", "--game", "game1"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -23,7 +23,7 @@ class TestSolveNash:
         assert len(doc["x_star"]) == 2 and len(doc["x_star"][0]) == 2
         assert len(doc["aggregate"]) == 2
 
-    @pytest.mark.filterwarnings("ignore:rho <= 0.5")
+    @pytest.mark.filterwarnings("ignore:utility not convex in others")
     def test_out_writes_what_it_prints(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert cli.main(["solve-nash", "--out", str(out)]) == 0
@@ -39,14 +39,14 @@ class TestDefaults:
         assert ((args.T, args.seeds, args.master_seed, args.regret_mode)
                 == (config.T, config.n_seeds, config.master_seed, config.regret_mode))
 
-    @pytest.mark.filterwarnings("ignore:rho <= 0.5")
+    @pytest.mark.filterwarnings("ignore:utility not convex in others")
     @pytest.mark.parametrize("game", ["game1", "dataset"])
     def test_noise_and_barrier(self, game):
         spec = cli.build_spec(cli.make_parser().parse_args(["run", "--game", game]))
         assert (spec.noise_std, spec.barrier) == (GameSpec.noise_std, GameSpec.barrier)
 
 
-@pytest.mark.filterwarnings("ignore:rho <= 0.5")
+@pytest.mark.filterwarnings("ignore:utility not convex in others")
 @pytest.mark.filterwarnings("ignore:coarse interval count")
 class TestRun:
     @pytest.mark.parametrize("T", [1, 2, 3])
@@ -124,7 +124,7 @@ def case(n, argv, message):
     return pytest.param(argv, message, id=f"argv{n}-{message}")
 
 
-@pytest.mark.filterwarnings("ignore:rho <= 0.5")
+@pytest.mark.filterwarnings("ignore:utility not convex in others")
 class TestBadInput:
     @pytest.mark.parametrize("argv,message", [
         case(0, ["run", "--strategy", "ucb", "--T", "10"], "unknown strategy 'ucb'"),
@@ -206,10 +206,12 @@ class TestBuildSpec:
         doc = json.loads(capsys.readouterr().out)
         assert (doc["valid"], doc["K"], doc["M"]) == (True, 10, 10)
         [warning] = doc["warnings"]
-        assert warning.startswith("rho <= 0.5 at (node, task) pairs")
-        assert len(re.findall(r"\(\d+, \d+\)", warning)) == 44
+        assert warning.startswith("utility not convex in others' actions where "
+                                  "2*rho*(1 + barrier) < 1, at (node, task) pairs")
+        # the four pairs at rho = 0.5 do not warn
+        assert len(re.findall(r"\(\d+, \d+\)", warning)) == 40
 
-    @pytest.mark.filterwarnings("ignore:rho <= 0.5")
+    @pytest.mark.filterwarnings("ignore:utility not convex in others")
     def test_spec_json_round_trip(self, game1, tmp_path, capsys):
         path = tmp_path / "game1.json"
         path.write_text(game1.to_json())
@@ -218,7 +220,7 @@ class TestBuildSpec:
         assert cli.main(["solve-nash", "--game", "game1"]) == 0
         assert from_json == capsys.readouterr().out
 
-    @pytest.mark.filterwarnings("ignore:rho <= 0.5")
+    @pytest.mark.filterwarnings("ignore:utility not convex in others")
     def test_nodes_and_tasks_select_from_any_game(self, game2, tmp_path):
         path = tmp_path / "game2.json"
         path.write_text(game2.to_json())
@@ -233,7 +235,7 @@ class TestBuildSpec:
                     assert np.array_equal(getattr(spec, name),
                                           np.asarray(full[name])[sel])
 
-    @pytest.mark.filterwarnings("ignore:rho <= 0.5")
+    @pytest.mark.filterwarnings("ignore:utility not convex in others")
     def test_noise_std_overrides_a_document(self, game1, tmp_path):
         path = tmp_path / "game1.json"
         path.write_text(json.dumps({**json.loads(game1.to_json()), "noise_std": 0.2}))
@@ -254,7 +256,7 @@ class TestBuildSpec:
                          "message": "index matrices disagree in shape: rho (2, 2), "
                                     "eps (3, 2), kappa (2, 2)"}
 
-    @pytest.mark.filterwarnings("ignore:rho <= 0.5")
+    @pytest.mark.filterwarnings("ignore:utility not convex in others")
     def test_noise_std_defaults_to_one_hundredth(self, capsys):
         args = cli.make_parser().parse_args(["validate-spec"])
         assert args.noise_std is None
@@ -275,7 +277,7 @@ class TestBuildSpec:
                          "message": f"{path}: game document lacks rho"}
 
 
-@pytest.mark.filterwarnings("ignore:rho <= 0.5")
+@pytest.mark.filterwarnings("ignore:utility not convex in others")
 class TestResultFiles:
     def test_summary_and_solve_nash_print_the_same_equilibrium(self, tmp_path,
                                                                capsys):

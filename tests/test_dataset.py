@@ -21,7 +21,7 @@ BUNDLED_SHA256 = "f3855eedf14d81b5e4fb1e75c45a10287948bdb2218cac6b90394dc138a6fd
 
 
 class TestDocument:
-    @pytest.mark.filterwarnings("ignore:rho <= 0.5")
+    @pytest.mark.filterwarnings("ignore:utility not convex in others")
     def test_bundled_document_is_the_pinned_ten_by_ten(self):
         # the golden campaigns read only its 3 x 3 corner
         spec = select_subgame(load_dataset())
@@ -59,7 +59,7 @@ class TestSelectSubgame:
     def dataset(self):
         return load_dataset()
 
-    @pytest.mark.filterwarnings("ignore:rho <= 0.5")
+    @pytest.mark.filterwarnings("ignore:utility not convex in others")
     def test_selects_rows_and_columns(self, dataset):
         spec = select_subgame(dataset, [2, 0], [1], noise_std=0.0)
         assert np.array_equal(spec.rho, np.asarray(dataset["rho"])[[2, 0]][:, [1]])
@@ -81,14 +81,15 @@ class TestSelectSubgame:
 
     def test_warns_once_naming_only_the_selected_pairs(self, dataset):
         # row 0 has rho 0.40 and 0.65 in columns 1 and 2; the full game
-        # has 44 pairs at or below 0.5
+        # has 40 pairs where 2*rho*(1 + barrier) < 1
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             select_subgame(dataset, [0], [1, 2])
-        assert [str(w.message).split(":")[0] for w in caught] == [
-            "rho <= 0.5 at (node, task) pairs [(0, 0)]"]
+        assert [str(w.message) for w in caught] == [
+            "utility not convex in others' actions where 2*rho*(1 + barrier) < 1, "
+            "at (node, task) pairs [(0, 0)]"]
 
-    @pytest.mark.filterwarnings("ignore:rho <= 0.5")
+    @pytest.mark.filterwarnings("ignore:utility not convex in others")
     def test_settings_absent_from_the_document_take_the_defaults(self):
         spec = select_subgame(GAME1)
         assert (spec.barrier, spec.noise_std) == (1e-6, 0.01)
@@ -96,7 +97,7 @@ class TestSelectSubgame:
         assert (spec.barrier, spec.noise_std) == (1e-3, 0.5)
         assert select_subgame({**GAME1, "noise_std": 0.5}, noise_std=0.0).noise_std == 0.0
 
-    @pytest.mark.filterwarnings("ignore:rho <= 0.5")
+    @pytest.mark.filterwarnings("ignore:utility not convex in others")
     def test_game1_equilibrium_is_the_one_described(self):
         # node 0 requests about 0.0687 of task 1 and node 1 about 0.1046
         # of task 0; each requests all of its strong task

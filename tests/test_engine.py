@@ -186,7 +186,7 @@ class TestFeedbackRouting:
         assert np.array_equal(best_response, br_profile(XS, stack_game(game1)))
         assert rec.br is best_response
 
-    @pytest.mark.filterwarnings("ignore:rho <= 0.5")
+    @pytest.mark.filterwarnings("ignore:utility not convex in others")
     def test_noiseless_observation_is_the_clean_utility(self, game1):
         # a normal draw with std 0 is +0.0, so noise_std = 0 needs no branch
         spec = dataclasses.replace(game1, noise_std=0.0)
@@ -347,6 +347,17 @@ class TestAccounting:
         assert np.all(res.histogram.sum(axis=-1) == post_rounds)
         assert np.allclose(res.post_window_avg, played[-post_rounds:].mean(axis=0))
 
+    def test_replicas_read_one_regret_array(self, game1):
+        # each logged row is written in place into one (S, L, K) array
+        T = 2501
+        results = run_seed(game1, RsBank(game1, T, rngs(1, 2)), T, rngs(3, 4),
+                           reference(game1))
+        whole = results[0].cum_regret.base
+        assert whole.shape == (2, 1251, game1.K)
+        for s, res in enumerate(results):
+            assert res.cum_regret.base is whole
+            assert np.shares_memory(res.cum_regret, whole[s])
+
     def test_log_rows_end_at_horizon(self, game1):
         # T // 1000 = 2: every second round, and the last one
         res, _ = rs_seed(game1, 2501)
@@ -377,6 +388,21 @@ class TestRegretSlope:
             warnings.simplefilter("error")
             slope = regret_slope(cumulative, np.arange(1, 6))
         assert np.isnan(slope) == undefined
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 2000), step=st.integers(1, 50),
+           seed=st.integers(0, 2**32 - 1), start=st.floats(1e-3, 1e3),
+           scale=st.floats(1e-6, 1e3), flat=st.floats(0.0, 1.0))
+    def test_closed_form_matches_polyfit(self, n, step, seed, start, scale, flat):
+        # np.polyfit serves here only as the reference: the engine calls no
+        # LAPACK. The series is positive and non-decreasing, with a share
+        # `flat` of its rounds adding nothing; t is logged every `step` rounds.
+        rng = np.random.default_rng(seed)
+        cumulative = start + np.cumsum(rng.exponential(scale, n) * (rng.random(n) >= flat))
+        t = step * np.arange(1, n + 1)
+        sel = t >= 0.5 * t[-1]
+        want = np.polyfit(np.log(t[sel]), np.log(cumulative[sel]), 1)[0]
+        assert abs(regret_slope(cumulative, t) - want) <= 1e-12
 
     def test_horizon_one_is_nan(self, game1):
         res, _ = rs_seed(game1, 1)

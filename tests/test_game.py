@@ -228,9 +228,32 @@ class TestGameSpec:
         assert np.all(np.isfinite([bounds.L, bounds.U, bounds.H]))
 
     def test_warns_on_low_efficiency_but_accepts(self):
-        with pytest.warns(UserWarning, match="convexity"):
-            spec = GameSpec(rho=[[0.5]], eps=[[0.1]], kappa=[[0.1]])
+        with pytest.warns(UserWarning, match=r"where 2\*rho\*\(1 \+ barrier\) < 1"):
+            spec = GameSpec(rho=[[0.4]], eps=[[0.1]], kappa=[[0.1]])
         assert spec.K == 1 and spec.M == 1
+
+    @pytest.mark.parametrize("barrier", [1e-50, 1e-6, 1e-3, 0.25, 1.0, 7.0])
+    def test_warns_exactly_below_half_over_one_plus_barrier(self, barrier):
+        edge = 0.5 / (1.0 + barrier)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            GameSpec(rho=[[1.0, edge]], eps=[[0.1] * 2], kappa=[[0.1] * 2],
+                     barrier=barrier)
+        with pytest.warns(UserWarning) as caught:
+            GameSpec(rho=[[1.0, np.nextafter(edge, 0.0)]], eps=[[0.1] * 2],
+                     kappa=[[0.1] * 2], barrier=barrier)
+        assert [str(w.message) for w in caught] == [
+            "utility not convex in others' actions where 2*rho*(1 + barrier) < 1, "
+            "at (node, task) pairs [(0, 1)]"]
+
+    @pytest.mark.parametrize("barrier", [1e-6, 1e-3, 0.25, 1.0])
+    def test_the_warning_marks_where_hessian_others_turns_negative(self, barrier):
+        # the curvature's least value on the box is at x_own = 1, x_others = 0
+        edge = 0.5 / (1.0 + barrier)
+        own, others = np.meshgrid(np.linspace(0.0, 1.0, 101),
+                                  np.linspace(0.0, 3.0, 101), indexing="ij")
+        assert hessian_others(own, others, edge * (1.0 + 1e-9), barrier).min() >= 0.0
+        assert hessian_others(1.0, 0.0, edge * (1.0 - 1e-9), barrier) < 0.0
 
     def test_json_round_trip_is_identity(self, game1, tmp_path):
         path = tmp_path / "game1.json"
@@ -904,7 +927,7 @@ class TestStackedGame:
         # alone gives the same bytes
         rho, eps, kappa, barrier, x = case
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")                 # rho <= 0.5
+            warnings.simplefilter("ignore")     # where 2*rho*(1 + barrier) < 1
             spec = GameSpec(rho, eps, kappa, barrier=barrier)
         others = x.sum(axis=-2, keepdims=True) - x
         args = (spec.rho, spec.eps, spec.kappa, spec.barrier)

@@ -190,7 +190,7 @@ class TestPhaseTransition:
         want = refined_reference(coarse, bank.n_arms, 5, with_init)
         assert bank.weights.tobytes() == want.tobytes()
 
-    @pytest.mark.filterwarnings("ignore:rho <= 0.5")
+    @pytest.mark.filterwarnings("ignore:utility not convex in others")
     @pytest.mark.parametrize("with_init", [True, False])
     def test_refinement_at_the_arm_cap_holds_one_temporary(self, game1, with_init):
         # at noise_std 1e3 every learner's count reaches the cap

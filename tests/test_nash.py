@@ -118,7 +118,7 @@ def games(draw, K=st.integers(1, 4)):
     eps, kappa = (draw(hnp.arrays(float, (K, M), elements=index)) for _ in range(2))
     kappa = np.where(draw(hnp.arrays(bool, (K, M))), np.minimum(kappa, eps), kappa)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")                     # rho <= 0.5
+        warnings.simplefilter("ignore")     # where 2*rho*(1 + barrier) < 1
         return GameSpec(rho, eps, kappa, barrier=draw(log_uniform(1e-50)))
 
 
